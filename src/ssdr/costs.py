@@ -1,9 +1,10 @@
-"""Pairwise cost matrices built from label and neighborhood information.
+"""Pair-cost rules built from label and neighborhood information.
 
 Positive entries pull a pair of embedded points together, negative entries
 push them apart.  Every constructor returns exactly symmetric matrices;
 rows and columns touching an unlabeled example are zero in the label-based
-matrices.
+matrices.  ``solver.build_scatters`` turns these costs into the scatters a
+learner solves with.
 """
 from __future__ import annotations
 
@@ -17,13 +18,12 @@ from .dataset import UNLABELED
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """An n x n symmetric cost matrix with a provenance tag.
+    """An n x n symmetric cost matrix.
 
-    ``entries`` is dense (ndarray) for the unlabel/combined matrices and
-    may be a scipy sparse matrix for the binary neighbor graphs.
+    ``entries`` is dense (ndarray), or a scipy sparse matrix for the binary
+    neighbor graphs.
     """
     entries: np.ndarray | sp.spmatrix
-    kind: str  # one of: intra, extra, label, unlabel, combined
 
     @property
     def n(self) -> int:
@@ -60,55 +60,39 @@ def pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def _k_nearest(dists: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest candidates, ties broken by smallest index."""
-    if candidates.size == 0:
-        return candidates
-    order = np.lexsort((candidates, dists[candidates]))
-    return candidates[order[:k]]
-
-
 def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int,
                     dense_same_class: bool = False):
     """Binary same-class (C^I) and different-class (C^E) neighbor graphs.
 
     c^I_ij = 1 iff j is among the k nearest labeled same-class neighbors of
-    i, or vice versa; C^E analogously over different classes.  Pairs with an
-    unlabeled endpoint are zero.  With ``dense_same_class`` every labeled
-    same-class pair gets c^I = 1 (the classical, non-local regime).
+    i, or vice versa; C^E analogously over different classes.  Distance ties
+    go to the smaller index.  Pairs with an unlabeled endpoint are zero.
+    With ``dense_same_class`` every labeled same-class pair gets c^I = 1
+    (the classical, non-local regime).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = X.shape[1]
     labeled = np.flatnonzero(labels != UNLABELED)
-    d2 = pairwise_sq_dists(X)
-    ci = sp.lil_matrix((n, n))
-    ce = sp.lil_matrix((n, n))
-    for i in labeled:
-        same = labeled[(labels[labeled] == labels[i]) & (labeled != i)]
-        diff = labeled[labels[labeled] != labels[i]]
-        same_nb = same if dense_same_class else _k_nearest(d2[i], same, k)
-        for j in same_nb:
-            ci[i, j] = 1.0
-            ci[j, i] = 1.0
-        for j in _k_nearest(d2[i], diff, k):
-            ce[i, j] = 1.0
-            ce[j, i] = 1.0
-    return (CostMatrix(ci.tocsr(), "intra"), CostMatrix(ce.tocsr(), "extra"))
+    # a stable sort keeps equal distances in index order
+    order = np.argsort(pairwise_sq_dists(X)[np.ix_(labeled, labeled)],
+                       axis=1, kind="stable")
+    rows = np.broadcast_to(np.arange(labeled.size)[:, None], order.shape)
+    lab = labels[labeled]
+    same = (lab[order] == lab[:, None]) & (order != rows)
+    diff = lab[order] != lab[:, None]
+    if not dense_same_class:
+        same &= np.cumsum(same, axis=1) <= k
+    diff &= np.cumsum(diff, axis=1) <= k
 
+    def graph(pick):
+        g = np.zeros(order.shape, dtype=bool)
+        g[rows[pick], order[pick]] = True
+        i, j = np.nonzero(g | g.T)
+        return CostMatrix(sp.csr_matrix((np.ones(i.size), (labeled[i], labeled[j])),
+                                        shape=(n, n)))
 
-def cost_dne(ci: CostMatrix, ce: CostMatrix) -> CostMatrix:
-    """Label cost of discriminant neighborhood embedding: C^I - C^E."""
-    return CostMatrix((ci.entries - ce.entries).toarray(), "label")
-
-
-def cost_mfa(ci: CostMatrix, ce: CostMatrix, X: np.ndarray):
-    """Marginal Fisher analysis: C^l = -C^E, constraint from the
-    same-class graph Laplacian scatter."""
-    from .solver import laplacian_scatter
-    cl = CostMatrix(-ce.entries.toarray(), "label")
-    B = laplacian_scatter(X, ci)
-    return cl, B
+    return graph(same), graph(diff)
 
 
 def lfda_costs(ci: CostMatrix, labels: np.ndarray, class_counts: np.ndarray,
@@ -136,15 +120,7 @@ def lfda_costs(ci: CostMatrix, labels: np.ndarray, class_counts: np.ndarray,
     cwit[same] = (ci_d * inv_nk[:, None])[same]
     np.fill_diagonal(cbet, 0.0)
     np.fill_diagonal(cwit, 0.0)
-    return CostMatrix(cbet, "label"), CostMatrix(cwit, "label")
-
-
-def cost_lfda(ci: CostMatrix, labels: np.ndarray, class_counts: np.ndarray,
-              X: np.ndarray, n_total: int | None = None):
-    """LFDA label cost C^bet and constraint B = X (D^wit - C^wit) X^T."""
-    from .solver import laplacian_scatter
-    cbet, cwit = lfda_costs(ci, labels, class_counts, n_total)
-    return cbet, laplacian_scatter(X, cwit)
+    return CostMatrix(cbet), CostMatrix(cwit)
 
 
 def mmc_costs(labels: np.ndarray, class_counts: np.ndarray,
@@ -168,16 +144,7 @@ def mmc_costs(labels: np.ndarray, class_counts: np.ndarray,
     cw = np.where(same, inv_nk[:, None], 0.0)
     np.fill_diagonal(cb, 0.0)
     np.fill_diagonal(cw, 0.0)
-    return CostMatrix(cb, "label"), CostMatrix(cw, "label")
-
-
-def cost_mmc(labels: np.ndarray, class_counts: np.ndarray,
-             gamma_prime: float) -> CostMatrix:
-    """Combined MMC label cost C^l = gamma' C^w - C^b."""
-    if gamma_prime < 0:
-        raise ValueError("gamma_prime must be non-negative")
-    cb, cw = mmc_costs(labels, class_counts)
-    return CostMatrix(gamma_prime * cw.entries - cb.entries, "label")
+    return CostMatrix(cb), CostMatrix(cw)
 
 
 def heat_kernel_costs(X: np.ndarray, spec: HeatKernelSpec) -> CostMatrix:
@@ -206,7 +173,7 @@ def heat_kernel_costs(X: np.ndarray, spec: HeatKernelSpec) -> CostMatrix:
         cu = np.exp(-d2 / (sigma[:, None] * sigma[None, :]))
     np.fill_diagonal(cu, 0.0)
     cu = 0.5 * (cu + cu.T)
-    return CostMatrix(cu, "unlabel")
+    return CostMatrix(cu)
 
 
 def self_cost(n: int) -> CostMatrix:
@@ -214,7 +181,7 @@ def self_cost(n: int) -> CostMatrix:
     objective then equals the (negated) PCA objective."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return CostMatrix(np.full((n, n), -1.0 / (2 * n)), "unlabel")
+    return CostMatrix(np.full((n, n), -1.0 / (2 * n)))
 
 
 def hadamard_power(cu: CostMatrix, alpha: int) -> CostMatrix:
@@ -226,25 +193,9 @@ def hadamard_power(cu: CostMatrix, alpha: int) -> CostMatrix:
     if norm == 0.0:
         raise ValueError("all-zero cost matrix: norm ratio undefined")
     if alpha == 1:
-        return CostMatrix(e.copy(), cu.kind)
+        return CostMatrix(e.copy())
     p = e**alpha
-    return CostMatrix(p * (norm / np.linalg.norm(p)), cu.kind)
-
-
-def combine(cl: CostMatrix | None, cu: CostMatrix | None, gamma: float):
-    """C = C^l + gamma C^u and its diagonal of row sums."""
-    if cl is None and cu is None:
-        raise ValueError("need at least one cost matrix")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    parts = []
-    if cl is not None:
-        parts.append(cl.dense())
-    if cu is not None:
-        parts.append(gamma * cu.dense())
-    c = sum(parts)
-    c = 0.5 * (c + c.T)
-    return CostMatrix(c, "combined"), c.sum(axis=1)
+    return CostMatrix(p * (norm / np.linalg.norm(p)))
 
 
 def export_dense_csv(cm: CostMatrix, path) -> None:
@@ -272,4 +223,4 @@ def import_edge_list(path, n: int) -> CostMatrix:
         for line in fh:
             i, j, v = line.split("\t")
             e[int(i), int(j)] = e[int(j), int(i)] = float(v)
-    return CostMatrix(e, "unlabel")
+    return CostMatrix(e)

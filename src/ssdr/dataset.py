@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,7 +89,7 @@ class SplitSpec:
 def load_csv(path, label_column: str, missing_label_token: str = "") -> Dataset:
     """Load a one-row-per-example CSV with a named label column.
 
-    Non-label cells must be numeric.  Label strings are remapped to
+    Non-label cells must be finite numbers.  Label strings are remapped to
     contiguous {1..c} in sorted order; the originals are retained in
     ``label_names``.
     """
@@ -102,6 +103,7 @@ def load_csv(path, label_column: str, missing_label_token: str = "") -> Dataset:
         if label_column not in header:
             raise DatasetError(f"{path}: no column named {label_column!r}")
         label_idx = header.index(label_column)
+        features = [h for i, h in enumerate(header) if i != label_idx]
         rows, raw_labels = [], []
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -110,9 +112,14 @@ def load_csv(path, label_column: str, missing_label_token: str = "") -> Dataset:
                 raise DatasetError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
             raw_labels.append(row[label_idx].strip())
             try:
-                rows.append([float(cell) for i, cell in enumerate(row) if i != label_idx])
+                values = [float(cell) for i, cell in enumerate(row) if i != label_idx]
             except ValueError as exc:
                 raise DatasetError(f"{path}: row {rownum}: {exc}")
+            for name, value in zip(features, values):
+                if not math.isfinite(value):
+                    raise DatasetError(f"{path}: row {rownum}, column {name!r}: "
+                                       f"non-finite value {value}")
+            rows.append(values)
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     names = sorted({s for s in raw_labels if s != missing_label_token})

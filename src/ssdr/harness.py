@@ -263,9 +263,15 @@ def _parse_heat(text: str, k: int) -> HeatKernelSpec:
 
 
 def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
+    """Build the experiment config; every key of ``raw`` must be one it reads."""
     if "dataset" not in raw:
         raise ValueError("config needs a 'dataset' entry")
-    get = lambda key, default: raw.get(key, default)
+    read = set()
+
+    def get(key, default):
+        read.add(key)
+        return raw.get(key, default)
+
     unlabeled = get("unlabeled", "rest").strip()
     spec = SplitSpec(
         labeled=int(get("labeled", "10")),
@@ -281,7 +287,7 @@ def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
     gamma_grid = tuple(float(s) for s in get("gamma_grid", "0.01,0.1,0.5,1,5,10").split(","))
     alpha_grid = tuple(int(s) for s in get("alpha_grid", "1,2,4,8").split(","))
     heat_k = int(get("heat_k", "7"))
-    return ExperimentConfig(
+    config = ExperimentConfig(
         dataset=get("dataset", ""),
         split=spec,
         learners=learners,
@@ -298,3 +304,7 @@ def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
         toy_noise=float(get("toy_noise", "0.5")),
         data_seed=int(get("data_seed", "0")),
     )
+    unknown = sorted(set(raw) - read)
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    return config

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .dataset import Dataset
-from .solver import EmbeddingModel, LearnerSpec, fit
+from .solver import EmbeddingModel, LearnerSpec, _read_payload, fit
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,7 @@ def load_kpca(path) -> KpcaMap:
             struct.unpack("<Iqqqqqdd", fh.read(struct.calcsize("<Iqqqqqdd")))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        read = lambda count: np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
-        X = read(d0 * n).reshape(d0, n)
-        col_means = read(n)
-        lam = read(r)
-        V = read(n * r).reshape(n, r)
+        X, col_means, lam, V = _read_payload(fh, path, (d0 * n, n, r, n * r))
     return KpcaMap(kernel=KernelSpec(_CODE_KERNELS[kind], degree, sigma),
-                   train_inputs=X, col_means=col_means, grand_mean=grand,
-                   eigenvalues=lam, eigenvectors=V)
+                   train_inputs=X.reshape(d0, n), col_means=col_means,
+                   grand_mean=grand, eigenvalues=lam, eigenvectors=V.reshape(n, r))

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import costs as costs_mod
-from .costs import CostMatrix, HeatKernelSpec, combine, cost_dne, hadamard_power, \
-    heat_kernel_costs, lfda_costs, mmc_costs, neighbor_graphs, self_cost
+from .costs import CostMatrix, HeatKernelSpec, hadamard_power, heat_kernel_costs, \
+    lfda_costs, mmc_costs, neighbor_graphs, self_cost
 from .dataset import Dataset, UNLABELED, center
 
 BASES = ("dne", "mfa", "lfda", "fda", "mmc", "none")
@@ -45,8 +44,10 @@ class LearnerSpec:
             raise ValueError(f"unknown unlabel mode {self.unlabel!r}")
         if self.weighting_mode not in WEIGHTING_MODES:
             raise ValueError(f"unknown weighting mode {self.weighting_mode!r}")
-        if self.base == "none" and self.unlabel == "none":
-            raise ValueError("base 'none' requires an unlabel cost")
+        if self.base == "none" and (self.unlabel == "none" or self.gamma <= 0):
+            raise ValueError("base 'none' requires an unlabel cost with gamma > 0")
+        if self.gamma_prime < 0:
+            raise ValueError("gamma_prime must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -163,57 +164,63 @@ def resolve_k(class_counts: np.ndarray) -> int:
     return int(min(3, counts.min()))
 
 
-def build_cost_matrices(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
-    """Label cost C^l, constraint B and unlabel cost C^u for a learner."""
-    n = X.shape[1]
+def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
+    """L_l of the label costs and the constraint B the base sets (or None)."""
+    d0 = X.shape[0]
+    if spec.base == "none":
+        return np.zeros((d0, d0)), None
     labeled = labels != UNLABELED
-    class_counts = np.bincount(labels[labeled],
-                               minlength=int(labels[labeled].max(initial=0)) + 1)[1:]
-    cl, B = None, None
+    if not labeled.any():
+        raise ValueError(f"base {spec.base!r} needs labeled examples")
+    class_counts = np.bincount(labels[labeled])[1:]
+    k = spec.k if spec.k is not None else resolve_k(class_counts[class_counts > 0])
+    n_lab = int(labeled.sum())
+    if spec.base == "dne":
+        # C^l = C^I - C^E
+        ci, ce = neighbor_graphs(X, labels, k)
+        return laplacian_scatter(X, (ci.entries - ce.entries).toarray()), None
+    if spec.base == "mfa":
+        # C^l = -C^E under the same-class graph constraint
+        ci, ce = neighbor_graphs(X, labels, k)
+        return laplacian_scatter(X, -ce.entries.toarray()), laplacian_scatter(X, ci)
+    if spec.base in ("lfda", "fda"):
+        ci, _ = neighbor_graphs(X, labels, k, dense_same_class=(spec.base == "fda"))
+        cbet, cwit = lfda_costs(ci, labels, class_counts, n_total=n_lab)
+        return laplacian_scatter(X, cbet), laplacian_scatter(X, cwit)
+    # mmc: C^l = gamma' C^w - C^b
+    cb, cw = mmc_costs(labels, class_counts, n_total=n_lab)
+    return laplacian_scatter(X, spec.gamma_prime * cw.entries - cb.entries), None
 
-    if spec.base != "none":
-        if not labeled.any():
-            raise ValueError(f"base {spec.base!r} needs labeled examples")
-        k = spec.k if spec.k is not None else resolve_k(class_counts[class_counts > 0])
-        n_lab = int(labeled.sum())
-        if spec.base in ("dne", "mfa"):
-            ci, ce = neighbor_graphs(X, labels, k)
-            if spec.base == "dne":
-                cl = cost_dne(ci, ce)
-                B = np.eye(X.shape[0])
-            else:
-                cl = CostMatrix(-ce.entries.toarray(), "label")
-                B = laplacian_scatter(X, ci)
-        elif spec.base in ("lfda", "fda"):
-            ci, _ = neighbor_graphs(X, labels, k, dense_same_class=(spec.base == "fda"))
-            cbet, cwit = lfda_costs(ci, labels, class_counts, n_total=n_lab)
-            cl = cbet
-            B = laplacian_scatter(X, cwit)
-        elif spec.base == "mmc":
-            cb, cw = mmc_costs(labels, class_counts, n_total=n_lab)
-            cl = CostMatrix(spec.gamma_prime * cw.entries - cb.entries, "label")
-            B = np.eye(X.shape[0])
 
-    cu = None
+def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
+    """Label scatter L_l, unlabel scatter L_u and constraint B of a learner.
+
+    Each scatter is X (D - C) X^T of the learner's pair costs C, so the
+    objective scatter of C^l + gamma C^u is L_l + gamma L_u.  L_l is zero
+    for base "none"; L_u is None when the learner has no unlabel term
+    (unlabel "none" or gamma <= 0).
+    """
+    # the label costs are freed before the unlabel costs are built
+    L_l, B = _label_scatters(X, labels, spec)
+    L_u = None
     if spec.unlabel == "heat" and spec.gamma > 0:
         cu = heat_kernel_costs(X, spec.heat)
         if spec.alpha != 1:
             cu = hadamard_power(cu, spec.alpha)
-    elif spec.unlabel == "self_pca" and spec.gamma > 0:
-        cu = self_cost(n)
-
-    if B is None:
-        if spec.unlabel == "heat" and cu is not None:
+        L_u = laplacian_scatter(X, cu)
+        if B is None:
             # classical locality-preserving constraint X D^u X^T
             B = (X * cu.dense().sum(axis=1)) @ X.T
             B = 0.5 * (B + B.T)
-        else:
-            B = np.eye(X.shape[0])
-    return cl, B, cu
+    elif spec.unlabel == "self_pca" and spec.gamma > 0:
+        L_u = laplacian_scatter(X, self_cost(X.shape[1]))
+    if B is None:
+        B = np.eye(X.shape[0])
+    return L_l, L_u, B
 
 
 def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
-    """Full pipeline: center, optional PCA, cost matrices, GEV, weighting."""
+    """Full pipeline: center, optional PCA, scatters, GEV, weighting."""
     if spec.kernel is not None:
         raise ValueError("kernelized specs go through the KPCA trick "
                          "(ssdr.kpca.kpca_trick_fit)")
@@ -225,10 +232,9 @@ def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
     if spec.dim > X.shape[0]:
         raise ValueError(f"target dimension {spec.dim} exceeds the data rank {X.shape[0]}")
 
-    cl, B, cu = build_cost_matrices(X, ds.labels, spec)
-    gamma = spec.gamma if cu is not None else 0.0
-    C, _ = combine(cl, cu, gamma)
-    L = laplacian_scatter(X, C)
+    L_l, L_u, B = build_scatters(X, ds.labels, spec)
+    gamma = spec.gamma if L_u is not None else 0.0
+    L = L_l if L_u is None else L_l + gamma * L_u
 
     eps = spec.epsilon if spec.epsilon is not None else gamma
     is_identity = B.shape[0] == B.shape[1] and np.array_equal(B, np.eye(B.shape[0]))
@@ -278,6 +284,18 @@ def save_model(model: EmbeddingModel, path) -> None:
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read_payload(fh, path, counts) -> list[np.ndarray]:
+    """The rest of an open model file as float64 arrays of the given sizes;
+    its length must be exactly what the header announced."""
+    payload = fh.read()
+    expected = 8 * sum(counts)
+    if len(payload) != expected:
+        raise ValueError(f"{path}: expected {expected} payload bytes after the "
+                         f"header, found {len(payload)}")
+    flat = np.frombuffer(payload, dtype="<f8").copy()
+    return np.split(flat, np.cumsum(counts)[:-1])
+
+
 def load_model(path) -> EmbeddingModel:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
@@ -286,11 +304,9 @@ def load_model(path) -> EmbeddingModel:
             struct.unpack("<IqqqqdqdQ", fh.read(struct.calcsize("<IqqqqdqdQ")))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        read = lambda count: np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
-        mean = read(d0)
-        basis = read(d0 * r).reshape(d0, r) if r else None
-        A = read(dim * a_cols).reshape(dim, a_cols)
-        lam = read(dim)
+        mean, basis, A, lam = _read_payload(fh, path, (d0, d0 * r, dim * a_cols, dim))
+    basis = basis.reshape(d0, r) if r else None
+    A = A.reshape(dim, a_cols)
     return EmbeddingModel(A=A, eigenvalues=lam, train_mean=mean, pre_pca=basis,
                           weighting_mode=_CODE_MODES[mode], gamma=gamma,
                           alpha=alpha, epsilon=eps)

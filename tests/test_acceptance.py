@@ -198,7 +198,7 @@ def test_criterion_6_hadamard_operator():
         n = int(rng.integers(2, 12))
         m = rng.random((n, n))
         m = 0.5 * (m + m.T)
-        cu = CostMatrix(m, "unlabel")
+        cu = CostMatrix(m)
         if not np.array_equal(hadamard_power(cu, 1).dense(), m):
             identity_ok = False
         for alpha in (2, 3, 4, 8):

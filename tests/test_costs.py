@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from ssdr import (CostMatrix, Dataset, HeatKernelSpec, UNLABELED, combine,
-                  cost_dne, cost_mfa, export_dense_csv, export_edge_list,
+from ssdr import (CostMatrix, Dataset, HeatKernelSpec, LearnerSpec, UNLABELED,
+                  build_scatters, export_dense_csv, export_edge_list,
                   hadamard_power, heat_kernel_costs, import_edge_list,
                   laplacian_scatter, lfda_costs, mmc_costs, neighbor_graphs,
                   pairwise_sq_dists, self_cost)
-from ssdr.costs import cost_lfda, cost_mmc
 
 
 def unordered_cost_sum(c, Z):
@@ -70,6 +69,17 @@ class TestNeighborGraphs:
             np.testing.assert_array_equal(ci.dense(), bi)
             np.testing.assert_array_equal(ce.dense(), be)
 
+    def test_distance_ties_match_brute_force(self):
+        # an integer grid: many exactly equal distances, ties to the smaller index
+        rng = np.random.default_rng(19)
+        X = rng.integers(0, 3, (2, 60)).astype(float)
+        labels = rng.integers(1, 3, 60)
+        labels[rng.choice(60, 10, replace=False)] = UNLABELED
+        ci, ce = neighbor_graphs(X, labels, k=3)
+        bi, be = brute_force_graphs(X, labels, 3)
+        np.testing.assert_array_equal(ci.dense(), bi)
+        np.testing.assert_array_equal(ce.dense(), be)
+
     def test_unlabeled_rows_zero_and_symmetry(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((2, 10))
@@ -85,36 +95,48 @@ class TestNeighborGraphs:
             neighbor_graphs(np.zeros((2, 3)), np.array([1, 1, 2]), k=0)
 
 
+def label_scatters(X, labels, base, k=2, gamma_prime=1.0):
+    """(L_l, B) of a supervised learner from solver.build_scatters."""
+    spec = LearnerSpec(base=base, unlabel="none", gamma=0.0, k=k,
+                       gamma_prime=gamma_prime)
+    L_l, _, B = build_scatters(X, labels, spec)
+    return L_l, B
+
+
 class TestDneMfa:
     def setup_method(self):
         rng = np.random.default_rng(5)
         self.X = rng.standard_normal((3, 8))
         self.labels = np.array([1, 1, 1, 1, 2, 2, 2, 2])
         self.ci, self.ce = neighbor_graphs(self.X, self.labels, k=2)
+        self.A = np.random.default_rng(6).standard_normal((2, 3))
 
     def test_dne_ce_zero(self):
-        zero = CostMatrix(self.ce.entries * 0, "extra")
-        np.testing.assert_array_equal(cost_dne(self.ci, zero).dense(),
-                                      self.ci.dense())
-
-    def test_dne_equal_graphs_zero(self):
-        assert cost_dne(self.ci, self.ci).dense().sum() == 0
+        labels = np.ones(8, dtype=int)  # one class: C^E is empty
+        ci, ce = neighbor_graphs(self.X, labels, k=2)
+        assert ce.dense().sum() == 0
+        L_l, B = label_scatters(self.X, labels, "dne")
+        np.testing.assert_allclose(L_l, laplacian_scatter(self.X, ci), rtol=1e-12)
+        np.testing.assert_array_equal(B, np.eye(3))
 
     def test_dne_entries_match_manual_subtraction(self):
-        cl = cost_dne(self.ci, self.ce).dense()
-        np.testing.assert_array_equal(cl, self.ci.dense() - self.ce.dense())
+        L_l, _ = label_scatters(self.X, self.labels, "dne")
+        cl = self.ci.dense() - self.ce.dense()
         assert set(np.unique(cl)) <= {-1.0, 0.0, 1.0}
+        oracle = unordered_cost_sum(cl, self.A @ self.X)
+        assert np.trace(self.A @ L_l @ self.A.T) == pytest.approx(oracle, rel=1e-10)
 
     def test_mfa_label_cost_and_constraint(self):
-        cl, B = cost_mfa(self.ci, self.ce, self.X)
-        np.testing.assert_array_equal(cl.dense(), -self.ce.dense())
-        A = np.random.default_rng(6).standard_normal((2, 3))
-        oracle = unordered_cost_sum(self.ci.dense(), A @ self.X)
-        assert np.trace(A @ B @ A.T) == pytest.approx(oracle, rel=1e-10)
+        L_l, B = label_scatters(self.X, self.labels, "mfa")
+        oracle = unordered_cost_sum(-self.ce.dense(), self.A @ self.X)
+        assert np.trace(self.A @ L_l @ self.A.T) == pytest.approx(oracle, rel=1e-10)
+        oracle = unordered_cost_sum(self.ci.dense(), self.A @ self.X)
+        assert np.trace(self.A @ B @ self.A.T) == pytest.approx(oracle, rel=1e-10)
 
     def test_mfa_degenerate_intra(self):
-        zero = CostMatrix(self.ci.entries * 0, "intra")
-        _, B = cost_mfa(zero, self.ce, self.X)
+        labels = np.full(8, UNLABELED)
+        labels[:2] = [1, 2]  # one labeled point per class: C^I is empty
+        _, B = label_scatters(self.X, labels, "mfa")
         assert np.allclose(B, 0)
 
 
@@ -138,7 +160,7 @@ class TestLfdaCosts:
         assert (cbet.dense()[diff] == -1.0 / 6).all()
 
     def test_within_trace_identity(self):
-        _, B = cost_lfda(self.ci, self.labels, self.counts, self.X)
+        _, B = label_scatters(self.X, self.labels, "lfda")
         A = np.random.default_rng(8).standard_normal((2, 2))
         cw = self.ci.dense() / 3.0
         oracle = unordered_cost_sum(cw, A @ self.X)
@@ -159,15 +181,18 @@ class TestLfdaCosts:
 
 class TestMmcCosts:
     def test_gamma_zero_different_class(self):
-        labels = np.array([1, 2])
-        cl = cost_mmc(labels, np.array([1, 1]), gamma_prime=0.0).dense()
-        assert cl[0, 1] == pytest.approx(1.0 / 2)
+        # C^l = -C^b: c_01 = 1/2 between the two singleton classes
+        X = np.random.default_rng(8).standard_normal((3, 2))
+        L_l, _ = label_scatters(X, np.array([1, 2]), "mmc", gamma_prime=0.0)
+        dx = X[:, 0] - X[:, 1]
+        np.testing.assert_allclose(L_l, 0.5 * np.outer(dx, dx), rtol=1e-12)
 
     def test_single_class_gamma_one(self):
-        labels = np.array([1, 1, 1])
-        cl = cost_mmc(labels, np.array([3]), gamma_prime=1.0).dense()
-        off = cl[~np.eye(3, dtype=bool)]
-        assert np.allclose(off, 1.0 / 3)
+        # C^l = C^w - C^b = 1/3 off the diagonal: the within-class scatter
+        X = np.random.default_rng(8).standard_normal((3, 3))
+        L_l, _ = label_scatters(X, np.array([1, 1, 1]), "mmc", gamma_prime=1.0)
+        D = X - X.mean(axis=1, keepdims=True)
+        np.testing.assert_allclose(L_l, D @ D.T, rtol=1e-12)
 
     def test_within_scatter_oracle(self):
         rng = np.random.default_rng(9)
@@ -197,8 +222,8 @@ class TestMmcCosts:
             mmc_costs(np.array([1, 1]), np.array([2, 0]))
 
     def test_negative_gamma_prime_errors(self):
-        with pytest.raises(ValueError):
-            cost_mmc(np.array([1, 2]), np.array([1, 1]), gamma_prime=-1.0)
+        with pytest.raises(ValueError, match="gamma_prime"):
+            LearnerSpec(base="mmc", unlabel="none", gamma=0.0, gamma_prime=-1.0)
 
 
 class TestHeatKernel:
@@ -273,11 +298,11 @@ class TestSelfCost:
 
 class TestHadamardPower:
     def test_alpha_one_identity(self):
-        cu = CostMatrix(np.array([[0.0, 0.5], [0.5, 0.0]]), "unlabel")
+        cu = CostMatrix(np.array([[0.0, 0.5], [0.5, 0.0]]))
         np.testing.assert_array_equal(hadamard_power(cu, 1).dense(), cu.dense())
 
     def test_hand_example(self):
-        cu = CostMatrix(np.array([[0.0, 0.9], [0.9, 0.1]]), "unlabel")
+        cu = CostMatrix(np.array([[0.0, 0.9], [0.9, 0.1]]))
         out = hadamard_power(cu, 2).dense()
         p = np.array([[0.0, 0.81], [0.81, 0.01]])
         scale = np.sqrt(2 * 0.81 + 0.01) / np.sqrt(2 * 0.6561 + 0.0001)
@@ -288,7 +313,7 @@ class TestHadamardPower:
         for _ in range(20):
             m = rng.random((6, 6))
             m = 0.5 * (m + m.T)
-            cu = CostMatrix(m, "unlabel")
+            cu = CostMatrix(m)
             for alpha in (1, 2, 3, 5):
                 out = hadamard_power(cu, alpha).dense()
                 assert np.linalg.norm(out) == pytest.approx(
@@ -299,44 +324,16 @@ class TestHadamardPower:
         rng = np.random.default_rng(14)
         m = rng.random((5, 5))
         m = 0.5 * (m + m.T)
-        out = hadamard_power(CostMatrix(m, "unlabel"), 3).dense()
+        out = hadamard_power(CostMatrix(m), 3).dense()
         iu, ju = np.triu_indices(5, 1)
         assert (np.argsort(m[iu, ju]) == np.argsort(out[iu, ju])).all()
 
     def test_validation(self):
-        cu = CostMatrix(np.ones((2, 2)), "unlabel")
+        cu = CostMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             hadamard_power(cu, 0)
         with pytest.raises(ValueError):
-            hadamard_power(CostMatrix(np.zeros((2, 2)), "unlabel"), 2)
-
-
-class TestCombine:
-    def setup_method(self):
-        rng = np.random.default_rng(15)
-        cl = rng.standard_normal((6, 6))
-        self.cl = CostMatrix(0.5 * (cl + cl.T), "label")
-        cu = rng.random((6, 6))
-        self.cu = CostMatrix(0.5 * (cu + cu.T), "unlabel")
-
-    def test_gamma_zero(self):
-        c, _ = combine(self.cl, self.cu, 0.0)
-        np.testing.assert_array_equal(c.dense(), self.cl.dense())
-
-    def test_unlabel_only(self):
-        c, _ = combine(None, self.cu, 1.0)
-        np.testing.assert_array_equal(c.dense(), self.cu.dense())
-
-    def test_rowsum_oracle(self):
-        c, d = combine(self.cl, self.cu, 0.7)
-        expect = [sum(c.dense()[i, j] for j in range(6)) for i in range(6)]
-        np.testing.assert_allclose(d, expect, rtol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            combine(None, None, 1.0)
-        with pytest.raises(ValueError):
-            combine(self.cl, self.cu, -0.1)
+            hadamard_power(CostMatrix(np.zeros((2, 2))), 2)
 
 
 class TestTraceIdentity:
@@ -367,7 +364,7 @@ class TestEdgeListExport:
         np.testing.assert_array_equal(back, expect)
 
     def test_threshold_above_max(self, tmp_path):
-        cu = CostMatrix(np.full((3, 3), 0.1) - 0.1 * np.eye(3), "unlabel")
+        cu = CostMatrix(np.full((3, 3), 0.1) - 0.1 * np.eye(3))
         export_edge_list(cu, 5.0, tmp_path / "e.tsv")
         assert (tmp_path / "e.tsv").read_text() == "i\tj\tc_ij\n"
 
@@ -379,7 +376,7 @@ class TestEdgeListExport:
         assert len(lines) - 1 == 7 * 6 // 2
 
     def test_dense_csv(self, tmp_path):
-        cu = CostMatrix(np.arange(9.0).reshape(3, 3), "unlabel")
+        cu = CostMatrix(np.arange(9.0).reshape(3, 3))
         export_dense_csv(cu, tmp_path / "m.csv")
         back = np.loadtxt(tmp_path / "m.csv", delimiter=",")
         np.testing.assert_allclose(back, cu.dense())

@@ -34,6 +34,12 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="row 3"):
             load_csv(p, "label")
 
+    def test_non_finite_cell_reports_row_and_column(self, tmp_path):
+        for cell in ("nan", "inf", "-Infinity"):
+            p = write(tmp_path / "d.csv", f"x,y,label\n1,2,a\n1,{cell},a\n")
+            with pytest.raises(DatasetError, match="row 3, column 'y'"):
+                load_csv(p, "label")
+
     def test_ragged_row_reports_index(self, tmp_path):
         p = write(tmp_path / "d.csv", "x,y,label\n1,2,a\n1,a\n")
         with pytest.raises(DatasetError, match="row 3"):

@@ -8,7 +8,7 @@ from ssdr import (ExperimentConfig, HeatKernelSpec, KernelSpec, LEARNER_NAMES,
                   SplitSpec, cross_validate, format_report,
                   generate_multimodal_toy, learner_preset, load_csv,
                   parse_config, run_benchmark, run_learner, split)
-from ssdr.harness import load_dataset, stratified_folds
+from ssdr.harness import config_from_dict, load_dataset, stratified_folds
 
 
 def run_cli(*args):
@@ -190,6 +190,14 @@ class TestConfigParsing:
         p.write_text("dataset = balance\nkernel = sigmoid\n")
         with pytest.raises(ValueError, match="kernel"):
             parse_config(p)
+
+    def test_unknown_key_errors(self, tmp_path):
+        with pytest.raises(ValueError, match="gama_grid"):
+            config_from_dict({"dataset": "three-cluster", "gama_grid": "5"})
+        p = tmp_path / "exp.cfg"
+        p.write_text("dataset = balance\n")
+        with pytest.raises(ValueError, match="sed"):
+            parse_config(p, overrides={"sed": "7"})
 
 
 class TestCli:

@@ -208,6 +208,19 @@ class TestKpcaSerialization:
             np.testing.assert_allclose(kpca_transform(back, x),
                                        kpca_transform(kmap, x), rtol=1e-12)
 
+    def test_payload_length_checked(self, tmp_path):
+        kmap = kpca_fit(np.random.default_rng(12).standard_normal((3, 8)),
+                        KernelSpec("gaussian"))
+        save_kpca(kmap, tmp_path / "k.bin")
+        data = (tmp_path / "k.bin").read_bytes()
+        n, r = kmap.n_train, kmap.out_dim
+        size = 8 * (kmap.train_inputs.size + n + r + n * r)
+        for cut, found in ((data[:-5], size - 5), (data + b"\0" * 8, size + 8)):
+            (tmp_path / "bad.bin").write_bytes(cut)
+            with pytest.raises(ValueError, match=rf"bad\.bin: expected {size} "
+                                                 rf"payload bytes .*found {found}"):
+                load_kpca(tmp_path / "bad.bin")
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"XXXX" + b"\0" * 80)
         with pytest.raises(ValueError, match="not a kernel-map file"):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ssdr import (CostMatrix, Dataset, EmbeddingModel, HeatKernelSpec,
-                  LearnerSpec, UNLABELED, axis_weighting, embed, fit,
-                  generate_multimodal_toy, laplacian_scatter, load_model,
-                  numerical_rank, pairwise_sq_dists, pca_preprocess,
-                  regularize, resolve_k, save_model, solve_gev)
+from ssdr import (BASES, Dataset, EmbeddingModel, LearnerSpec, UNLABELED,
+                  UNLABEL_MODES, axis_weighting, build_scatters, embed, fit,
+                  generate_multimodal_toy, hadamard_power, heat_kernel_costs,
+                  laplacian_scatter, lfda_costs, load_model, mmc_costs,
+                  neighbor_graphs, numerical_rank, pairwise_sq_dists,
+                  pca_preprocess, regularize, resolve_k, save_model,
+                  self_cost, solve_gev)
 
 
 def random_pd(rng, d):
@@ -185,6 +187,76 @@ class TestResolveK:
             resolve_k(np.array([3, 0]))
 
 
+def reference_costs(X, labels, spec):
+    """C^l, C^u and B of a learner from the public cost builders."""
+    n, d0 = X.shape[1], X.shape[0]
+    counts = np.bincount(labels[labels != UNLABELED])[1:]
+    k = resolve_k(counts)
+    cl, cu, B = np.zeros((n, n)), np.zeros((n, n)), None
+    if spec.base in ("dne", "mfa"):
+        ci, ce = neighbor_graphs(X, labels, k)
+        cl = ci.dense() - ce.dense() if spec.base == "dne" else -ce.dense()
+        if spec.base == "mfa":
+            B = laplacian_scatter(X, ci)
+    elif spec.base in ("lfda", "fda"):
+        ci, _ = neighbor_graphs(X, labels, k, dense_same_class=spec.base == "fda")
+        cbet, cwit = lfda_costs(ci, labels, counts)
+        cl, B = cbet.dense(), laplacian_scatter(X, cwit)
+    elif spec.base == "mmc":
+        cb, cw = mmc_costs(labels, counts)
+        cl = spec.gamma_prime * cw.dense() - cb.dense()
+    if spec.unlabel == "heat":
+        cu = hadamard_power(heat_kernel_costs(X, spec.heat), spec.alpha).dense()
+        if B is None:
+            B = (X * cu.sum(axis=1)) @ X.T
+            B = 0.5 * (B + B.T)
+    elif spec.unlabel == "self_pca":
+        cu = self_cost(n).dense()
+    return cl, cu, np.eye(d0) if B is None else B
+
+
+LEARNERS = [(b, u) for b in BASES for u in UNLABEL_MODES
+            if not (b == "none" and u == "none")]
+
+
+class TestBuildScatters:
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.X = rng.standard_normal((4, 30))
+        self.labels = np.array([1 + i % 3 for i in range(30)])
+        self.labels[rng.choice(30, 12, replace=False)] = UNLABELED
+
+    @pytest.mark.parametrize("base,unlabel", LEARNERS)
+    def test_scatters_match_combined_cost(self, base, unlabel):
+        spec = LearnerSpec(base=base, unlabel=unlabel, gamma=0.7, alpha=2,
+                           gamma_prime=0.5)
+        L_l, L_u, B = build_scatters(self.X, self.labels, spec)
+        cl, cu, B_ref = reference_costs(self.X, self.labels, spec)
+        assert (L_u is None) == (unlabel == "none")
+        L = L_l if L_u is None else L_l + spec.gamma * L_u
+        L_ref = laplacian_scatter(self.X, cl + spec.gamma * cu)
+        assert np.linalg.norm(L - L_ref) <= 1e-10 * np.linalg.norm(L_ref)
+        np.testing.assert_allclose(B, B_ref, rtol=1e-12, atol=0)
+
+    def test_gamma_zero_has_no_unlabel_scatter(self):
+        spec = LearnerSpec(base="lfda", unlabel="heat", gamma=0.0)
+        L_l, L_u, _ = build_scatters(self.X, self.labels, spec)
+        assert L_u is None
+        cl, _, _ = reference_costs(self.X, self.labels, spec)
+        np.testing.assert_array_equal(L_l, laplacian_scatter(self.X, cl))
+
+    def test_fit_rejects_negative_gamma_prime(self):
+        d = labeled_dataset(np.random.default_rng(22))
+        with pytest.raises(ValueError, match="gamma_prime"):
+            fit(d, LearnerSpec(base="mmc", unlabel="none", gamma=0.0,
+                               gamma_prime=-1.0))
+
+    def test_fit_rejects_base_none_without_unlabel_weight(self):
+        d = labeled_dataset(np.random.default_rng(23))
+        with pytest.raises(ValueError, match="unlabel cost"):
+            fit(d, LearnerSpec(base="none", unlabel="heat", gamma=0.0))
+
+
 class TestFit:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -199,12 +271,11 @@ class TestFit:
         d = labeled_dataset(rng)
         model = fit(d, LearnerSpec(base="lfda", unlabel="heat", gamma=0.5, dim=2))
         # reconstruct B + eps*I from the training pipeline
-        from ssdr.solver import build_cost_matrices
         from ssdr.dataset import center
         ds, _ = center(d)
-        _, B, _ = build_cost_matrices(ds.X, ds.labels,
-                                      LearnerSpec(base="lfda", unlabel="heat",
-                                                  gamma=0.5, dim=2))
+        _, _, B = build_scatters(ds.X, ds.labels,
+                                 LearnerSpec(base="lfda", unlabel="heat",
+                                             gamma=0.5, dim=2))
         np.testing.assert_allclose(
             model.A @ regularize(B, model.epsilon) @ model.A.T, np.eye(2),
             atol=1e-8)
@@ -329,6 +400,18 @@ class TestModelSerialization:
         assert back.gamma == model.gamma and back.alpha == model.alpha
         assert back.epsilon == model.epsilon
         np.testing.assert_array_equal(embed(back, d.X), embed(model, d.X))
+
+    def test_payload_length_checked(self, tmp_path):
+        d = labeled_dataset(np.random.default_rng(24))
+        model = fit(d, LearnerSpec(base="lfda", unlabel="none", gamma=0.0, dim=2))
+        save_model(model, tmp_path / "m.bin")
+        data = (tmp_path / "m.bin").read_bytes()
+        size = 8 * (model.input_dim + model.A.size + model.dim)
+        for cut, found in ((data[:-5], size - 5), (data + b"\0" * 8, size + 8)):
+            (tmp_path / "bad.bin").write_bytes(cut)
+            with pytest.raises(ValueError, match=rf"bad\.bin: expected {size} "
+                                                 rf"payload bytes .*found {found}"):
+                load_model(tmp_path / "bad.bin")
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"NOPE" + b"\0" * 64)
