@@ -15,6 +15,8 @@ import scipy.sparse as sp
 
 from .dataset import UNLABELED
 
+_ROW_BLOCK = 256  # labeled rows ranked per argsort in neighbor_graphs
+
 
 @dataclass(frozen=True)
 class CostMatrix:
@@ -74,25 +76,33 @@ def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int,
         raise ValueError("k must be >= 1")
     n = X.shape[1]
     labeled = np.flatnonzero(labels != UNLABELED)
-    # a stable sort keeps equal distances in index order
-    order = np.argsort(pairwise_sq_dists(X)[np.ix_(labeled, labeled)],
-                       axis=1, kind="stable")
-    rows = np.broadcast_to(np.arange(labeled.size)[:, None], order.shape)
     lab = labels[labeled]
-    same = (lab[order] == lab[:, None]) & (order != rows)
-    diff = lab[order] != lab[:, None]
-    if not dense_same_class:
-        same &= np.cumsum(same, axis=1) <= k
-    diff &= np.cumsum(diff, axis=1) <= k
+    d2 = pairwise_sq_dists(X)
+    empty = np.zeros(0, dtype=np.intp)
+    pairs = {name: ([empty], [empty]) for name in ("same", "diff")}
+    # rows go in blocks, so the sort's temporaries stay O(block * n_labeled)
+    for lo in range(0, labeled.size, _ROW_BLOCK):
+        rows = np.arange(lo, min(lo + _ROW_BLOCK, labeled.size))
+        # a stable sort keeps equal distances in index order
+        order = np.argsort(d2[np.ix_(labeled[rows], labeled)], axis=1, kind="stable")
+        same = lab[order] == lab[rows, None]
+        diff = ~same
+        same &= order != rows[:, None]
+        if not dense_same_class:
+            same &= np.cumsum(same, axis=1, dtype=np.int32) <= k
+        diff &= np.cumsum(diff, axis=1, dtype=np.int32) <= k
+        for name, pick in (("same", same), ("diff", diff)):
+            pairs[name][0].append(labeled[rows[np.nonzero(pick)[0]]])
+            pairs[name][1].append(labeled[order[pick]])
 
-    def graph(pick):
-        g = np.zeros(order.shape, dtype=bool)
-        g[rows[pick], order[pick]] = True
-        i, j = np.nonzero(g | g.T)
-        return CostMatrix(sp.csr_matrix((np.ones(i.size), (labeled[i], labeled[j])),
-                                        shape=(n, n)))
+    def graph(name):
+        i, j = map(np.concatenate, pairs[name])
+        # both directions; a pair picked from each end is summed, then reset to 1
+        g = sp.csr_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+        g.data[:] = 1.0
+        return CostMatrix(g)
 
-    return graph(same), graph(diff)
+    return graph("same"), graph("diff")
 
 
 def lfda_costs(ci: CostMatrix, labels: np.ndarray, class_counts: np.ndarray,

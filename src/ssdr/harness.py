@@ -285,6 +285,8 @@ def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
     learners = tuple(s.strip().lower() for s in get("learners", "ss-lfda").split(",")
                      if s.strip())
     gamma_grid = tuple(float(s) for s in get("gamma_grid", "0.01,0.1,0.5,1,5,10").split(","))
+    if any(g < 0 for g in gamma_grid):
+        raise ValueError("gamma_grid values must be non-negative")
     alpha_grid = tuple(int(s) for s in get("alpha_grid", "1,2,4,8").split(","))
     heat_k = int(get("heat_k", "7"))
     config = ExperimentConfig(

@@ -46,6 +46,8 @@ class LearnerSpec:
             raise ValueError(f"unknown weighting mode {self.weighting_mode!r}")
         if self.base == "none" and (self.unlabel == "none" or self.gamma <= 0):
             raise ValueError("base 'none' requires an unlabel cost with gamma > 0")
+        if self.gamma < 0:
+            raise ValueError("gamma must be non-negative")
         if self.gamma_prime < 0:
             raise ValueError("gamma_prime must be non-negative")
 
@@ -165,7 +167,10 @@ def resolve_k(class_counts: np.ndarray) -> int:
 
 
 def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
-    """L_l of the label costs and the constraint B the base sets (or None)."""
+    """L_l of the label costs and the constraint B of the base.
+
+    B is None only for base "none", whose constraint the unlabel term sets.
+    """
     d0 = X.shape[0]
     if spec.base == "none":
         return np.zeros((d0, d0)), None
@@ -178,7 +183,7 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     if spec.base == "dne":
         # C^l = C^I - C^E
         ci, ce = neighbor_graphs(X, labels, k)
-        return laplacian_scatter(X, (ci.entries - ce.entries).toarray()), None
+        return laplacian_scatter(X, (ci.entries - ce.entries).toarray()), np.eye(d0)
     if spec.base == "mfa":
         # C^l = -C^E under the same-class graph constraint
         ci, ce = neighbor_graphs(X, labels, k)
@@ -189,7 +194,7 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
         return laplacian_scatter(X, cbet), laplacian_scatter(X, cwit)
     # mmc: C^l = gamma' C^w - C^b
     cb, cw = mmc_costs(labels, class_counts, n_total=n_lab)
-    return laplacian_scatter(X, spec.gamma_prime * cw.entries - cb.entries), None
+    return laplacian_scatter(X, spec.gamma_prime * cw.entries - cb.entries), np.eye(d0)
 
 
 def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
@@ -198,7 +203,8 @@ def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     Each scatter is X (D - C) X^T of the learner's pair costs C, so the
     objective scatter of C^l + gamma C^u is L_l + gamma L_u.  L_l is zero
     for base "none"; L_u is None when the learner has no unlabel term
-    (unlabel "none" or gamma <= 0).
+    (unlabel "none" or gamma = 0).  B is the base's constraint; only base
+    "none" takes it from the unlabel term (X D^u X^T for heat costs).
     """
     # the label costs are freed before the unlabel costs are built
     L_l, B = _label_scatters(X, labels, spec)

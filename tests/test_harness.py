@@ -199,6 +199,10 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="sed"):
             parse_config(p, overrides={"sed": "7"})
 
+    def test_negative_gamma_grid_errors(self):
+        with pytest.raises(ValueError, match="gamma_grid"):
+            config_from_dict({"dataset": "three-cluster", "gamma_grid": "0.1,-1"})
+
 
 class TestCli:
     def test_toy_gen_and_load(self, tmp_path):

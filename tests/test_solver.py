@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -196,8 +198,7 @@ def reference_costs(X, labels, spec):
     if spec.base in ("dne", "mfa"):
         ci, ce = neighbor_graphs(X, labels, k)
         cl = ci.dense() - ce.dense() if spec.base == "dne" else -ce.dense()
-        if spec.base == "mfa":
-            B = laplacian_scatter(X, ci)
+        B = np.eye(d0) if spec.base == "dne" else laplacian_scatter(X, ci)
     elif spec.base in ("lfda", "fda"):
         ci, _ = neighbor_graphs(X, labels, k, dense_same_class=spec.base == "fda")
         cbet, cwit = lfda_costs(ci, labels, counts)
@@ -205,6 +206,8 @@ def reference_costs(X, labels, spec):
     elif spec.base == "mmc":
         cb, cw = mmc_costs(labels, counts)
         cl = spec.gamma_prime * cw.dense() - cb.dense()
+        B = np.eye(d0)
+    # only base "none" takes its constraint from the unlabel term
     if spec.unlabel == "heat":
         cu = hadamard_power(heat_kernel_costs(X, spec.heat), spec.alpha).dense()
         if B is None:
@@ -245,6 +248,17 @@ class TestBuildScatters:
         cl, _, _ = reference_costs(self.X, self.labels, spec)
         np.testing.assert_array_equal(L_l, laplacian_scatter(self.X, cl))
 
+    @pytest.mark.parametrize("base", ["dne", "mmc"])
+    def test_heat_keeps_identity_constraint(self, base):
+        # dne and mmc constrain A A^T, whatever the unlabel term
+        spec = LearnerSpec(base=base, unlabel="heat", gamma=0.7)
+        _, _, B = build_scatters(self.X, self.labels, spec)
+        np.testing.assert_array_equal(B, np.eye(self.X.shape[0]))
+        d = labeled_dataset(np.random.default_rng(24))
+        model = fit(d, replace(spec, dim=2))
+        np.testing.assert_allclose(model.A @ model.A.T,
+                                   np.eye(2) / (1.0 + model.epsilon), atol=1e-10)
+
     def test_fit_rejects_negative_gamma_prime(self):
         d = labeled_dataset(np.random.default_rng(22))
         with pytest.raises(ValueError, match="gamma_prime"):
@@ -265,6 +279,8 @@ class TestFit:
             LearnerSpec(base="none", unlabel="none")
         with pytest.raises(ValueError):
             LearnerSpec(weighting_mode="T5")
+        with pytest.raises(ValueError, match="gamma must be non-negative"):
+            LearnerSpec(base="lfda", unlabel="heat", gamma=-1.0)
 
     def test_constraint_satisfaction_t1(self):
         rng = np.random.default_rng(10)
