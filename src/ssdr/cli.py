@@ -100,7 +100,11 @@ def _cmd_benchmark(args) -> int:
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
     config = parse_config(args.config, overrides)
-    report = format_report(run_benchmark(config))
+    results = run_benchmark(config)
+    for res in results:
+        for failure in res.failures:
+            print(f"ssdr benchmark: {res.name}: {failure}", file=sys.stderr)
+    report = format_report(results)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report)

@@ -34,6 +34,10 @@ class Dataset:
             raise DatasetError("X must be a 2-d array of shape (d0, n)")
         if labels.shape != (X.shape[1],):
             raise DatasetError("labels length must match the number of columns of X")
+        bad = ~np.isfinite(X).all(axis=0)
+        if bad.any():
+            raise DatasetError(f"example {int(np.argmax(bad))} (column of X) has a "
+                               "non-finite value")
         present = labels[labels != UNLABELED]
         if present.size and (present.min() < 1 or present.max() > self.n_classes):
             raise DatasetError("labels must lie in {1..c} or be UNLABELED")

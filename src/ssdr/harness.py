@@ -11,8 +11,9 @@ from .costs import HeatKernelSpec
 from .dataset import (Dataset, SplitSpec, UNLABELED, generate_balance,
                       generate_multimodal_toy, load_csv, split, TOY_KINDS)
 from .knn import KnnIndex, knn_classify
-from .kpca import KernelSpec, kpca_embed, kpca_trick_fit
-from .solver import LearnerSpec, embed, fit
+from .kpca import KernelSpec, _kpca_inputs, kpca_embed, kpca_transform, kpca_trick_fit
+from .solver import (LearnerSpec, _label_scatters, _prepare, _solve, _unlabel_costs,
+                     _unlabel_scatters, embed, fit)
 
 # Named learner presets.  ``tunes`` lists which of (gamma, alpha) cross
 # validation may adjust; the others stay at the preset value.
@@ -75,24 +76,20 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     return load_csv(config.dataset, config.label_column, config.missing_label_token)
 
 
-def _fit_and_index(train: Dataset, spec: LearnerSpec, eval_k: int):
-    """Fit a (possibly kernelized) learner; returns (predict_fn, index)."""
+def _fit_projection(train: Dataset, spec: LearnerSpec):
+    """Fit a (possibly kernelized) learner; returns its map of raw inputs."""
     if spec.kernel is not None:
         kmap, model = kpca_trick_fit(train, spec.kernel, replace(spec, kernel=None))
-        project = lambda X: kpca_embed(kmap, model, X)
-    else:
-        model = fit(train, spec)
-        project = lambda X: embed(model, X)
-    lab = np.flatnonzero(train.labeled_mask)
-    Z = project(train.X)
-    index = KnnIndex(points=Z[:, lab], labels=train.labels[lab],
-                     k=min(eval_k, lab.size))
-    return project, index
+        return lambda X: kpca_embed(kmap, model, X)
+    model = fit(train, spec)
+    return lambda X: embed(model, X)
 
 
-def _accuracy(project, index, X_eval, truth) -> float:
-    pred = knn_classify(index, project(X_eval))
-    return float((pred == truth).mean())
+def _accuracy(Z_train, labels, Z_eval, truth, eval_k: int) -> float:
+    """k-NN accuracy of embedded points against the labeled training points."""
+    lab = np.flatnonzero(labels != UNLABELED)
+    index = KnnIndex(points=Z_train[:, lab], labels=labels[lab], k=min(eval_k, lab.size))
+    return float((knn_classify(index, Z_eval) == truth).mean())
 
 
 def stratified_folds(labels: np.ndarray, folds: int, seed: int):
@@ -104,6 +101,94 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int):
         for f, chunk in enumerate(np.array_split(pos, folds)):
             assign[chunk] = f
     return assign
+
+
+def _attempt(build, *args):
+    """build(*args), or the error it raised, kept for the candidates that need it."""
+    try:
+        return build(*args)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def _ok(stage):
+    """A stage's result; raises the error it failed with."""
+    if isinstance(stage, Exception):
+        raise stage
+    return stage
+
+
+def _shared_inputs(train: Dataset, spec: LearnerSpec):
+    """What every fold and candidate of a sweep share: the linear spec to fit,
+    the map of raw inputs to fit inputs, the training inputs it gives, and
+    the centered (PCA-reduced) X with its mean and basis."""
+    if spec.kernel is None:
+        data, to_inputs = train, lambda X: X
+    else:
+        kmap, data, spec = _kpca_inputs(train, spec.kernel, spec)
+        to_inputs = lambda X: kpca_transform(kmap, X)
+    return (spec, to_inputs, to_inputs(train.X)) + _prepare(data, spec.dim)
+
+
+def _sweep_scores(train: Dataset, spec: LearnerSpec, grid, folds: int,
+                  eval_k: int, seed: int) -> list[list[float]]:
+    """Held-out fold accuracies of every (gamma, alpha) in ``grid``.
+
+    Each step runs once for all that share its inputs: the KPCA map,
+    centering and PCA once, the unlabel scatters once per alpha (from one
+    heat kernel), the label scatters once per fold; a candidate adds only
+    its d0 x d0 solve, the embedding and k-NN.  A step that fails is
+    reported for every candidate and fold that needs it, as a fit per
+    candidate and fold would report it.
+    """
+    cands = [replace(spec, gamma=g, alpha=int(a)) for g, a in grid]
+    labeled = np.flatnonzero(train.labeled_mask)
+    assign = stratified_folds(train.labels, folds, seed)
+    all_present = set(train.labels[labeled])
+    shared = _attempt(_shared_inputs, train, spec)
+    if not isinstance(shared, Exception):
+        fit_spec, to_inputs, inputs, X, mean, basis = shared
+        cands = [replace(c, kernel=None, dim=fit_spec.dim) for c in cands]
+        unlabel = _unlabel_stage(X, fit_spec, cands)
+    scores = [[] for _ in grid]
+    for f in range(folds):
+        held = np.flatnonzero(assign == f)
+        if held.size == 0:
+            continue
+        keep = labeled[~np.isin(labeled, held)]
+        if set(train.labels[keep]) != all_present:
+            for _ in grid:
+                warnings.warn(f"fold {f}: a class is absent from the "
+                              "training labels; fold skipped")
+            continue
+        labels = train.with_labels_hidden(keep).labels
+        label = shared
+        if not isinstance(shared, Exception):
+            label = _attempt(_label_scatters, X, labels, fit_spec)
+            held_inputs = to_inputs(train.X[:, held])
+        for (gamma, alpha), cand, out in zip(grid, cands, scores):
+            try:
+                L_l, B = _ok(label)
+                L_u, B_u = _ok(unlabel[cand.alpha]) if cand.gamma > 0 else (None, None)
+                model = _solve(L_l, L_u, B_u if B is None else B, cand, mean, basis)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                warnings.warn(f"fold {f} failed for gamma={gamma}, "
+                              f"alpha={alpha}: {exc}")
+                continue
+            out.append(_accuracy(embed(model, inputs), labels, embed(model, held_inputs),
+                                 train.labels[held], eval_k))
+    return scores
+
+
+def _unlabel_stage(X, spec: LearnerSpec, cands) -> dict:
+    """(L_u, B_u), or the error building them, per alpha of the candidates
+    with an unlabel term; the n x n costs are freed on return."""
+    alphas = dict.fromkeys(c.alpha for c in cands if c.gamma > 0)
+    if spec.unlabel == "none" or not alphas:
+        return dict.fromkeys(alphas, (None, None))
+    cu = _attempt(_unlabel_costs, X, spec)
+    return {a: cu if isinstance(cu, Exception) else
+            _attempt(_unlabel_scatters, X, cu, replace(spec, alpha=a)) for a in alphas}
 
 
 def cross_validate(train: Dataset, spec: LearnerSpec, tunes: tuple,
@@ -121,40 +206,11 @@ def cross_validate(train: Dataset, spec: LearnerSpec, tunes: tuple,
         raise ValueError("tuning grids must be non-empty")
     if len(gammas) == 1 and len(alphas) == 1:
         return gammas[0], alphas[0]
-    labeled = np.flatnonzero(train.labeled_mask)
-    n_lab = labeled.size
-    folds = max(2, min(folds, n_lab))
-    assign = stratified_folds(train.labels, folds, seed)
-    all_present = set(train.labels[labeled])
-    best = None
-    for gamma in gammas:
-        for alpha in alphas:
-            cand = replace(spec, gamma=gamma, alpha=int(alpha))
-            scores = []
-            for f in range(folds):
-                held = np.flatnonzero(assign == f)
-                if held.size == 0:
-                    continue
-                keep = labeled[~np.isin(labeled, held)]
-                present = set(train.labels[keep])
-                if present != all_present:
-                    warnings.warn(f"fold {f}: a class is absent from the "
-                                  "training labels; fold skipped")
-                    continue
-                view = train.with_labels_hidden(keep)
-                try:
-                    project, index = _fit_and_index(view, cand, eval_k)
-                except (ValueError, np.linalg.LinAlgError) as exc:
-                    warnings.warn(f"fold {f} failed for gamma={gamma}, "
-                                  f"alpha={alpha}: {exc}")
-                    continue
-                scores.append(_accuracy(project, index, train.X[:, held],
-                                        train.labels[held]))
-            if not scores:
-                continue
-            key = (-float(np.mean(scores)), gamma, alpha)
-            if best is None or key < best:
-                best = key
+    grid = [(g, a) for g in gammas for a in alphas]
+    folds = max(2, min(folds, train.labeled_count))
+    scores = _sweep_scores(train, spec, grid, folds, eval_k, seed)
+    best = min(((-float(np.mean(s)), g, a) for (g, a), s in zip(grid, scores) if s),
+               default=None)
     if best is None:
         raise ValueError("cross validation failed: every fold was skipped")
     return best[1], int(best[2])
@@ -191,11 +247,11 @@ def run_learner(data: Dataset, config: ExperimentConfig, name: str) -> LearnerRe
             gamma, alpha = cross_validate(train, spec, tunes, config.gamma_grid,
                                           config.alpha_grid, config.folds,
                                           config.eval_k, seed=config.split.seed + r)
-            final = replace(spec, gamma=gamma, alpha=alpha)
-            project, index = _fit_and_index(train, final, config.eval_k)
+            project = _fit_projection(train, replace(spec, gamma=gamma, alpha=alpha))
             eval_idx = unl_idx if transductive else test_idx
-            accs.append(_accuracy(project, index, data.X[:, eval_idx],
-                                  data.labels[eval_idx]))
+            accs.append(_accuracy(project(train.X), train.labels,
+                                  project(data.X[:, eval_idx]), data.labels[eval_idx],
+                                  config.eval_k))
         except (ValueError, np.linalg.LinAlgError) as exc:
             fails.append(f"realization {r}: {exc}")
     if not accs:

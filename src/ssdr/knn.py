@@ -22,13 +22,14 @@ class KnnIndex:
             raise ValueError("k must satisfy 1 <= k <= m")
 
 
-def _vote(labels_sorted: np.ndarray) -> int:
-    """Majority vote; ties go to the class of the single nearest point."""
-    ids, counts = np.unique(labels_sorted, return_counts=True)
-    winners = ids[counts == counts.max()]
-    if winners.size == 1:
-        return int(winners[0])
-    return int(labels_sorted[0])
+def _vote(near: np.ndarray) -> np.ndarray:
+    """Majority vote per row of neighbor labels, nearest first; a tied vote
+    goes to the class of the row's single nearest point."""
+    ids, codes = np.unique(near, return_inverse=True)
+    counts = np.zeros((near.shape[0], ids.size), dtype=int)
+    np.add.at(counts, (np.arange(near.shape[0])[:, None], codes.reshape(near.shape)), 1)
+    top = counts == counts.max(axis=1, keepdims=True)
+    return np.where(top.sum(axis=1) == 1, ids[counts.argmax(axis=1)], near[:, 0])
 
 
 def knn_classify(index: KnnIndex, z: np.ndarray) -> int | np.ndarray:
@@ -41,13 +42,13 @@ def knn_classify(index: KnnIndex, z: np.ndarray) -> int | np.ndarray:
     Q = z[:, None] if single else z
     sq_p = (index.points**2).sum(axis=0)
     d2 = sq_p[None, :] + (Q**2).sum(axis=0)[:, None] - 2.0 * (Q.T @ index.points)
-    m = index.points.shape[1]
-    order_keys = np.arange(m)
-    out = np.empty(Q.shape[1], dtype=int)
-    for qi in range(Q.shape[1]):
-        order = np.lexsort((order_keys, d2[qi]))
-        out[qi] = _vote(index.labels[order[: index.k]])
-    return int(out[0]) if single else out
+    if index.k == 1:
+        # argmin returns the first minimum: ties go to the smaller index
+        out = index.labels[d2.argmin(axis=1)]
+    else:
+        order = np.argsort(d2, axis=1, kind="stable")[:, : index.k]
+        out = _vote(index.labels[order])
+    return int(out[0]) if single else out.astype(int)
 
 
 def good_neighbors_score(dataset: Dataset, mapping=None) -> float:
@@ -63,11 +64,9 @@ def good_neighbors_score(dataset: Dataset, mapping=None) -> float:
     X = mapping(dataset.X) if mapping is not None else dataset.X
     d2 = pairwise_sq_dists(np.asarray(X, dtype=float))
     np.fill_diagonal(d2, np.inf)
-    correct = 0
-    for i in range(dataset.n):
-        j = np.lexsort((np.arange(dataset.n), d2[i]))[0]
-        correct += int(dataset.labels[i] == dataset.labels[j])
-    return correct / dataset.n
+    # argmin returns the first minimum: ties go to the smaller index
+    nearest = d2.argmin(axis=1)
+    return int((dataset.labels == dataset.labels[nearest]).sum()) / dataset.n
 
 
 def good_nearby_ratio(cu: CostMatrix | np.ndarray, labels: np.ndarray,

@@ -14,7 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from .dataset import Dataset
-from .solver import EmbeddingModel, LearnerSpec, _read_payload, fit
+from .solver import (EmbeddingModel, LearnerSpec, _input_columns, _read_header,
+                     _read_payload, fit)
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,7 @@ def kpca_fit(X: np.ndarray, kernel: KernelSpec, tol: float = 1e-10) -> KpcaMap:
 
 def kpca_transform(kmap: KpcaMap, x: np.ndarray) -> np.ndarray:
     """Coordinates of new points; accepts a vector or a (d0, m) matrix."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    cols = x[:, None] if single else x
-    if cols.shape[0] != kmap.train_inputs.shape[0]:
-        raise ValueError(f"expected inputs of dimension {kmap.train_inputs.shape[0]}, "
-                         f"got {cols.shape[0]}")
+    cols, single = _input_columns(x, kmap.train_inputs.shape[0])
     kv = kernel_values(kmap.kernel, kmap.train_inputs, cols)   # (n, m)
     kc = kv - kmap.col_means[:, None] - kv.mean(axis=0)[None, :] + kmap.grand_mean
     phi = (kmap.eigenvectors.T @ kc) / np.sqrt(kmap.eigenvalues)[:, None]
@@ -115,13 +111,18 @@ def kpca_trick_fit(dataset: Dataset, kernel: KernelSpec,
     Classification of a new point x' uses ||A phi - A phi'|| with
     phi' = kpca_transform(map, x').
     """
+    kmap, mapped, spec = _kpca_inputs(dataset, kernel, spec)
+    return kmap, fit(mapped, spec)
+
+
+def _kpca_inputs(dataset: Dataset, kernel: KernelSpec, spec: LearnerSpec):
+    """The KPCA map of the training inputs, the dataset of their coordinates
+    and the linear spec to fit there (dim capped at the coordinate count)."""
     kmap = kpca_fit(dataset.X, kernel)
     coords = kmap.train_coords()
     mapped = Dataset(X=coords, labels=dataset.labels, n_classes=dataset.n_classes,
                      label_names=dataset.label_names)
-    dim = min(spec.dim, coords.shape[0])
-    model = fit(mapped, replace(spec, kernel=None, dim=dim))
-    return kmap, model
+    return kmap, mapped, replace(spec, kernel=None, dim=min(spec.dim, coords.shape[0]))
 
 
 def kpca_embed(kmap: KpcaMap, model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
@@ -155,7 +156,7 @@ def load_kpca(path) -> KpcaMap:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a kernel-map file")
         version, d0, n, r, kind, degree, sigma, grand = \
-            struct.unpack("<Iqqqqqdd", fh.read(struct.calcsize("<Iqqqqqdd")))
+            _read_header(fh, path, "<Iqqqqqdd")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         X, col_means, lam, V = _read_payload(fh, path, (d0 * n, n, r, n * r))

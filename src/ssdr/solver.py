@@ -166,6 +166,19 @@ def resolve_k(class_counts: np.ndarray) -> int:
     return int(min(3, counts.min()))
 
 
+def _prepare(dataset: Dataset, dim: int):
+    """Centered inputs, projected onto their principal subspace when rank
+    deficient: (X, train mean, PCA basis or None)."""
+    ds, mean = center(dataset)
+    X = ds.X
+    basis = None
+    if numerical_rank(X) < X.shape[0]:
+        X, basis = pca_preprocess(X)
+    if dim > X.shape[0]:
+        raise ValueError(f"target dimension {dim} exceeds the data rank {X.shape[0]}")
+    return X, mean, basis
+
+
 def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     """L_l of the label costs and the constraint B of the base.
 
@@ -197,6 +210,28 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     return laplacian_scatter(X, spec.gamma_prime * cw.entries - cb.entries), np.eye(d0)
 
 
+def _unlabel_costs(X: np.ndarray, spec: LearnerSpec) -> CostMatrix:
+    """Unlabel pair costs before any Hadamard power (unlabel "heat" or "self_pca")."""
+    if spec.unlabel == "heat":
+        return heat_kernel_costs(X, spec.heat)
+    return self_cost(X.shape[1])
+
+
+def _unlabel_scatters(X: np.ndarray, cu: CostMatrix, spec: LearnerSpec):
+    """L_u of the unlabel costs cu at spec.alpha, and the constraint B_u that
+    base "none" takes from the unlabel term (None for the other bases)."""
+    if spec.unlabel == "heat" and spec.alpha != 1:
+        cu = hadamard_power(cu, spec.alpha)
+    L_u = laplacian_scatter(X, cu)
+    if spec.base != "none":
+        return L_u, None
+    if spec.unlabel == "self_pca":
+        return L_u, np.eye(X.shape[0])
+    # classical locality-preserving constraint X D^u X^T
+    B_u = (X * cu.dense().sum(axis=1)) @ X.T
+    return L_u, 0.5 * (B_u + B_u.T)
+
+
 def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     """Label scatter L_l, unlabel scatter L_u and constraint B of a learner.
 
@@ -209,39 +244,17 @@ def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     # the label costs are freed before the unlabel costs are built
     L_l, B = _label_scatters(X, labels, spec)
     L_u = None
-    if spec.unlabel == "heat" and spec.gamma > 0:
-        cu = heat_kernel_costs(X, spec.heat)
-        if spec.alpha != 1:
-            cu = hadamard_power(cu, spec.alpha)
-        L_u = laplacian_scatter(X, cu)
-        if B is None:
-            # classical locality-preserving constraint X D^u X^T
-            B = (X * cu.dense().sum(axis=1)) @ X.T
-            B = 0.5 * (B + B.T)
-    elif spec.unlabel == "self_pca" and spec.gamma > 0:
-        L_u = laplacian_scatter(X, self_cost(X.shape[1]))
-    if B is None:
-        B = np.eye(X.shape[0])
+    if spec.unlabel != "none" and spec.gamma > 0:
+        L_u, B_u = _unlabel_scatters(X, _unlabel_costs(X, spec), spec)
+        B = B_u if B is None else B
     return L_l, L_u, B
 
 
-def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
-    """Full pipeline: center, optional PCA, scatters, GEV, weighting."""
-    if spec.kernel is not None:
-        raise ValueError("kernelized specs go through the KPCA trick "
-                         "(ssdr.kpca.kpca_trick_fit)")
-    ds, mean = center(dataset)
-    X = ds.X
-    basis = None
-    if numerical_rank(X) < X.shape[0]:
-        X, basis = pca_preprocess(X)
-    if spec.dim > X.shape[0]:
-        raise ValueError(f"target dimension {spec.dim} exceeds the data rank {X.shape[0]}")
-
-    L_l, L_u, B = build_scatters(X, ds.labels, spec)
+def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis) -> EmbeddingModel:
+    """Axis-weighted projection minimizing L_l + gamma L_u under B; no
+    unlabel term when L_u is None."""
     gamma = spec.gamma if L_u is not None else 0.0
     L = L_l if L_u is None else L_l + gamma * L_u
-
     eps = spec.epsilon if spec.epsilon is not None else gamma
     is_identity = B.shape[0] == B.shape[1] and np.array_equal(B, np.eye(B.shape[0]))
     if eps == 0.0 and not is_identity and numerical_rank(B) < B.shape[0]:
@@ -255,14 +268,32 @@ def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
                           alpha=spec.alpha, epsilon=eps)
 
 
-def embed(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
-    """Map an input vector (or a (d0, m) column matrix) to the subspace."""
+def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
+    """Full pipeline: center, optional PCA, scatters, GEV, weighting."""
+    if spec.kernel is not None:
+        raise ValueError("kernelized specs go through the KPCA trick "
+                         "(ssdr.kpca.kpca_trick_fit)")
+    X, mean, basis = _prepare(dataset, spec.dim)
+    return _solve(*build_scatters(X, dataset.labels, spec), spec, mean, basis)
+
+
+def _input_columns(x, dim: int):
+    """Inputs as a (dim, m) column matrix and whether a single vector was
+    given; the dimension must match and every value must be finite."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     cols = x[:, None] if single else x
-    if cols.shape[0] != model.input_dim:
-        raise ValueError(f"expected inputs of dimension {model.input_dim}, "
-                         f"got {cols.shape[0]}")
+    if cols.shape[0] != dim:
+        raise ValueError(f"expected inputs of dimension {dim}, got {cols.shape[0]}")
+    bad = ~np.isfinite(cols).all(axis=0)
+    if bad.any():
+        raise ValueError(f"input column {int(np.argmax(bad))} has a non-finite value")
+    return cols, single
+
+
+def embed(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
+    """Map an input vector (or a (d0, m) column matrix) to the subspace."""
+    cols, single = _input_columns(x, model.input_dim)
     cols = cols - model.train_mean[:, None]
     if model.pre_pca is not None:
         cols = model.pre_pca.T @ cols
@@ -290,6 +321,16 @@ def save_model(model: EmbeddingModel, path) -> None:
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read_header(fh, path, fmt: str) -> tuple:
+    """The fixed-size header after the magic, unpacked with ``fmt``."""
+    size = struct.calcsize(fmt)
+    header = fh.read(size)
+    if len(header) != size:
+        raise ValueError(f"{path}: expected {size} header bytes after the "
+                         f"magic, found {len(header)}")
+    return struct.unpack(fmt, header)
+
+
 def _read_payload(fh, path, counts) -> list[np.ndarray]:
     """The rest of an open model file as float64 arrays of the given sizes;
     its length must be exactly what the header announced."""
@@ -307,7 +348,7 @@ def load_model(path) -> EmbeddingModel:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a model file")
         version, d0, dim, r, mode, eps, alpha, gamma, a_cols = \
-            struct.unpack("<IqqqqdqdQ", fh.read(struct.calcsize("<IqqqqdqdQ")))
+            _read_header(fh, path, "<IqqqqdqdQ")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         mean, basis, A, lam = _read_payload(fh, path, (d0, d0 * r, dim * a_cols, dim))

@@ -71,6 +71,13 @@ class TestDatasetModel:
         with pytest.raises(DatasetError):
             Dataset(X=np.zeros((2, 2)), labels=np.array([1, 3]), n_classes=2)
 
+    def test_non_finite_x_names_example(self):
+        X = np.zeros((2, 5))
+        for value in (np.nan, np.inf, -np.inf):
+            X[1, 3] = value
+            with pytest.raises(DatasetError, match="example 3 "):
+                Dataset(X=X, labels=np.ones(5, dtype=int), n_classes=1)
+
     def test_class_counts(self):
         d = Dataset(X=np.zeros((1, 4)), labels=np.array([1, 2, 2, UNLABELED]),
                     n_classes=2)

@@ -1,14 +1,19 @@
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ssdr import (ExperimentConfig, HeatKernelSpec, KernelSpec, LEARNER_NAMES,
-                  SplitSpec, cross_validate, format_report,
-                  generate_multimodal_toy, learner_preset, load_csv,
+import ssdr.kpca
+import ssdr.solver
+from ssdr import (ExperimentConfig, HeatKernelSpec, KernelSpec, KnnIndex,
+                  LEARNER_NAMES, SplitSpec, cross_validate, embed, fit,
+                  format_report, generate_multimodal_toy, knn_classify,
+                  kpca_embed, kpca_trick_fit, learner_preset, load_csv,
                   parse_config, run_benchmark, run_learner, split)
-from ssdr.harness import config_from_dict, load_dataset, stratified_folds
+from ssdr.harness import _sweep_scores, config_from_dict, load_dataset, stratified_folds
 
 
 def run_cli(*args):
@@ -94,6 +99,134 @@ class TestCrossValidate:
         spec, tunes = learner_preset("ss-lfda", dim=1)
         with pytest.raises(ValueError):
             cross_validate(train, spec, tunes, (), (1,), folds=3)
+
+
+def reference_scores(train, spec, grid, folds, eval_k=1, seed=0):
+    """Fold scores of every (gamma, alpha) from one full fit per candidate
+    and fold, warning once per skipped or failed (candidate, fold)."""
+    labeled = np.flatnonzero(train.labeled_mask)
+    assign = stratified_folds(train.labels, folds, seed)
+    all_present = set(train.labels[labeled])
+    scores = []
+    for gamma, alpha in grid:
+        cand = replace(spec, gamma=gamma, alpha=int(alpha))
+        scores.append([])
+        for f in range(folds):
+            held = np.flatnonzero(assign == f)
+            if held.size == 0:
+                continue
+            keep = labeled[~np.isin(labeled, held)]
+            if set(train.labels[keep]) != all_present:
+                warnings.warn(f"fold {f}: a class is absent from the "
+                              "training labels; fold skipped")
+                continue
+            view = train.with_labels_hidden(keep)
+            try:
+                if cand.kernel is None:
+                    model = fit(view, cand)
+                    project = lambda X: embed(model, X)
+                else:
+                    kmap, model = kpca_trick_fit(view, cand.kernel,
+                                                 replace(cand, kernel=None))
+                    project = lambda X: kpca_embed(kmap, model, X)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                warnings.warn(f"fold {f} failed for gamma={gamma}, "
+                              f"alpha={alpha}: {exc}")
+                continue
+            index = KnnIndex(points=project(train.X)[:, keep],
+                             labels=train.labels[keep], k=min(eval_k, keep.size))
+            pred = knn_classify(index, project(train.X[:, held]))
+            scores[-1].append(float((pred == train.labels[held]).mean()))
+    return scores
+
+
+def recorded(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = run()
+        except ValueError as exc:
+            out = exc
+    return out, sorted(str(w.message) for w in caught)
+
+
+class TestSweepMatchesFitPerCandidate:
+    """The sweep shares every step across candidates and folds; its scores
+    must equal those of a full fit per (gamma, alpha, fold)."""
+
+    def train(self, labeled=20, kind="ssl-only"):
+        data = generate_multimodal_toy(kind, 30, 0.5, 0)
+        lab, _, _ = split(data, SplitSpec(labeled=labeled, seed=2,
+                                          per_class_labels=True), 0)
+        return data.with_labels_hidden(lab)
+
+    @pytest.mark.parametrize("name, grid, kernel", [
+        ("ss-lfda", [(g, a) for g in (0.0, 0.1, 10.0) for a in (1, 2, 4)], None),
+        ("self", [(g, 1) for g in (0.1, 1.0, 10.0)], None),
+        ("lpp*", [(1.0, a) for a in (1, 2, 8)], None),
+        ("ss-lfda", [(g, 1) for g in (0.1, 1.0, 10.0)], KernelSpec("gaussian", sigma=2.0)),
+    ])
+    def test_scores_and_choice(self, name, grid, kernel):
+        train = self.train()
+        spec, _ = learner_preset(name, dim=1, kernel=kernel)
+        expect, _ = recorded(lambda: reference_scores(train, spec, grid, folds=4, eval_k=3))
+        got, warned = recorded(lambda: _sweep_scores(train, spec, grid, 4, 3, 0))
+        assert got == expect and not warned
+        gammas = tuple(dict.fromkeys(g for g, _ in grid))
+        alphas = tuple(dict.fromkeys(a for _, a in grid))
+        best = min((-float(np.mean(s)), g, a) for (g, a), s in zip(grid, expect))
+        tunes = ("gamma",) * (len(gammas) > 1) + ("alpha",) * (len(alphas) > 1)
+        assert cross_validate(train, spec, tunes, gammas, alphas, folds=4,
+                              eval_k=3) == best[1:]
+
+    def test_skipped_folds_warn_once_per_candidate_and_fold(self):
+        train = self.train(labeled=6)
+        # class 2 keeps one label: the fold holding it is skipped, and of
+        # four folds over three class-1 labels one is empty
+        train = train.with_labels_hidden(np.flatnonzero(train.labels == 1).tolist()
+                                         + [int(np.flatnonzero(train.labels == 2)[0])])
+        spec, _ = learner_preset("ss-lfda", dim=1)
+        grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
+        expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 4))
+        got, warned = recorded(lambda: _sweep_scores(train, spec, grid, 4, 1, 0))
+        assert got == expect and all(len(s) == 2 for s in got)
+        assert warned == expect_warned and len(warned) == len(grid)
+
+    def test_failed_step_warns_once_per_candidate_and_fold(self):
+        train = self.train()
+        spec, _ = learner_preset("ss-lfda", dim=3)   # the data has rank 2
+        grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
+        expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 3))
+        got, warned = recorded(lambda: _sweep_scores(train, spec, grid, 3, 1, 0))
+        assert got == expect == [[]] * len(grid)
+        assert warned == expect_warned and len(warned) == 3 * len(grid)
+        assert "exceeds the data rank" in warned[0]
+
+
+class TestSweepBuildCounts:
+    """One cross_validate call builds each expensive piece once."""
+
+    @staticmethod
+    def count(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("kernel", [None, KernelSpec("gaussian", sigma=2.0)])
+    def test_one_build_per_sweep_alpha_and_fold(self, monkeypatch, kernel):
+        data = generate_multimodal_toy("three-cluster", 30, 0.5, 0)
+        lab, _, _ = split(data, SplitSpec(labeled=20, seed=1, per_class_labels=True), 0)
+        train = data.with_labels_hidden(lab)
+        heat = self.count(monkeypatch, ssdr.solver, "heat_kernel_costs")
+        power = self.count(monkeypatch, ssdr.solver, "hadamard_power")
+        label = self.count(monkeypatch, ssdr.solver, "lfda_costs")
+        kpca = self.count(monkeypatch, ssdr.kpca, "kpca_fit")
+        spec, tunes = learner_preset("ss-lfda", dim=1, kernel=kernel)
+        alphas = (1, 2, 4, 8)
+        cross_validate(train, spec, tunes, (0.1, 1.0, 10.0), alphas, folds=5)
+        assert len(heat) == 1 and len(power) <= len(alphas) and len(label) == 5
+        assert len(kpca) == (kernel is not None)
 
 
 def toy_config(**kw):
@@ -288,6 +421,23 @@ class TestCli:
         r = run_cli("benchmark", "--config", str(cfg), "--out", str(out))
         assert r.returncode == 0, r.stderr
         assert out.read_text().startswith("learner\t")
+        assert r.stderr == ""
+
+    def test_benchmark_reports_failed_realizations(self, tmp_path):
+        # with two labels drawn at random, three of these four realizations
+        # label both classes once, so every fold lacks a class
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "dataset = ssl-only\nn_per_cluster = 10\nlabeled = 2\nseed = 3\n"
+            "realizations = 4\nlearners = ss-lfda\ngamma_grid = 0.1, 1\n"
+            "alpha_grid = 1\ndim = 1\n")
+        r = run_cli("benchmark", "--config", str(cfg))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[1].endswith("\t1")
+        failed = [line for line in r.stderr.splitlines()
+                  if line.startswith("ssdr benchmark: ss-lfda: realization")]
+        assert failed == [f"ssdr benchmark: ss-lfda: realization {i}: cross "
+                          "validation failed: every fold was skipped" for i in range(3)]
 
     def test_errors_exit_nonzero_with_diagnostics(self, tmp_path):
         r = run_cli("benchmark", "--config", str(tmp_path / "missing.cfg"))

@@ -3,7 +3,29 @@ import pytest
 
 from ssdr import (Dataset, HeatKernelSpec, KnnIndex, UNLABELED,
                   good_nearby_ratio, good_neighbors_score, hadamard_power,
-                  heat_kernel_costs, knn_classify)
+                  heat_kernel_costs, knn_classify, pairwise_sq_dists)
+
+
+def lexsort_knn(index, Q):
+    """Per-query reference: lexsort by (distance, index), then majority vote
+    with ties going to the single nearest point's class."""
+    d2 = ((index.points**2).sum(axis=0)[None, :] + (Q**2).sum(axis=0)[:, None]
+          - 2.0 * (Q.T @ index.points))
+    out = []
+    for row in d2:
+        near = index.labels[np.lexsort((np.arange(row.size), row))[: index.k]]
+        ids, counts = np.unique(near, return_counts=True)
+        winners = ids[counts == counts.max()]
+        out.append(int(winners[0]) if winners.size == 1 else int(near[0]))
+    return np.array(out)
+
+
+def lexsort_good_neighbors(dataset):
+    d2 = pairwise_sq_dists(dataset.X)
+    np.fill_diagonal(d2, np.inf)
+    hits = [dataset.labels[i] == dataset.labels[np.lexsort((np.arange(dataset.n), d2[i]))[0]]
+            for i in range(dataset.n)]
+    return sum(hits) / dataset.n
 
 
 class TestKnnClassify:
@@ -51,6 +73,19 @@ class TestKnnClassify:
         batch = knn_classify(idx, Q)
         assert batch.tolist() == [knn_classify(idx, Q[:, j]) for j in range(7)]
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_batch_matches_lexsort_loop_on_grid_ties(self, k):
+        # integer grids make many exactly equal distances and tied votes
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            pts = rng.integers(0, 3, (2, 25)).astype(float)
+            labels = rng.integers(1, 4, 25)
+            idx = KnnIndex(points=pts, labels=labels, k=k)
+            Q = rng.integers(-1, 4, (2, 40)).astype(float)
+            got = knn_classify(idx, Q)
+            np.testing.assert_array_equal(got, lexsort_knn(idx, Q))
+            assert [knn_classify(idx, Q[:, j]) for j in range(3)] == got[:3].tolist()
+
     def test_invariance_under_rotation_and_scaling(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((3, 15))
@@ -78,6 +113,13 @@ class TestGoodNeighborsScore:
         d = Dataset(X=np.arange(6.0)[None, :],
                     labels=np.array([1, 2, 1, 2, 1, 2]), n_classes=2)
         assert good_neighbors_score(d) == 0.0
+
+    def test_matches_lexsort_loop_on_grid_ties(self):
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            d = Dataset(X=rng.integers(0, 3, (2, 30)).astype(float),
+                        labels=rng.integers(1, 4, 30), n_classes=3)
+            assert good_neighbors_score(d) == lexsort_good_neighbors(d)
 
     def test_requires_full_labels(self):
         d = Dataset(X=np.zeros((1, 3)), labels=np.array([1, UNLABELED, 1]),

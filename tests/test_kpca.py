@@ -142,6 +142,19 @@ class TestKpcaTransform:
         with pytest.raises(ValueError):
             kpca_transform(kmap, np.zeros(4))
 
+    def test_non_finite_input_rejected(self):
+        rng = np.random.default_rng(10)
+        data = Dataset(X=rng.standard_normal((3, 12)),
+                       labels=np.array([1, 2] * 6), n_classes=2)
+        kmap, model = kpca_trick_fit(data, KernelSpec("gaussian"),
+                                     LearnerSpec(base="lfda", unlabel="none",
+                                                 gamma=0.0, dim=1))
+        X = rng.standard_normal((3, 4))
+        X[0, 2] = -np.inf
+        for f in (lambda x: kpca_transform(kmap, x), lambda x: kpca_embed(kmap, model, x)):
+            with pytest.raises(ValueError, match="input column 2 has a non-finite"):
+                f(X)
+
 
 class TestKpcaTrick:
     def test_linear_kernel_matches_linear_pipeline(self):
@@ -220,6 +233,15 @@ class TestKpcaSerialization:
             with pytest.raises(ValueError, match=rf"bad\.bin: expected {size} "
                                                  rf"payload bytes .*found {found}"):
                 load_kpca(tmp_path / "bad.bin")
+
+    def test_short_header_names_file_and_sizes(self, tmp_path):
+        kmap = kpca_fit(np.random.default_rng(12).standard_normal((3, 8)),
+                        KernelSpec("gaussian"))
+        save_kpca(kmap, tmp_path / "k.bin")
+        (tmp_path / "bad.bin").write_bytes((tmp_path / "k.bin").read_bytes()[:10])
+        with pytest.raises(ValueError, match=r"bad\.bin: expected 60 header bytes "
+                                             r"after the magic, found 6"):
+            load_kpca(tmp_path / "bad.bin")
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"XXXX" + b"\0" * 80)

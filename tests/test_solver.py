@@ -380,6 +380,14 @@ class TestEmbed:
         with pytest.raises(ValueError):
             embed(self.model, np.zeros(7))
 
+    def test_non_finite_input_rejected(self):
+        X = self.d.X[:, :6].copy()
+        X[2, 4] = np.nan
+        with pytest.raises(ValueError, match="input column 4 has a non-finite"):
+            embed(self.model, X)
+        with pytest.raises(ValueError, match="input column 0 has a non-finite"):
+            embed(self.model, np.full(self.d.d0, np.inf))
+
 
 class TestObjectiveInvariances:
     def test_trace_ratio_invariant_under_nonsingular_transform(self):
@@ -428,6 +436,15 @@ class TestModelSerialization:
             with pytest.raises(ValueError, match=rf"bad\.bin: expected {size} "
                                                  rf"payload bytes .*found {found}"):
                 load_model(tmp_path / "bad.bin")
+
+    def test_short_header_names_file_and_sizes(self, tmp_path):
+        d = labeled_dataset(np.random.default_rng(24))
+        save_model(fit(d, LearnerSpec(base="lfda", unlabel="none", gamma=0.0, dim=2)),
+                   tmp_path / "m.bin")
+        (tmp_path / "bad.bin").write_bytes((tmp_path / "m.bin").read_bytes()[:30])
+        with pytest.raises(ValueError, match=r"bad\.bin: expected 68 header bytes "
+                                             r"after the magic, found 26"):
+            load_model(tmp_path / "bad.bin")
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"NOPE" + b"\0" * 64)
