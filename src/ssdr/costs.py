@@ -3,8 +3,10 @@
 Positive entries pull a pair of embedded points together, negative entries
 push them apart.  Every constructor returns exactly symmetric matrices;
 rows and columns touching an unlabeled example are zero in the label-based
-matrices.  ``solver.build_scatters`` turns these costs into the scatters a
-learner solves with.
+matrices.  FDA and MMC share one class-wide between/within cost rule; LFDA
+weights that rule's same-class entries by the neighbor graph C^I.
+``solver.build_scatters`` turns these costs into the scatters a learner
+solves with.
 """
 from __future__ import annotations
 
@@ -62,15 +64,12 @@ def pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int,
-                    dense_same_class: bool = False):
+def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
     """Binary same-class (C^I) and different-class (C^E) neighbor graphs.
 
     c^I_ij = 1 iff j is among the k nearest labeled same-class neighbors of
     i, or vice versa; C^E analogously over different classes.  Distance ties
     go to the smaller index.  Pairs with an unlabeled endpoint are zero.
-    With ``dense_same_class`` every labeled same-class pair gets c^I = 1
-    (the classical, non-local regime).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -88,8 +87,7 @@ def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int,
         same = lab[order] == lab[rows, None]
         diff = ~same
         same &= order != rows[:, None]
-        if not dense_same_class:
-            same &= np.cumsum(same, axis=1, dtype=np.int32) <= k
+        same &= np.cumsum(same, axis=1, dtype=np.int32) <= k
         diff &= np.cumsum(diff, axis=1, dtype=np.int32) <= k
         for name, pick in (("same", same), ("diff", diff)):
             pairs[name][0].append(labeled[rows[np.nonzero(pick)[0]]])
@@ -105,55 +103,49 @@ def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int,
     return graph("same"), graph("diff")
 
 
-def lfda_costs(ci: CostMatrix, labels: np.ndarray, class_counts: np.ndarray,
-               n_total: int | None = None):
-    """Between/within cost matrices of local Fisher discriminant analysis.
-
-    ``n_total`` is the n in the 1/n terms; defaults to the labeled count
-    (the universe of the supervised derivation).
-    """
-    labels = np.asarray(labels)
-    n = labels.shape[0]
+def _class_costs(labels: np.ndarray, class_counts: np.ndarray,
+                 n_total: int | None = None, ci: np.ndarray | None = None):
+    """Class-wide between (c^b) and within (c^w) costs of FDA and MMC: 1/n_k
+    - 1/n and 1/n_k for two labeled points of class k, -1/n and 0 for two of
+    different classes, else zero.  n is ``n_total``, by default the labeled
+    count; LFDA passes its dense graph ``ci`` to weight same-class pairs by c^I."""
     labeled = labels != UNLABELED
     if n_total is None:
         n_total = int(labeled.sum())
-    ci_d = ci.dense()
-    cbet = np.zeros((n, n))
-    cwit = np.zeros((n, n))
-    lab_i = labeled[:, None] & labeled[None, :]
-    same = lab_i & (labels[:, None] == labels[None, :])
-    diff = lab_i & ~same
-    nk = np.where(labeled, class_counts[np.maximum(labels, 1) - 1], 1)
-    inv_nk = 1.0 / nk
-    cbet[same] = (ci_d * (inv_nk[:, None] - 1.0 / n_total))[same]
-    cbet[diff] = -1.0 / n_total
-    cwit[same] = (ci_d * inv_nk[:, None])[same]
-    np.fill_diagonal(cbet, 0.0)
-    np.fill_diagonal(cwit, 0.0)
-    return CostMatrix(cbet), CostMatrix(cwit)
+    inv_nk = 1.0 / np.where(labeled, class_counts[np.maximum(labels, 1) - 1], 1)
+    lab_pair = labeled[:, None] & labeled[None, :]
+    np.fill_diagonal(lab_pair, False)
+    same = lab_pair & (labels[:, None] == labels[None, :])
+    cb = np.where(same, inv_nk[:, None] - 1.0 / n_total,
+                  np.where(lab_pair, -1.0 / n_total, 0.0))
+    cw = np.where(same, inv_nk[:, None], 0.0)
+    if ci is not None:
+        # in place, under the mask already built: no n x n temporary
+        np.multiply(cb, ci, out=cb, where=same)
+        cw *= ci
+    return cb, cw
+
+
+def lfda_costs(ci: CostMatrix, labels: np.ndarray, class_counts: np.ndarray,
+               n_total: int | None = None):
+    """Between/within cost matrices of local Fisher discriminant analysis:
+    the class-wide FDA costs with each same-class pair weighted by c^I.
+    ``n_total`` is the n in the 1/n terms (default: the labeled count)."""
+    cb, cw = _class_costs(np.asarray(labels), class_counts, n_total, ci.dense())
+    return CostMatrix(cb), CostMatrix(cw)
 
 
 def mmc_costs(labels: np.ndarray, class_counts: np.ndarray,
               n_total: int | None = None):
     """Between (c^b) and within (c^w) scatter costs of the maximum margin
-    criterion; rows and columns of unlabeled examples are zero."""
+    criterion: the class-wide FDA costs, ``n_total`` as in lfda_costs; rows
+    and columns of unlabeled examples are zero."""
     labels = np.asarray(labels)
-    labeled = labels != UNLABELED
-    if not labeled.any():
+    if not (labels != UNLABELED).any():
         raise ValueError("the MMC/FDA scatter costs need labeled examples")
     if np.any(class_counts == 0):
         raise ValueError("every class must have at least one labeled example")
-    n = labels.shape[0]
-    if n_total is None:
-        n_total = int(labeled.sum())
-    inv_nk = np.where(labeled, 1.0 / class_counts[np.maximum(labels, 1) - 1], 0.0)
-    lab_pair = labeled[:, None] & labeled[None, :]
-    same = lab_pair & (labels[:, None] == labels[None, :])
-    cb = np.where(same, inv_nk[:, None] - 1.0 / n_total,
-                  np.where(lab_pair, -1.0 / n_total, 0.0))
-    cw = np.where(same, inv_nk[:, None], 0.0)
-    np.fill_diagonal(cb, 0.0)
-    np.fill_diagonal(cw, 0.0)
+    cb, cw = _class_costs(labels, class_counts, n_total)
     return CostMatrix(cb), CostMatrix(cw)
 
 

@@ -131,7 +131,7 @@ def _shared_inputs(train: Dataset, spec: LearnerSpec):
 
 
 def _sweep_scores(train: Dataset, spec: LearnerSpec, grid, folds: int,
-                  eval_k: int, seed: int) -> list[list[float]]:
+                  eval_k: int, seed: int, failures=None) -> list[list[float]]:
     """Held-out fold accuracies of every (gamma, alpha) in ``grid``.
 
     Each step runs once for all that share its inputs: the KPCA map,
@@ -139,8 +139,9 @@ def _sweep_scores(train: Dataset, spec: LearnerSpec, grid, folds: int,
     heat kernel), the label scatters once per fold; a candidate adds only
     its d0 x d0 solve, the embedding and k-NN.  A step that fails is
     reported for every candidate and fold that needs it, as a fit per
-    candidate and fold would report it.
+    candidate and fold would report it: warned, and added to ``failures``.
     """
+    failures = [] if failures is None else failures
     cands = [replace(spec, gamma=g, alpha=int(a)) for g, a in grid]
     labeled = np.flatnonzero(train.labeled_mask)
     assign = stratified_folds(train.labels, folds, seed)
@@ -172,8 +173,8 @@ def _sweep_scores(train: Dataset, spec: LearnerSpec, grid, folds: int,
                 L_u, B_u = _ok(unlabel[cand.alpha]) if cand.gamma > 0 else (None, None)
                 model = _solve(L_l, L_u, B_u if B is None else B, cand, mean, basis)
             except (ValueError, np.linalg.LinAlgError) as exc:
-                warnings.warn(f"fold {f} failed for gamma={gamma}, "
-                              f"alpha={alpha}: {exc}")
+                failures.append(f"fold {f} failed for gamma={gamma}, alpha={alpha}: {exc}")
+                warnings.warn(failures[-1])
                 continue
             out.append(_accuracy(embed(model, inputs), labels, embed(model, held_inputs),
                                  train.labels[held], eval_k))
@@ -208,11 +209,13 @@ def cross_validate(train: Dataset, spec: LearnerSpec, tunes: tuple,
         return gammas[0], alphas[0]
     grid = [(g, a) for g in gammas for a in alphas]
     folds = max(2, min(folds, train.labeled_count))
-    scores = _sweep_scores(train, spec, grid, folds, eval_k, seed)
+    failures = []
+    scores = _sweep_scores(train, spec, grid, folds, eval_k, seed, failures)
     best = min(((-float(np.mean(s)), g, a) for (g, a), s in zip(grid, scores) if s),
                default=None)
     if best is None:
-        raise ValueError("cross validation failed: every fold was skipped")
+        reason = failures[0] if failures else "every fold was skipped"
+        raise ValueError(f"cross validation failed: {reason}")
     return best[1], int(best[2])
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .costs import CostMatrix, HeatKernelSpec, hadamard_power, heat_kernel_costs, \
-    lfda_costs, mmc_costs, neighbor_graphs, self_cost
+from .costs import CostMatrix, HeatKernelSpec, _class_costs, hadamard_power, \
+    heat_kernel_costs, lfda_costs, mmc_costs, neighbor_graphs, self_cost
 from .dataset import Dataset, UNLABELED, center
 
 BASES = ("dne", "mfa", "lfda", "fda", "mmc", "none")
@@ -50,6 +50,9 @@ class LearnerSpec:
             raise ValueError("gamma must be non-negative")
         if self.gamma_prime < 0:
             raise ValueError("gamma_prime must be non-negative")
+        for name, value in (("dim", self.dim), ("k", self.k)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -191,23 +194,24 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     if not labeled.any():
         raise ValueError(f"base {spec.base!r} needs labeled examples")
     class_counts = np.bincount(labels[labeled])[1:]
+    if spec.base == "fda":
+        # LFDA with every labeled same-class pair a neighbor
+        cb, cw = _class_costs(labels, class_counts)
+        return laplacian_scatter(X, cb), laplacian_scatter(X, cw)
+    if spec.base == "mmc":
+        # C^l = gamma' C^w - C^b
+        cb, cw = mmc_costs(labels, class_counts)
+        return laplacian_scatter(X, spec.gamma_prime * cw.entries - cb.entries), np.eye(d0)
     k = spec.k if spec.k is not None else resolve_k(class_counts[class_counts > 0])
-    n_lab = int(labeled.sum())
+    ci, ce = neighbor_graphs(X, labels, k)
     if spec.base == "dne":
         # C^l = C^I - C^E
-        ci, ce = neighbor_graphs(X, labels, k)
         return laplacian_scatter(X, (ci.entries - ce.entries).toarray()), np.eye(d0)
     if spec.base == "mfa":
         # C^l = -C^E under the same-class graph constraint
-        ci, ce = neighbor_graphs(X, labels, k)
         return laplacian_scatter(X, -ce.entries.toarray()), laplacian_scatter(X, ci)
-    if spec.base in ("lfda", "fda"):
-        ci, _ = neighbor_graphs(X, labels, k, dense_same_class=(spec.base == "fda"))
-        cbet, cwit = lfda_costs(ci, labels, class_counts, n_total=n_lab)
-        return laplacian_scatter(X, cbet), laplacian_scatter(X, cwit)
-    # mmc: C^l = gamma' C^w - C^b
-    cb, cw = mmc_costs(labels, class_counts, n_total=n_lab)
-    return laplacian_scatter(X, spec.gamma_prime * cw.entries - cb.entries), np.eye(d0)
+    cbet, cwit = lfda_costs(ci, labels, class_counts)
+    return laplacian_scatter(X, cbet), laplacian_scatter(X, cwit)
 
 
 def _unlabel_costs(X: np.ndarray, spec: LearnerSpec) -> CostMatrix:

@@ -15,7 +15,7 @@ def unordered_cost_sum(c, Z):
     return float((c[iu, ju] * d2[iu, ju]).sum())
 
 
-def brute_force_graphs(X, labels, k, dense_same_class=False):
+def brute_force_graphs(X, labels, k):
     """Exhaustive re-derivation of the binary neighbor graphs."""
     n = X.shape[1]
     ci = np.zeros((n, n))
@@ -27,11 +27,7 @@ def brute_force_graphs(X, labels, k, dense_same_class=False):
         same = [j for j in range(n) if j != i and labels[j] == labels[i]]
         diff = [j for j in range(n)
                 if labels[j] != UNLABELED and labels[j] != labels[i]]
-        if dense_same_class:
-            near_same = same
-        else:
-            near_same = sorted(same, key=lambda j: (d[i, j], j))[:k]
-        for j in near_same:
+        for j in sorted(same, key=lambda j: (d[i, j], j))[:k]:
             ci[i, j] = ci[j, i] = 1.0
         for j in sorted(diff, key=lambda j: (d[i, j], j))[:k]:
             ce[i, j] = ce[j, i] = 1.0
@@ -63,11 +59,10 @@ class TestNeighborGraphs:
         X = rng.standard_normal((3, 15))
         labels = rng.integers(1, 4, 15)
         labels[rng.choice(15, 4, replace=False)] = UNLABELED
-        for dense in (False, True):
-            ci, ce = neighbor_graphs(X, labels, k=3, dense_same_class=dense)
-            bi, be = brute_force_graphs(X, labels, 3, dense_same_class=dense)
-            np.testing.assert_array_equal(ci.dense(), bi)
-            np.testing.assert_array_equal(ce.dense(), be)
+        ci, ce = neighbor_graphs(X, labels, k=3)
+        bi, be = brute_force_graphs(X, labels, 3)
+        np.testing.assert_array_equal(ci.dense(), bi)
+        np.testing.assert_array_equal(ce.dense(), be)
 
     def test_distance_ties_match_brute_force(self):
         # an integer grid: many exactly equal distances, ties to the smaller index
@@ -177,6 +172,21 @@ class TestLfdaCosts:
         cbet, _ = lfda_costs(self.ci, self.labels, self.counts, n_total=12)
         diff = self.labels[:, None] != self.labels[None, :]
         assert (cbet.dense()[diff] == -1.0 / 12).all()
+
+    @pytest.mark.parametrize("n_total", [None, 40])
+    def test_every_same_class_pair_a_neighbor_gives_mmc_costs(self, n_total):
+        # FDA: LFDA whose graph joins every labeled same-class pair has
+        # exactly the class-wide costs of MMC, entry for entry
+        rng = np.random.default_rng(11)
+        labels = rng.integers(1, 4, 30)
+        labels[rng.choice(30, 9, replace=False)] = UNLABELED
+        counts = np.bincount(labels[labels != UNLABELED])[1:]
+        lab = labels != UNLABELED
+        ci = (lab[:, None] & (labels[:, None] == labels[None, :])).astype(float)
+        np.fill_diagonal(ci, 0.0)
+        for got, want in zip(lfda_costs(CostMatrix(ci), labels, counts, n_total),
+                             mmc_costs(labels, counts, n_total)):
+            assert np.array_equal(got.dense(), want.dense())
 
 
 class TestMmcCosts:

@@ -100,6 +100,16 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(train, spec, tunes, (), (1,), folds=3)
 
+    def test_every_fold_failing_reports_the_failure(self):
+        # the toy data has rank 2, so every fold fails rather than being skipped
+        train = self.make_train()
+        spec, tunes = learner_preset("ss-lfda", dim=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="cross validation failed: fold 0 "
+                               "failed for gamma=0.1, alpha=1: .*exceeds the data rank"):
+                cross_validate(train, spec, tunes, (0.1, 1.0), (1, 2), folds=3)
+
 
 def reference_scores(train, spec, grid, folds, eval_k=1, seed=0):
     """Fold scores of every (gamma, alpha) from one full fit per candidate
@@ -336,6 +346,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="gamma_grid"):
             config_from_dict({"dataset": "three-cluster", "gamma_grid": "0.1,-1"})
 
+    def test_zero_dim_errors(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text("dataset = ssl-only\nn_per_cluster = 10\nlabeled = 6\n"
+                     "realizations = 2\nlearners = lfda\ndim = 0\n")
+        with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+            run_benchmark(parse_config(p))
+
 
 class TestCli:
     def test_toy_gen_and_load(self, tmp_path):
@@ -366,6 +383,15 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert len(r.stdout.strip().split("\n")) == 100
         assert "accuracy" in r.stderr
+
+    def test_fit_rejects_negative_dim(self, tmp_path):
+        data_csv = tmp_path / "toy.csv"
+        run_cli("toy-gen", "--kind", "three-cluster", "--n-per-cluster", "10",
+                "--out", str(data_csv))
+        model = tmp_path / "m.bin"
+        r = run_cli("fit", "--data", str(data_csv), "--dim", "-1", "--out", str(model))
+        assert r.returncode == 1 and "dim must be >= 1, got -1" in r.stderr
+        assert not model.exists()
 
     def test_kernel_fit_roundtrip(self, tmp_path):
         data_csv = tmp_path / "toy.csv"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import ssdr.costs
+import ssdr.solver
 from ssdr import (BASES, Dataset, EmbeddingModel, LearnerSpec, UNLABELED,
                   UNLABEL_MODES, axis_weighting, build_scatters, embed, fit,
                   generate_multimodal_toy, hadamard_power, heat_kernel_costs,
@@ -199,10 +201,14 @@ def reference_costs(X, labels, spec):
         ci, ce = neighbor_graphs(X, labels, k)
         cl = ci.dense() - ce.dense() if spec.base == "dne" else -ce.dense()
         B = np.eye(d0) if spec.base == "dne" else laplacian_scatter(X, ci)
-    elif spec.base in ("lfda", "fda"):
-        ci, _ = neighbor_graphs(X, labels, k, dense_same_class=spec.base == "fda")
+    elif spec.base == "lfda":
+        ci, _ = neighbor_graphs(X, labels, k)
         cbet, cwit = lfda_costs(ci, labels, counts)
         cl, B = cbet.dense(), laplacian_scatter(X, cwit)
+    elif spec.base == "fda":
+        # FDA's between/within costs are MMC's class-wide costs
+        cb, cw = mmc_costs(labels, counts)
+        cl, B = cb.dense(), laplacian_scatter(X, cw)
     elif spec.base == "mmc":
         cb, cw = mmc_costs(labels, counts)
         cl = spec.gamma_prime * cw.dense() - cb.dense()
@@ -346,6 +352,84 @@ class TestFit:
                     labels=np.full(10, UNLABELED), n_classes=2)
         with pytest.raises(ValueError):
             fit(d, LearnerSpec(base="dne", unlabel="none", gamma=0.0, dim=1))
+
+    @pytest.mark.parametrize("field, value", [("dim", -1), ("dim", 0), ("k", 0)])
+    def test_nonpositive_dim_or_k_rejected(self, field, value):
+        # dim = -1 used to fit d0 - 1 axes, dim = 0 an empty model, and
+        # mmc ignored k = 0
+        d = labeled_dataset(np.random.default_rng(16))
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            fit(d, LearnerSpec(base="mmc", unlabel="none", gamma=0.0,
+                               **{field: value}))
+
+
+class TestClassWideBases:
+    """FDA and MMC take their costs from the class labels alone."""
+
+    @pytest.mark.parametrize("base", ["fda", "mmc", "lfda"])
+    @pytest.mark.parametrize("unlabel", ["none", "self_pca"])
+    def test_fit_builds_distances_and_graphs_only_for_lfda(self, monkeypatch,
+                                                            base, unlabel):
+        calls = []
+        for module, name in ((ssdr.costs, "pairwise_sq_dists"),
+                             (ssdr.solver, "neighbor_graphs")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        d = labeled_dataset(np.random.default_rng(26), c=3)
+        fit(d, LearnerSpec(base=base, unlabel=unlabel,
+                           gamma=0.5 if unlabel == "self_pca" else 0.0))
+        if base == "lfda":
+            assert calls == ["neighbor_graphs", "pairwise_sq_dists"]
+        else:
+            assert calls == []
+
+    @pytest.mark.parametrize("names", [(1, 3), (2, 3)])
+    def test_fda_fits_with_a_class_absent(self, names):
+        # one of three classes has no labeled example; naming the classes
+        # {1, 2} instead gives the same costs and the same A, and no 1/n_k
+        # divides by zero, unlabeled examples included
+        d = labeled_dataset(np.random.default_rng(27)).with_labels_hidden(np.arange(30))
+        gap = Dataset(X=d.X, labels=np.select([d.labels == 1, d.labels == 2], names,
+                                              UNLABELED), n_classes=3)
+        spec = LearnerSpec(base="fda", unlabel="heat", gamma=0.5)
+        with np.errstate(divide="raise", invalid="raise"):
+            model = fit(gap, spec)
+        np.testing.assert_array_equal(model.A, fit(d, spec).A)
+
+
+class TestPermutationAndTranslationInvariance:
+    """Reordering the examples (with their labels) or shifting every input
+    by one vector leaves the projection unchanged.  Continuous random data,
+    so that no two distances tie and the neighbor graphs are unique."""
+
+    SPECS = [LearnerSpec(base="lfda", unlabel="heat", gamma=0.5, alpha=2),
+             LearnerSpec(base="mfa", unlabel="none", gamma=0.0),
+             LearnerSpec(base="mmc", unlabel="self_pca", gamma=0.5)]
+
+    @staticmethod
+    def data(rng):
+        labels = 1 + np.arange(60) % 3
+        labels[rng.choice(60, 20, replace=False)] = UNLABELED
+        return Dataset(X=rng.standard_normal((5, 60)), labels=labels, n_classes=3)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.base}-{s.unlabel}")
+    def test_permuting_examples(self, spec):
+        rng = np.random.default_rng(28)
+        d = self.data(rng)
+        perm = rng.permutation(d.n)
+        permuted = Dataset(X=d.X[:, perm], labels=d.labels[perm], n_classes=3)
+        np.testing.assert_allclose(fit(permuted, spec).A, fit(d, spec).A,
+                                   rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.base}-{s.unlabel}")
+    def test_translating_inputs(self, spec):
+        rng = np.random.default_rng(29)
+        d = self.data(rng)
+        shifted = Dataset(X=d.X + 3.0 * rng.standard_normal((5, 1)),
+                          labels=d.labels, n_classes=3)
+        np.testing.assert_allclose(fit(shifted, spec).A, fit(d, spec).A,
+                                   rtol=0, atol=1e-8)
 
 
 class TestEmbed:
