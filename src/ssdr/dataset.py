@@ -20,6 +20,14 @@ class DatasetError(ValueError):
     pass
 
 
+def _at_least(spec, **least) -> None:
+    """Reject a field of ``spec`` below its least value; None passes."""
+    for name, bound in least.items():
+        value = getattr(spec, name)
+        if value is not None and value < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     X: np.ndarray                 # (d0, n) float64, columns are examples
@@ -88,6 +96,9 @@ class SplitSpec:
     seed: int = 0
     realizations: int = 25
     per_class_labels: bool = False
+
+    def __post_init__(self):
+        _at_least(self, labeled=0, unlabeled=0, test=0, realizations=1)
 
 
 def load_csv(path, label_column: str, missing_label_token: str = "") -> Dataset:

@@ -8,12 +8,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .costs import HeatKernelSpec
-from .dataset import (Dataset, SplitSpec, UNLABELED, generate_balance,
+from .dataset import (Dataset, SplitSpec, UNLABELED, _at_least, generate_balance,
                       generate_multimodal_toy, load_csv, split, TOY_KINDS)
 from .knn import KnnIndex, knn_classify
-from .kpca import KernelSpec, _kpca_inputs, kpca_embed, kpca_transform, kpca_trick_fit
+from .kpca import KernelSpec, _kpca_inputs, kpca_transform
 from .solver import (LearnerSpec, _label_scatters, _prepare, _solve, _unlabel_costs,
-                     _unlabel_scatters, embed, fit)
+                     _unlabel_scatters, embed)
 
 # Named learner presets.  ``tunes`` lists which of (gamma, alpha) cross
 # validation may adjust; the others stay at the preset value.
@@ -66,6 +66,9 @@ class ExperimentConfig:
     toy_noise: float = 0.5
     data_seed: int = 0
 
+    def __post_init__(self):
+        _at_least(self, folds=2, eval_k=1)
+
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
     if config.dataset == "balance":
@@ -74,22 +77,6 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
         return generate_multimodal_toy(config.dataset, config.n_per_cluster,
                                        config.toy_noise, config.data_seed)
     return load_csv(config.dataset, config.label_column, config.missing_label_token)
-
-
-def _fit_projection(train: Dataset, spec: LearnerSpec):
-    """Fit a (possibly kernelized) learner; returns its map of raw inputs."""
-    if spec.kernel is not None:
-        kmap, model = kpca_trick_fit(train, spec.kernel, replace(spec, kernel=None))
-        return lambda X: kpca_embed(kmap, model, X)
-    model = fit(train, spec)
-    return lambda X: embed(model, X)
-
-
-def _accuracy(Z_train, labels, Z_eval, truth, eval_k: int) -> float:
-    """k-NN accuracy of embedded points against the labeled training points."""
-    lab = np.flatnonzero(labels != UNLABELED)
-    index = KnnIndex(points=Z_train[:, lab], labels=labels[lab], k=min(eval_k, lab.size))
-    return float((knn_classify(index, Z_eval) == truth).mean())
 
 
 def stratified_folds(labels: np.ndarray, folds: int, seed: int):
@@ -118,39 +105,65 @@ def _ok(stage):
     return stage
 
 
-def _shared_inputs(train: Dataset, spec: LearnerSpec):
-    """What every fold and candidate of a sweep share: the linear spec to fit,
-    the map of raw inputs to fit inputs, the training inputs it gives, and
-    the centered (PCA-reduced) X with its mean and basis."""
-    if spec.kernel is None:
+def _grid(spec: LearnerSpec, tunes: tuple, gamma_grid, alpha_grid) -> list:
+    gammas = tuple(gamma_grid) if "gamma" in tunes else (spec.gamma,)
+    alphas = tuple(alpha_grid) if "alpha" in tunes else (spec.alpha,)
+    if not gammas or not alphas:
+        raise ValueError("tuning grids must be non-empty")
+    return [(g, a) for g in gammas for a in alphas]
+
+
+def _scorer(train: Dataset, spec: LearnerSpec, grid, eval_k: int):
+    """Run once the fit steps all folds and candidates of ``grid`` share: the
+    KPCA map, training inputs, centering and PCA, and (L_u, B_u) per alpha from
+    one heat kernel (its n x n costs freed on return).  ``score(labels, points,
+    X_eval, truth)`` yields, per (gamma, alpha) in ``points``, the k-NN accuracy
+    on ``X_eval`` of its fit on ``labels``, or its first failed step's error."""
+    cands = {p: replace(spec, gamma=p[0], alpha=int(p[1])) for p in grid}
+    try:
         data, to_inputs = train, lambda X: X
-    else:
-        kmap, data, spec = _kpca_inputs(train, spec.kernel, spec)
-        to_inputs = lambda X: kpca_transform(kmap, X)
-    return (spec, to_inputs, to_inputs(train.X)) + _prepare(data, spec.dim)
+        if spec.kernel is not None:
+            kmap, data, spec = _kpca_inputs(train, spec.kernel, spec)
+            to_inputs = lambda X: kpca_transform(kmap, X)
+        inputs = to_inputs(train.X)
+        X, mean, basis = _prepare(data, spec.dim)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return lambda labels, points, X_eval, truth, exc=exc: [exc] * len(points)
+    cands = {p: replace(c, kernel=None, dim=spec.dim) for p, c in cands.items()}
+    alphas = {c.alpha for c in cands.values() if c.gamma > 0 and spec.unlabel != "none"}
+    cu = _attempt(_unlabel_costs, X, spec) if alphas else None
+    unlabel = {a: cu if isinstance(cu, Exception) else
+               _attempt(_unlabel_scatters, X, cu, replace(spec, alpha=a)) for a in alphas}
+
+    def solve(label, cand):
+        L_l, B = _ok(label)
+        has_u = spec.unlabel != "none" and cand.gamma > 0    # as in build_scatters
+        L_u, B_u = _ok(unlabel[cand.alpha]) if has_u else (None, None)
+        return _solve(L_l, L_u, B_u if B is None else B, cand, mean, basis)
+
+    def score(labels, points, X_eval, truth):
+        label = _attempt(_label_scatters, X, labels, spec)
+        eval_inputs = to_inputs(X_eval)
+        lab = np.flatnonzero(labels != UNLABELED)
+        for model in (_attempt(solve, label, cands[p]) for p in points):
+            if isinstance(model, Exception):
+                yield model
+                continue
+            index = KnnIndex(points=embed(model, inputs)[:, lab], labels=labels[lab],
+                             k=min(eval_k, lab.size))
+            yield float((knn_classify(index, embed(model, eval_inputs)) == truth).mean())
+
+    return score
 
 
-def _sweep_scores(train: Dataset, spec: LearnerSpec, grid, folds: int,
-                  eval_k: int, seed: int, failures=None) -> list[list[float]]:
-    """Held-out fold accuracies of every (gamma, alpha) in ``grid``.
-
-    Each step runs once for all that share its inputs: the KPCA map,
-    centering and PCA once, the unlabel scatters once per alpha (from one
-    heat kernel), the label scatters once per fold; a candidate adds only
-    its d0 x d0 solve, the embedding and k-NN.  A step that fails is
-    reported for every candidate and fold that needs it, as a fit per
-    candidate and fold would report it: warned, and added to ``failures``.
-    """
-    failures = [] if failures is None else failures
-    cands = [replace(spec, gamma=g, alpha=int(a)) for g, a in grid]
+def _sweep_scores(train: Dataset, score, grid, folds: int, seed: int,
+                  failures: list) -> list[list[float]]:
+    """Held-out fold accuracies of every (gamma, alpha) in ``grid`` by ``score``
+    (a ``_scorer``).  A failed step is warned and added to ``failures`` once per
+    candidate and fold that needs it, as a fit per candidate and fold would."""
     labeled = np.flatnonzero(train.labeled_mask)
     assign = stratified_folds(train.labels, folds, seed)
     all_present = set(train.labels[labeled])
-    shared = _attempt(_shared_inputs, train, spec)
-    if not isinstance(shared, Exception):
-        fit_spec, to_inputs, inputs, X, mean, basis = shared
-        cands = [replace(c, kernel=None, dim=fit_spec.dim) for c in cands]
-        unlabel = _unlabel_stage(X, fit_spec, cands)
     scores = [[] for _ in grid]
     for f in range(folds):
         held = np.flatnonzero(assign == f)
@@ -162,55 +175,33 @@ def _sweep_scores(train: Dataset, spec: LearnerSpec, grid, folds: int,
                 warnings.warn(f"fold {f}: a class is absent from the "
                               "training labels; fold skipped")
             continue
-        labels = train.with_labels_hidden(keep).labels
-        label = shared
-        if not isinstance(shared, Exception):
-            label = _attempt(_label_scatters, X, labels, fit_spec)
-            held_inputs = to_inputs(train.X[:, held])
-        for (gamma, alpha), cand, out in zip(grid, cands, scores):
-            try:
-                L_l, B = _ok(label)
-                L_u, B_u = _ok(unlabel[cand.alpha]) if cand.gamma > 0 else (None, None)
-                model = _solve(L_l, L_u, B_u if B is None else B, cand, mean, basis)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                failures.append(f"fold {f} failed for gamma={gamma}, alpha={alpha}: {exc}")
+        accs = score(train.with_labels_hidden(keep).labels, grid, train.X[:, held],
+                     train.labels[held])
+        for (gamma, alpha), acc, out in zip(grid, accs, scores):
+            if isinstance(acc, Exception):
+                failures.append(f"fold {f} failed for gamma={gamma}, alpha={alpha}: {acc}")
                 warnings.warn(failures[-1])
-                continue
-            out.append(_accuracy(embed(model, inputs), labels, embed(model, held_inputs),
-                                 train.labels[held], eval_k))
+            else:
+                out.append(acc)
     return scores
-
-
-def _unlabel_stage(X, spec: LearnerSpec, cands) -> dict:
-    """(L_u, B_u), or the error building them, per alpha of the candidates
-    with an unlabel term; the n x n costs are freed on return."""
-    alphas = dict.fromkeys(c.alpha for c in cands if c.gamma > 0)
-    if spec.unlabel == "none" or not alphas:
-        return dict.fromkeys(alphas, (None, None))
-    cu = _attempt(_unlabel_costs, X, spec)
-    return {a: cu if isinstance(cu, Exception) else
-            _attempt(_unlabel_scatters, X, cu, replace(spec, alpha=a)) for a in alphas}
 
 
 def cross_validate(train: Dataset, spec: LearnerSpec, tunes: tuple,
                    gamma_grid, alpha_grid, folds: int, eval_k: int = 1,
-                   seed: int = 0):
+                   seed: int = 0, *, _score=None):
     """Pick (gamma, alpha) by held-out labeled-fold 1-NN accuracy.
 
     Folds are stratified over the labeled examples; the unlabeled examples
     stay in every training fold.  Ties go to the smaller gamma, then the
-    smaller alpha.
+    smaller alpha.  ``_score`` is a prebuilt ``_scorer`` of these arguments.
     """
-    gammas = tuple(gamma_grid) if "gamma" in tunes else (spec.gamma,)
-    alphas = tuple(alpha_grid) if "alpha" in tunes else (spec.alpha,)
-    if not gammas or not alphas:
-        raise ValueError("tuning grids must be non-empty")
-    if len(gammas) == 1 and len(alphas) == 1:
-        return gammas[0], alphas[0]
-    grid = [(g, a) for g in gammas for a in alphas]
+    grid = _grid(spec, tunes, gamma_grid, alpha_grid)
+    if len(grid) == 1:
+        return grid[0]
     folds = max(2, min(folds, train.labeled_count))
     failures = []
-    scores = _sweep_scores(train, spec, grid, folds, eval_k, seed, failures)
+    score = _scorer(train, spec, grid, eval_k) if _score is None else _score
+    scores = _sweep_scores(train, score, grid, folds, seed, failures)
     best = min(((-float(np.mean(s)), g, a) for (g, a), s in zip(grid, scores) if s),
                default=None)
     if best is None:
@@ -243,18 +234,17 @@ def run_learner(data: Dataset, config: ExperimentConfig, name: str) -> LearnerRe
     for r in range(config.split.realizations):
         try:
             lab_idx, unl_idx, test_idx = split(data, config.split, r)
-            transductive = test_idx.size == 0
             train_idx = np.sort(np.concatenate([lab_idx, unl_idx]))
             train = data.subset(train_idx).with_labels_hidden(
                 np.flatnonzero(np.isin(train_idx, lab_idx)))
-            gamma, alpha = cross_validate(train, spec, tunes, config.gamma_grid,
-                                          config.alpha_grid, config.folds,
-                                          config.eval_k, seed=config.split.seed + r)
-            project = _fit_projection(train, replace(spec, gamma=gamma, alpha=alpha))
-            eval_idx = unl_idx if transductive else test_idx
-            accs.append(_accuracy(project(train.X), train.labels,
-                                  project(data.X[:, eval_idx]), data.labels[eval_idx],
-                                  config.eval_k))
+            grid = _grid(spec, tunes, config.gamma_grid, config.alpha_grid)
+            score = _scorer(train, spec, grid, config.eval_k)
+            chosen = cross_validate(train, spec, tunes, config.gamma_grid,
+                                    config.alpha_grid, config.folds, config.eval_k,
+                                    seed=config.split.seed + r, _score=score)
+            eval_idx = unl_idx if test_idx.size == 0 else test_idx
+            [acc] = score(train.labels, [chosen], data.X[:, eval_idx], data.labels[eval_idx])
+            accs.append(_ok(acc))
         except (ValueError, np.linalg.LinAlgError) as exc:
             fails.append(f"realization {r}: {exc}")
     if not accs:

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .costs import CostMatrix, HeatKernelSpec, _class_costs, hadamard_power, \
     heat_kernel_costs, lfda_costs, mmc_costs, neighbor_graphs, self_cost
-from .dataset import Dataset, UNLABELED, center
+from .dataset import Dataset, UNLABELED, _at_least, center
 
 BASES = ("dne", "mfa", "lfda", "fda", "mmc", "none")
 UNLABEL_MODES = ("heat", "self_pca", "none")
@@ -50,9 +50,7 @@ class LearnerSpec:
             raise ValueError("gamma must be non-negative")
         if self.gamma_prime < 0:
             raise ValueError("gamma_prime must be non-negative")
-        for name, value in (("dim", self.dim), ("k", self.k)):
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        _at_least(self, dim=1, k=1)
 
 
 @dataclass(frozen=True)

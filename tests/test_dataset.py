@@ -212,6 +212,15 @@ class TestSplit:
         with pytest.raises(DatasetError):
             split(d, SplitSpec(labeled=5, realizations=3), 3)
 
+    @pytest.mark.parametrize("field, value, least", [
+        ("labeled", -2, 0), ("unlabeled", -3, 0), ("test", -5, 0), ("realizations", 0, 1)])
+    def test_negative_counts_rejected(self, field, value, least):
+        # unchecked, unlabeled=-3 kept all but 3 points, test=-5 ran
+        # transductively and realizations=0 ran no realization
+        d = generate_multimodal_toy("ssl-only", 30, 0.5, 0)
+        with pytest.raises(ValueError, match=f"{field} must be >= {least}, got {value}"):
+            split(d, SplitSpec(**{"labeled": 6, field: value}), 0)
+
     def test_determinism_in_process(self):
         d = self.make()
         spec = SplitSpec(labeled=5, seed=42, realizations=5)

@@ -13,7 +13,8 @@ from ssdr import (ExperimentConfig, HeatKernelSpec, KernelSpec, KnnIndex,
                   format_report, generate_multimodal_toy, knn_classify,
                   kpca_embed, kpca_trick_fit, learner_preset, load_csv,
                   parse_config, run_benchmark, run_learner, split)
-from ssdr.harness import _sweep_scores, config_from_dict, load_dataset, stratified_folds
+from ssdr.harness import (_scorer, _sweep_scores, config_from_dict, load_dataset,
+                          stratified_folds)
 
 
 def run_cli(*args):
@@ -180,7 +181,8 @@ class TestSweepMatchesFitPerCandidate:
         train = self.train()
         spec, _ = learner_preset(name, dim=1, kernel=kernel)
         expect, _ = recorded(lambda: reference_scores(train, spec, grid, folds=4, eval_k=3))
-        got, warned = recorded(lambda: _sweep_scores(train, spec, grid, 4, 3, 0))
+        got, warned = recorded(lambda: _sweep_scores(
+            train, _scorer(train, spec, grid, 3), grid, 4, 0, []))
         assert got == expect and not warned
         gammas = tuple(dict.fromkeys(g for g, _ in grid))
         alphas = tuple(dict.fromkeys(a for _, a in grid))
@@ -198,7 +200,8 @@ class TestSweepMatchesFitPerCandidate:
         spec, _ = learner_preset("ss-lfda", dim=1)
         grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
         expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 4))
-        got, warned = recorded(lambda: _sweep_scores(train, spec, grid, 4, 1, 0))
+        got, warned = recorded(lambda: _sweep_scores(
+            train, _scorer(train, spec, grid, 1), grid, 4, 0, []))
         assert got == expect and all(len(s) == 2 for s in got)
         assert warned == expect_warned and len(warned) == len(grid)
 
@@ -207,7 +210,8 @@ class TestSweepMatchesFitPerCandidate:
         spec, _ = learner_preset("ss-lfda", dim=3)   # the data has rank 2
         grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
         expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 3))
-        got, warned = recorded(lambda: _sweep_scores(train, spec, grid, 3, 1, 0))
+        got, warned = recorded(lambda: _sweep_scores(
+            train, _scorer(train, spec, grid, 1), grid, 3, 0, []))
         assert got == expect == [[]] * len(grid)
         assert warned == expect_warned and len(warned) == 3 * len(grid)
         assert "exceeds the data rank" in warned[0]
@@ -238,6 +242,23 @@ class TestSweepBuildCounts:
         assert len(heat) == 1 and len(power) <= len(alphas) and len(label) == 5
         assert len(kpca) == (kernel is not None)
 
+    @pytest.mark.parametrize("kernel", [None, KernelSpec("gaussian", sigma=2.0)])
+    def test_final_fit_reuses_the_sweep(self, monkeypatch, kernel):
+        heat = self.count(monkeypatch, ssdr.solver, "heat_kernel_costs")
+        kpca = self.count(monkeypatch, ssdr.kpca, "kpca_fit")
+        # fit is counted wherever it is bound by name (the harness no longer is)
+        fits = [self.count(monkeypatch, module, "fit")
+                for module in (ssdr.solver, ssdr.kpca, ssdr.harness)
+                if hasattr(module, "fit")]
+        cfg = toy_config(dataset="three-cluster", kernel=kernel, folds=5,
+                         split=SplitSpec(labeled=20, seed=1, realizations=1,
+                                         per_class_labels=True),
+                         gamma_grid=(0.1, 1.0, 10.0), alpha_grid=(1, 2, 4, 8))
+        res = run_learner(load_dataset(cfg), cfg, "ss-lfda")
+        assert len(res.accuracies) == 1
+        assert len(heat) == 1 and len(kpca) == (kernel is not None)
+        assert sum(map(len, fits)) == 0
+
 
 def toy_config(**kw):
     base = dict(dataset="ssl-only", split=SplitSpec(labeled=6, seed=0,
@@ -247,6 +268,84 @@ def toy_config(**kw):
                 folds=3, dim=1, n_per_cluster=30)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def reference_run_learner(data, config, name):
+    """run_learner as cross_validate followed by a second, full fit of the
+    chosen (gamma, alpha) per realization; its accuracies and failures."""
+    spec, tunes = learner_preset(name, config.dim, config.heat, config.kernel)
+    accs, fails = [], []
+    for r in range(config.split.realizations):
+        try:
+            lab_idx, unl_idx, test_idx = split(data, config.split, r)
+            train_idx = np.sort(np.concatenate([lab_idx, unl_idx]))
+            train = data.subset(train_idx).with_labels_hidden(
+                np.flatnonzero(np.isin(train_idx, lab_idx)))
+            gamma, alpha = cross_validate(train, spec, tunes, config.gamma_grid,
+                                          config.alpha_grid, config.folds,
+                                          config.eval_k, seed=config.split.seed + r)
+            chosen = replace(spec, gamma=gamma, alpha=alpha)
+            if chosen.kernel is None:
+                model = fit(train, chosen)
+                project = lambda X: embed(model, X)
+            else:
+                kmap, model = kpca_trick_fit(train, chosen.kernel,
+                                             replace(chosen, kernel=None))
+                project = lambda X: kpca_embed(kmap, model, X)
+            eval_idx = unl_idx if test_idx.size == 0 else test_idx
+            lab = np.flatnonzero(train.labeled_mask)
+            index = KnnIndex(points=project(train.X)[:, lab], labels=train.labels[lab],
+                             k=min(config.eval_k, lab.size))
+            pred = knn_classify(index, project(data.X[:, eval_idx]))
+            accs.append(float((pred == data.labels[eval_idx]).mean()))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            fails.append(f"realization {r}: {exc}")
+    if not accs:
+        raise RuntimeError(f"{name}: every realization failed: {fails[:3]}")
+    return tuple(accs), tuple(fails)
+
+
+class TestRunLearnerMatchesSeparateFinalFit:
+    """The final fit goes through the sweep's steps; every realization must
+    score exactly as a separate full fit after cross validation."""
+
+    @pytest.mark.parametrize("name, kw", [
+        ("ss-lfda", dict(gamma_grid=(0.1, 1.0, 10.0), alpha_grid=(1, 2, 4), eval_k=3)),
+        ("lfda", {}),
+        ("pca", {}),
+        ("lfda", dict(kernel=KernelSpec("gaussian", sigma=2.0))),
+        ("ss-lfda", dict(gamma_grid=(0.1, 10.0), alpha_grid=(1, 2),
+                         kernel=KernelSpec("gaussian", sigma=2.0))),
+        ("ss-lfda", dict(gamma_grid=(0.1, 10.0), alpha_grid=(1, 8),
+                         split=SplitSpec(labeled=6, unlabeled=60, test=20, seed=0,
+                                         realizations=3, per_class_labels=True))),
+        # three of these four realizations fail: every fold lacks a class
+        ("ss-lfda", dict(gamma_grid=(0.1, 1.0), alpha_grid=(1,), n_per_cluster=10,
+                         split=SplitSpec(labeled=2, seed=3, realizations=4))),
+    ])
+    def test_accuracies_and_failures(self, name, kw):
+        cfg = toy_config(**kw)
+        data = load_dataset(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expect = reference_run_learner(data, cfg, name)
+            res = run_learner(data, cfg, name)
+        assert (res.accuracies, res.failures) == expect
+
+    @pytest.mark.parametrize("name", ["ss-lfda", "lfda"])
+    def test_every_realization_failing(self, name):
+        # the toy data has rank 2: ss-lfda fails in the sweep, lfda (no
+        # grid to sweep) in the final fit
+        cfg = toy_config(dim=3, gamma_grid=(0.1, 1.0), alpha_grid=(1, 2))
+        data = load_dataset(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(RuntimeError) as expect:
+                reference_run_learner(data, cfg, name)
+            with pytest.raises(RuntimeError) as got:
+                run_learner(data, cfg, name)
+        assert str(got.value) == str(expect.value)
+        assert "exceeds the data rank 2" in str(got.value)
 
 
 class TestRunBenchmark:
@@ -345,6 +444,14 @@ class TestConfigParsing:
     def test_negative_gamma_grid_errors(self):
         with pytest.raises(ValueError, match="gamma_grid"):
             config_from_dict({"dataset": "three-cluster", "gamma_grid": "0.1,-1"})
+
+    @pytest.mark.parametrize("key, value, least", [
+        ("folds", "0", 2), ("folds", "1", 2), ("eval_k", "0", 1)])
+    def test_too_few_folds_or_neighbors_errors(self, key, value, least):
+        # unchecked, folds 0 or 1 ran as 2 and eval_k 0 failed every
+        # realization with a message naming no key
+        with pytest.raises(ValueError, match=f"{key} must be >= {least}, got {value}"):
+            config_from_dict({"dataset": "three-cluster", key: value})
 
     def test_zero_dim_errors(self, tmp_path):
         p = tmp_path / "exp.cfg"
