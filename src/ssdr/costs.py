@@ -7,6 +7,9 @@ matrices.  FDA and MMC share one class-wide between/within cost rule; LFDA
 weights that rule's same-class entries by the neighbor graph C^I.
 ``solver.build_scatters`` turns these costs into the scatters a learner
 solves with.
+
+Dense n x n costs are built in place, in blocks of ``_ROW_BLOCK`` rows: each
+matrix is one n x n buffer, and the temporaries stay O(block * n).
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ import scipy.sparse as sp
 
 from .dataset import UNLABELED
 
-_ROW_BLOCK = 256  # labeled rows ranked per argsort in neighbor_graphs
+_ROW_BLOCK = 64  # rows per block of an n x n pass
+_EXP_ZERO = -746.0  # exp(x) is +0.0 for every x below this
 
 
 @dataclass(frozen=True)
@@ -58,10 +62,22 @@ class HeatKernelSpec:
 
 def pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the columns of X."""
+    X = np.asarray(X, dtype=float)
     sq = (X * X).sum(axis=0)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
+    # one symmetric product (row-block products would round differently),
+    # then (sq_i + sq_j) - 2 g_ij written over it
+    d2 = X.T @ X
+    for r in _row_blocks(d2.shape[0]):
+        np.multiply(d2[r], 2.0, out=d2[r])
+        np.subtract(sq[r, None] + sq[None, :], d2[r], out=d2[r])
+        np.maximum(d2[r], 0.0, out=d2[r])
     np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    return d2
+
+
+def _row_blocks(n: int):
+    """Slices of _ROW_BLOCK rows covering range(n)."""
+    return [slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK)]
 
 
 def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
@@ -116,9 +132,10 @@ def _class_costs(labels: np.ndarray, class_counts: np.ndarray,
     lab_pair = labeled[:, None] & labeled[None, :]
     np.fill_diagonal(lab_pair, False)
     same = lab_pair & (labels[:, None] == labels[None, :])
-    cb = np.where(same, inv_nk[:, None] - 1.0 / n_total,
-                  np.where(lab_pair, -1.0 / n_total, 0.0))
-    cw = np.where(same, inv_nk[:, None], 0.0)
+    cb = np.where(lab_pair, -1.0 / n_total, 0.0)
+    np.copyto(cb, (inv_nk - 1.0 / n_total)[:, None], where=same)
+    cw = np.zeros(same.shape)
+    np.copyto(cw, inv_nk[:, None], where=same)
     if ci is not None:
         # in place, under the mask already built: no n x n temporary
         np.multiply(cb, ci, out=cb, where=same)
@@ -143,8 +160,6 @@ def mmc_costs(labels: np.ndarray, class_counts: np.ndarray,
     labels = np.asarray(labels)
     if not (labels != UNLABELED).any():
         raise ValueError("the MMC/FDA scatter costs need labeled examples")
-    if np.any(class_counts == 0):
-        raise ValueError("every class must have at least one labeled example")
     cb, cw = _class_costs(labels, class_counts, n_total)
     return CostMatrix(cb), CostMatrix(cw)
 
@@ -160,21 +175,39 @@ def heat_kernel_costs(X: np.ndarray, spec: HeatKernelSpec) -> CostMatrix:
     n = X.shape[1]
     if n < 2:
         raise ValueError("need at least two points")
-    d2 = pairwise_sq_dists(X)
-    if spec.scaling == "global":
-        cu = np.exp(-d2 / spec.sigma**2)
-    else:
+    # the distances are overwritten, one row block at a time, by the costs
+    cu = pairwise_sq_dists(X)
+    blocks = _row_blocks(n)
+    sigma = None
+    if spec.scaling == "local":
         k = min(spec.k, n - 1)
-        # distance to the k-th nearest other point
-        part = np.partition(np.sqrt(d2), k, axis=1)
-        sigma = part[:, k]
+        # distance to the k-th nearest other point; sqrt is monotone
+        sigma = np.empty(n)
+        for r in blocks:
+            sigma[r] = np.partition(cu[r], k, axis=1)[:, k]
+        np.sqrt(sigma, out=sigma)
         floor = spec.distance_floor
         if floor is None:
-            floor = 1e-12 * max(np.sqrt(d2.max()), 1.0)
+            floor = 1e-12 * max(np.sqrt(cu.max()), 1.0)
         sigma = np.maximum(sigma, floor)
-        cu = np.exp(-d2 / (sigma[:, None] * sigma[None, :]))
+    for r in blocks:
+        scale = spec.sigma**2 if sigma is None else sigma[r, None] * sigma[None, :]
+        flat = np.divide(np.negative(cu[r], out=cu[r]), scale, out=cu[r]).reshape(-1)
+        # exp is exactly +0.0 below -745.13; skipping those entries keeps
+        # exp off its slow underflow path
+        kept = np.flatnonzero(~(flat < _EXP_ZERO))
+        e = flat[kept]
+        np.exp(e, out=e)
+        flat.fill(0.0)
+        flat[kept] = e
     np.fill_diagonal(cu, 0.0)
-    cu = 0.5 * (cu + cu.T)
+    for i, a in enumerate(blocks):
+        for b in blocks[i:]:
+            # 0.5 (c_ij + c_ji), written to both blocks
+            s = cu[a, b] + cu[b, a].T
+            s *= 0.5
+            cu[a, b] = s
+            cu[b, a] = s.T
     return CostMatrix(cu)
 
 
@@ -197,7 +230,8 @@ def hadamard_power(cu: CostMatrix, alpha: int) -> CostMatrix:
     if alpha == 1:
         return CostMatrix(e.copy())
     p = e**alpha
-    return CostMatrix(p * (norm / np.linalg.norm(p)))
+    p *= norm / np.linalg.norm(p)
+    return CostMatrix(p)
 
 
 def export_dense_csv(cm: CostMatrix, path) -> None:

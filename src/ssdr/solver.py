@@ -127,13 +127,19 @@ def axis_weighting(A: np.ndarray, lam: np.ndarray, mode: str) -> np.ndarray:
     norms = np.linalg.norm(A, axis=1)
     if mode in ("T2_unit_rows", "T4_combined") and np.any(norms == 0):
         raise ValueError("zero-norm projection row; cannot normalize axes")
-    lam_c = np.maximum(lam, 0.0)  # clamp tiny negative eigenvalues
+    # sqrt(|lambda|): a discriminant's bottom eigenvalues are negative, and
+    # sqrt(-lambda) is LFDA's sqrt(lambda) in the maximization form
+    w = np.sqrt(np.abs(lam))
+    if mode in ("T3_sqrt_lambda", "T4_combined") and np.any(w == 0):
+        i = int(np.argmin(w))
+        raise ValueError(f"{mode}: eigenvalue {float(lam[i])!r} of axis {i} gives a "
+                         "zero axis weight")
     if mode == "T2_unit_rows":
         t = 1.0 / norms
     elif mode == "T3_sqrt_lambda":
-        t = np.sqrt(lam_c)
+        t = w
     elif mode == "T4_combined":
-        t = np.sqrt(lam_c) / norms
+        t = w / norms
     else:
         raise ValueError(f"unknown weighting mode {mode!r}")
     return t[:, None] * A
@@ -197,9 +203,12 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
         cb, cw = _class_costs(labels, class_counts)
         return laplacian_scatter(X, cb), laplacian_scatter(X, cw)
     if spec.base == "mmc":
-        # C^l = gamma' C^w - C^b
-        cb, cw = mmc_costs(labels, class_counts)
-        return laplacian_scatter(X, spec.gamma_prime * cw.entries - cb.entries), np.eye(d0)
+        # C^l = gamma' C^w - C^b, built in c^w's buffer
+        cb, cw = (c.entries for c in mmc_costs(labels, class_counts))
+        cw *= spec.gamma_prime
+        cw -= cb
+        del cb
+        return laplacian_scatter(X, cw), np.eye(d0)
     k = spec.k if spec.k is not None else resolve_k(class_counts[class_counts > 0])
     ci, ce = neighbor_graphs(X, labels, k)
     if spec.base == "dne":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssdr import (CostMatrix, Dataset, HeatKernelSpec, LearnerSpec, UNLABELED,
-                  build_scatters, export_dense_csv, export_edge_list,
+                  build_scatters, export_dense_csv, export_edge_list, fit,
                   hadamard_power, heat_kernel_costs, import_edge_list,
                   laplacian_scatter, lfda_costs, mmc_costs, neighbor_graphs,
                   pairwise_sq_dists, self_cost)
@@ -227,9 +227,24 @@ class TestMmcCosts:
         for m in (cb.dense(), cw.dense()):
             assert (m[1] == 0).all() and (m[:, 1] == 0).all()
 
-    def test_zero_class_count_errors(self):
-        with pytest.raises(ValueError):
-            mmc_costs(np.array([1, 1]), np.array([2, 0]))
+    def test_zero_class_count_allowed(self):
+        # a class with no labeled example has no pairs: the costs are those
+        # of the classes that are present
+        with np.errstate(divide="raise"):
+            costs = mmc_costs(np.array([1, 1]), np.array([2, 0]))
+        for got, want in zip(costs, mmc_costs(np.array([1, 1]), np.array([2]))):
+            np.testing.assert_array_equal(got.dense(), want.dense())
+
+    def test_class_without_labels_fits(self):
+        # labels {1, 3} of three classes fit as labels {1, 2} do
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((3, 30))
+        labels = np.where(np.arange(30) < 20, 1 + np.arange(30) % 2, UNLABELED)
+        spec = LearnerSpec(base="mmc", gamma_prime=0.3)
+        with np.errstate(divide="raise"):
+            m13 = fit(Dataset(X, np.where(labels == 2, 3, labels), 3), spec)
+        m12 = fit(Dataset(X, labels, 3), spec)
+        np.testing.assert_array_equal(m13.A, m12.A)
 
     def test_negative_gamma_prime_errors(self):
         with pytest.raises(ValueError, match="gamma_prime"):

@@ -1,0 +1,181 @@
+"""The dense cost constructors work in place, in row blocks, and return the same
+floats as the whole-matrix formulas below, bit for bit."""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import ssdr.solver
+from ssdr import (HeatKernelSpec, LearnerSpec, UNLABELED,
+                  hadamard_power, heat_kernel_costs, laplacian_scatter,
+                  neighbor_graphs, pairwise_sq_dists)
+from ssdr.costs import _ROW_BLOCK, _class_costs
+
+
+def ref_pairwise_sq_dists(X):
+    sq = (X * X).sum(axis=0)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
+
+
+def ref_heat_kernel_costs(X, spec):
+    n = X.shape[1]
+    d2 = ref_pairwise_sq_dists(X)
+    if spec.scaling == "global":
+        cu = np.exp(-d2 / spec.sigma**2)
+    else:
+        k = min(spec.k, n - 1)
+        sigma = np.partition(np.sqrt(d2), k, axis=1)[:, k]
+        floor = spec.distance_floor
+        if floor is None:
+            floor = 1e-12 * max(np.sqrt(d2.max()), 1.0)
+        sigma = np.maximum(sigma, floor)
+        cu = np.exp(-d2 / (sigma[:, None] * sigma[None, :]))
+    np.fill_diagonal(cu, 0.0)
+    return 0.5 * (cu + cu.T)
+
+
+def ref_class_costs(labels, class_counts, n_total=None, ci=None):
+    labeled = labels != UNLABELED
+    if n_total is None:
+        n_total = int(labeled.sum())
+    inv_nk = 1.0 / np.where(labeled, class_counts[np.maximum(labels, 1) - 1], 1)
+    lab_pair = labeled[:, None] & labeled[None, :]
+    np.fill_diagonal(lab_pair, False)
+    same = lab_pair & (labels[:, None] == labels[None, :])
+    cb = np.where(same, inv_nk[:, None] - 1.0 / n_total,
+                  np.where(lab_pair, -1.0 / n_total, 0.0))
+    cw = np.where(same, inv_nk[:, None], 0.0)
+    if ci is not None:
+        np.multiply(cb, ci, out=cb, where=same)
+        cw *= ci
+    return cb, cw
+
+
+def ref_hadamard_power(e, alpha):
+    norm = np.linalg.norm(e)
+    p = e**alpha
+    return p * (norm / np.linalg.norm(p))
+
+
+def ref_label_scatters(X, labels, spec):
+    labeled = labels != UNLABELED
+    counts = np.bincount(labels[labeled])[1:]
+    if spec.base in ("fda", "mmc"):
+        cb, cw = ref_class_costs(labels, counts)
+        if spec.base == "fda":
+            return laplacian_scatter(X, cb), laplacian_scatter(X, cw)
+        return laplacian_scatter(X, spec.gamma_prime * cw - cb), np.eye(X.shape[0])
+    ci, ce = neighbor_graphs(X, labels, spec.k)
+    if spec.base == "dne":
+        return laplacian_scatter(X, (ci.entries - ce.entries).toarray()), np.eye(X.shape[0])
+    if spec.base == "mfa":
+        return laplacian_scatter(X, -ce.entries.toarray()), laplacian_scatter(X, ci)
+    cb, cw = ref_class_costs(labels, counts, None, ci.dense())
+    return laplacian_scatter(X, cb), laplacian_scatter(X, cw)
+
+
+def _points(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "random":
+        return rng.standard_normal((3, 2 * _ROW_BLOCK + 7))
+    if name == "small":
+        return rng.standard_normal((4, 5))
+    if name == "one block":
+        return rng.standard_normal((2, _ROW_BLOCK))
+    if name == "grid ties":
+        return rng.integers(0, 4, (2, _ROW_BLOCK + 1)).astype(float)
+    if name == "duplicates":
+        # every point three times: the 2nd-nearest distance is zero
+        return np.repeat(rng.standard_normal((2, 40)), 3, axis=1)
+    if name == "non-contiguous":
+        return rng.standard_normal((6, 3 * _ROW_BLOCK + 5))[::2, ::3]
+    # a line whose scaled squared distances run from 0 to about -1000,
+    # across the subnormal band of exp and its underflow to zero
+    return np.linspace(0.0, 32.0, 3 * _ROW_BLOCK - 1)[None, :]
+
+
+POINTS = ("random", "small", "one block", "grid ties", "duplicates",
+          "non-contiguous", "line")
+SPECS = (HeatKernelSpec("local", k=7), HeatKernelSpec("local", k=1),
+         HeatKernelSpec("global", sigma=1.0), HeatKernelSpec("global", sigma=0.05),
+         HeatKernelSpec("local", k=2, distance_floor=0.5))
+
+
+@pytest.mark.parametrize("name", POINTS)
+def test_pairwise_sq_dists_bitwise(name):
+    X = _points(name)
+    np.testing.assert_array_equal(pairwise_sq_dists(X), ref_pairwise_sq_dists(X))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.scaling}-k{s.k}-s{s.sigma}")
+@pytest.mark.parametrize("name", POINTS)
+def test_heat_kernel_costs_bitwise(name, spec):
+    X = _points(name)
+    got = heat_kernel_costs(X, spec).dense()
+    assert np.array_equal(got, ref_heat_kernel_costs(X, spec))
+
+
+def test_line_crosses_the_exp_underflow():
+    # the line case reaches every regime of exp: normal, subnormal and zero
+    cu = ref_heat_kernel_costs(_points("line"), HeatKernelSpec("global", sigma=1.0))
+    tiny = np.finfo(float).tiny
+    assert (cu > tiny).any() and ((cu > 0) & (cu < tiny)).any()
+    assert ((cu == 0) & ~np.eye(len(cu), dtype=bool)).any()
+
+
+def test_duplicates_hit_the_distance_floor():
+    X = _points("duplicates")
+    cu = heat_kernel_costs(X, HeatKernelSpec("local", k=2)).dense()
+    assert cu[0, 1] == 1.0 and cu[0, 3] == 0.0
+
+
+@pytest.mark.parametrize("n_total", [None, 60])
+def test_class_costs_bitwise(n_total):
+    rng = np.random.default_rng(3)
+    labels = rng.integers(1, 4, 2 * _ROW_BLOCK + 3)
+    labels[rng.random(labels.size) < 0.4] = UNLABELED
+    counts = np.bincount(labels[labels != UNLABELED])[1:]
+    ci = rng.random((labels.size,) * 2)
+    ci = 0.5 * (ci + ci.T)
+    for c in (None, ci):
+        for got, want in zip(_class_costs(labels, counts, n_total, c),
+                             ref_class_costs(labels, counts, n_total, c)):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("base", ["lfda", "fda", "mmc", "dne", "mfa"])
+def test_label_scatters_bitwise(base):
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((4, 150))
+    labels = rng.integers(1, 4, 150)
+    labels[rng.random(150) < 0.5] = UNLABELED
+    spec = LearnerSpec(base=base, k=3, gamma_prime=0.3)
+    for got, want in zip(ssdr.solver._label_scatters(X, labels, spec),
+                         ref_label_scatters(X, labels, spec)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 5])
+def test_hadamard_power_bitwise(alpha):
+    X = _points("random")
+    cu = heat_kernel_costs(X, HeatKernelSpec())
+    want = cu.dense() if alpha == 1 else ref_hadamard_power(cu.dense(), alpha)
+    np.testing.assert_array_equal(hadamard_power(cu, alpha).dense(), want)
+
+
+@pytest.mark.parametrize("spec", [HeatKernelSpec("local"), HeatKernelSpec("global", sigma=10.0)],
+                         ids=["local", "global"])
+def test_heat_kernel_peak_memory(spec):
+    # one n x n buffer plus row-block temporaries; every entry is kept by exp
+    n = 1500
+    X = np.random.default_rng(5).standard_normal((3, n))
+    tracemalloc.start()
+    try:
+        cu = heat_kernel_costs(X, spec).dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cu[~np.eye(n, dtype=bool)] > 0).all()
+    assert peak <= 1.25 * 8 * n * n

@@ -145,10 +145,27 @@ class TestAxisWeighting:
         np.testing.assert_allclose(axis_weighting(self.A, self.lam, "T4_combined"),
                                    t3 / norms[:, None])
 
-    def test_negative_lambda_clamped(self):
-        out = axis_weighting(self.A, np.array([-1e-14, 1.0, 2.0]),
-                             "T3_sqrt_lambda")
-        assert np.allclose(out[0], 0.0)
+    def test_negative_lambda_weighted_by_magnitude(self):
+        out = axis_weighting(self.A, np.array([-0.25, 1.0, 4.0]), "T3_sqrt_lambda")
+        np.testing.assert_array_equal(out, np.array([0.5, 1.0, 2.0])[:, None] * self.A)
+
+    @pytest.mark.parametrize("mode", ["T3_sqrt_lambda", "T4_combined"])
+    def test_zero_lambda_errors(self, mode):
+        with pytest.raises(ValueError, match=f"{mode}: eigenvalue -0.0 of axis 1"):
+            axis_weighting(self.A, np.array([-1.0, -0.0, 2.0]), mode)
+
+    @pytest.mark.parametrize("base", ["lfda", "fda", "dne", "mfa"])
+    def test_t3_is_sqrt_minus_lambda_times_t1(self, base):
+        # the bottom eigenvalues of every supervised base are negative, and
+        # T3 weights each T1 axis by sqrt(-lambda) instead of zeroing it
+        d = labeled_dataset(np.random.default_rng(7), c=3)
+        d = replace(d, X=d.X + 3.0 * np.eye(4, 3)[:, d.labels - 1])  # separated
+        spec = LearnerSpec(base=base, unlabel="none", gamma=0.0, k=2, dim=2)
+        t1 = fit(d, spec)
+        t3 = fit(d, replace(spec, weighting_mode="T3_sqrt_lambda"))
+        assert (t1.eigenvalues < 0).all()
+        np.testing.assert_allclose(
+            t3.A, np.sqrt(-t1.eigenvalues)[:, None] * t1.A, rtol=1e-12)
 
     def test_zero_row_error(self):
         A = self.A.copy()
@@ -498,6 +515,7 @@ class TestModelSerialization:
                     n_classes=2)
         model = fit(d, LearnerSpec(base="lfda", unlabel="heat", gamma=0.4,
                                    alpha=2, dim=2, weighting_mode="T3_sqrt_lambda"))
+        assert (np.linalg.norm(model.A, axis=1) > 0).all()
         save_model(model, tmp_path / "m.bin")
         back = load_model(tmp_path / "m.bin")
         np.testing.assert_array_equal(back.A, model.A)
