@@ -225,12 +225,17 @@ def hadamard_power(cu: CostMatrix, alpha: int) -> CostMatrix:
         raise ValueError("alpha must be a positive integer")
     e = cu.dense()
     norm = np.linalg.norm(e)
-    if norm == 0.0:
-        raise ValueError("all-zero cost matrix: norm ratio undefined")
-    if alpha == 1:
-        return CostMatrix(e.copy())
-    p = e**alpha
-    p *= norm / np.linalg.norm(p)
+    p = e.copy() if alpha == 1 else e**alpha
+    p_norm = norm if alpha == 1 else np.linalg.norm(p)
+    if p_norm == 0.0:
+        # the squares in a norm underflow: power e scaled to a largest |entry| of 1
+        scale = np.abs(e).max(initial=0.0)
+        if scale == 0.0:
+            raise ValueError("all-zero cost matrix: norm ratio undefined")
+        p = hadamard_power(CostMatrix(e / scale), alpha).entries
+        p *= scale
+    elif alpha > 1:
+        p *= norm / p_norm
     return CostMatrix(p)
 
 

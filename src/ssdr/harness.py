@@ -11,9 +11,9 @@ from .costs import HeatKernelSpec
 from .dataset import (Dataset, SplitSpec, UNLABELED, _at_least, generate_balance,
                       generate_multimodal_toy, load_csv, split, TOY_KINDS)
 from .knn import KnnIndex, knn_classify
-from .kpca import KernelSpec, _kpca_inputs, kpca_transform
-from .solver import (LearnerSpec, _label_scatters, _prepare, _solve, _unlabel_costs,
-                     _unlabel_scatters, embed)
+from .kpca import KernelSpec, KpcaMap, _kpca_inputs, _linear_spec, kpca_transform
+from .solver import (LearnerSpec, _check_dim, _label_scatters, _prepare, _solve,
+                     _unlabel_costs, _unlabel_scatters, embed)
 
 # Named learner presets.  ``tunes`` lists which of (gamma, alpha) cross
 # validation may adjust; the others stay at the preset value.
@@ -113,23 +113,55 @@ def _grid(spec: LearnerSpec, tunes: tuple, gamma_grid, alpha_grid) -> list:
     return [(g, a) for g in gammas for a in alphas]
 
 
-def _scorer(train: Dataset, spec: LearnerSpec, grid, eval_k: int):
-    """Run once the fit steps all folds and candidates of ``grid`` share: the
-    KPCA map, training inputs, centering and PCA, and (L_u, B_u) per alpha from
-    one heat kernel (its n x n costs freed on return).  ``score(labels, points,
-    X_eval, truth)`` yields, per (gamma, alpha) in ``points``, the k-NN accuracy
-    on ``X_eval`` of its fit on ``labels``, or its first failed step's error."""
-    cands = {p: replace(spec, gamma=p[0], alpha=int(p[1])) for p in grid}
+@dataclass(frozen=True)
+class _Inputs:
+    """What every learner of one realization fits on: the centered (and, when
+    rank deficient, PCA-projected) training inputs ``X`` with their ``mean``
+    and ``basis``, the KPCA map (None without a kernel), and the learners'
+    inputs of the training and evaluation points (their KPCA coordinates)."""
+    X: np.ndarray
+    mean: np.ndarray
+    basis: np.ndarray | None
+    kmap: KpcaMap | None
+    train: np.ndarray
+    eval: np.ndarray | None
+
+
+def _mapped(kmap: KpcaMap | None, X: np.ndarray) -> np.ndarray:
+    """Raw points as learner inputs: their KPCA coordinates under kmap, if any."""
+    return X if kmap is None else kpca_transform(kmap, X)
+
+
+def _shared_inputs(train: Dataset, kernel: KernelSpec | None, X_eval=None):
+    """The ``_Inputs`` of a training set and its evaluation points ``X_eval``,
+    or the error of the first failed step, which then fails every learner.
+    The dataset of KPCA coordinates is dropped: the fits never read it."""
     try:
-        data, to_inputs = train, lambda X: X
-        if spec.kernel is not None:
-            kmap, data, spec = _kpca_inputs(train, spec.kernel, spec)
-            to_inputs = lambda X: kpca_transform(kmap, X)
-        inputs = to_inputs(train.X)
-        X, mean, basis = _prepare(data, spec.dim)
+        kmap, data = (None, train) if kernel is None else _kpca_inputs(train, kernel)
+        inputs = _mapped(kmap, train.X)
+        X, mean, basis = _prepare(data)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return exc
+    return _Inputs(X, mean, basis, kmap, inputs,
+                   None if X_eval is None else _mapped(kmap, X_eval))
+
+
+def _scorer(inputs, spec: LearnerSpec, grid, eval_k: int):
+    """Run once, on a realization's ``_shared_inputs`` (or the error they
+    failed with), what one learner's folds and candidates of ``grid`` share:
+    the dimension check and (L_u, B_u) per alpha from one heat kernel (its
+    n x n costs freed on return).  ``score(labels, points, X_eval, truth)``
+    yields, per (gamma, alpha) in ``points``, the k-NN accuracy on the raw
+    points ``X_eval`` (None: the shared evaluation points) of its fit on
+    ``labels``, or its first failed step's error."""
+    try:
+        if _ok(inputs).kmap is not None:
+            spec = _linear_spec(spec, inputs.kmap)
+        _check_dim(spec.dim, inputs.X)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return lambda labels, points, X_eval, truth, exc=exc: [exc] * len(points)
-    cands = {p: replace(c, kernel=None, dim=spec.dim) for p, c in cands.items()}
+    X = inputs.X
+    cands = {p: replace(spec, gamma=p[0], alpha=int(p[1])) for p in grid}
     alphas = {c.alpha for c in cands.values() if c.gamma > 0 and spec.unlabel != "none"}
     cu = _attempt(_unlabel_costs, X, spec) if alphas else None
     unlabel = {a: cu if isinstance(cu, Exception) else
@@ -139,17 +171,17 @@ def _scorer(train: Dataset, spec: LearnerSpec, grid, eval_k: int):
         L_l, B = _ok(label)
         has_u = spec.unlabel != "none" and cand.gamma > 0    # as in build_scatters
         L_u, B_u = _ok(unlabel[cand.alpha]) if has_u else (None, None)
-        return _solve(L_l, L_u, B_u if B is None else B, cand, mean, basis)
+        return _solve(L_l, L_u, B_u if B is None else B, cand, inputs.mean, inputs.basis)
 
     def score(labels, points, X_eval, truth):
         label = _attempt(_label_scatters, X, labels, spec)
-        eval_inputs = to_inputs(X_eval)
+        eval_inputs = inputs.eval if X_eval is None else _mapped(inputs.kmap, X_eval)
         lab = np.flatnonzero(labels != UNLABELED)
         for model in (_attempt(solve, label, cands[p]) for p in points):
             if isinstance(model, Exception):
                 yield model
                 continue
-            index = KnnIndex(points=embed(model, inputs)[:, lab], labels=labels[lab],
+            index = KnnIndex(points=embed(model, inputs.train)[:, lab], labels=labels[lab],
                              k=min(eval_k, lab.size))
             yield float((knn_classify(index, embed(model, eval_inputs)) == truth).mean())
 
@@ -200,8 +232,9 @@ def cross_validate(train: Dataset, spec: LearnerSpec, tunes: tuple,
         return grid[0]
     folds = max(2, min(folds, train.labeled_count))
     failures = []
-    score = _scorer(train, spec, grid, eval_k) if _score is None else _score
-    scores = _sweep_scores(train, score, grid, folds, seed, failures)
+    if _score is None:
+        _score = _scorer(_shared_inputs(train, spec.kernel), spec, grid, eval_k)
+    scores = _sweep_scores(train, _score, grid, folds, seed, failures)
     best = min(((-float(np.mean(s)), g, a) for (g, a), s in zip(grid, scores) if s),
                default=None)
     if best is None:
@@ -228,33 +261,63 @@ class LearnerResult:
         return float(a.std(ddof=1) / np.sqrt(a.size))
 
 
-def run_learner(data: Dataset, config: ExperimentConfig, name: str) -> LearnerResult:
-    spec, tunes = learner_preset(name, config.dim, config.heat, config.kernel)
-    accs, fails = [], []
-    for r in range(config.split.realizations):
+def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> list:
+    """Per (spec, tunes) in ``learners``, its accuracy on realization r or the
+    message of its failure.  The split, KPCA map, centering and PCA and the
+    evaluation points' inputs are built once and shared by every learner; the
+    scatters and solves stay per learner.  All of it is freed on return."""
+    try:
+        lab_idx, unl_idx, test_idx = split(data, config.split, r)
+        train_idx = np.sort(np.concatenate([lab_idx, unl_idx]))
+        train = data.subset(train_idx).with_labels_hidden(
+            np.flatnonzero(np.isin(train_idx, lab_idx)))
+        eval_idx = unl_idx if test_idx.size == 0 else test_idx
+        inputs = _shared_inputs(train, config.kernel, data.X[:, eval_idx])
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return [f"realization {r}: {exc}"] * len(learners)
+
+    def accuracy(spec, tunes):
+        grid = _grid(spec, tunes, config.gamma_grid, config.alpha_grid)
+        score = _scorer(inputs, spec, grid, config.eval_k)
+        chosen = cross_validate(train, spec, tunes, config.gamma_grid,
+                                config.alpha_grid, config.folds, config.eval_k,
+                                seed=config.split.seed + r, _score=score)
+        [acc] = score(train.labels, [chosen], None, data.labels[eval_idx])
+        return _ok(acc)
+
+    outcomes = []
+    for spec, tunes in learners:
         try:
-            lab_idx, unl_idx, test_idx = split(data, config.split, r)
-            train_idx = np.sort(np.concatenate([lab_idx, unl_idx]))
-            train = data.subset(train_idx).with_labels_hidden(
-                np.flatnonzero(np.isin(train_idx, lab_idx)))
-            grid = _grid(spec, tunes, config.gamma_grid, config.alpha_grid)
-            score = _scorer(train, spec, grid, config.eval_k)
-            chosen = cross_validate(train, spec, tunes, config.gamma_grid,
-                                    config.alpha_grid, config.folds, config.eval_k,
-                                    seed=config.split.seed + r, _score=score)
-            eval_idx = unl_idx if test_idx.size == 0 else test_idx
-            [acc] = score(train.labels, [chosen], data.X[:, eval_idx], data.labels[eval_idx])
-            accs.append(_ok(acc))
+            outcomes.append(accuracy(spec, tunes))
         except (ValueError, np.linalg.LinAlgError) as exc:
-            fails.append(f"realization {r}: {exc}")
-    if not accs:
-        raise RuntimeError(f"{name}: every realization failed: {fails[:3]}")
-    return LearnerResult(name=name, accuracies=tuple(accs), failures=tuple(fails))
+            outcomes.append(f"realization {r}: {exc}")
+    return outcomes
+
+
+def _run_learners(data: Dataset, config: ExperimentConfig, names) -> list[LearnerResult]:
+    """Every realization once, each learner of ``names`` fitted on it in turn."""
+    learners = [learner_preset(name, config.dim, config.heat, config.kernel)
+                for name in names]
+    runs = [_realization(data, config, r, learners)
+            for r in range(config.split.realizations)]
+    results = []
+    for name, outcomes in zip(names, zip(*runs)):
+        accs = [o for o in outcomes if isinstance(o, float)]
+        fails = [o for o in outcomes if isinstance(o, str)]
+        if not accs:
+            raise RuntimeError(f"{name}: every realization failed: {fails[:3]}")
+        results.append(LearnerResult(name=name, accuracies=tuple(accs),
+                                     failures=tuple(fails)))
+    return results
+
+
+def run_learner(data: Dataset, config: ExperimentConfig, name: str) -> LearnerResult:
+    return _run_learners(data, config, [name])[0]
 
 
 def run_benchmark(config: ExperimentConfig) -> list[LearnerResult]:
-    data = load_dataset(config)
-    return [run_learner(data, config, name) for name in config.learners]
+    """Every learner of ``config`` on the same realizations; see ``_realization``."""
+    return _run_learners(load_dataset(config), config, config.learners)
 
 
 def format_report(results: list[LearnerResult]) -> str:

@@ -111,18 +111,21 @@ def kpca_trick_fit(dataset: Dataset, kernel: KernelSpec,
     Classification of a new point x' uses ||A phi - A phi'|| with
     phi' = kpca_transform(map, x').
     """
-    kmap, mapped, spec = _kpca_inputs(dataset, kernel, spec)
-    return kmap, fit(mapped, spec)
+    kmap, mapped = _kpca_inputs(dataset, kernel)
+    return kmap, fit(mapped, _linear_spec(spec, kmap))
 
 
-def _kpca_inputs(dataset: Dataset, kernel: KernelSpec, spec: LearnerSpec):
-    """The KPCA map of the training inputs, the dataset of their coordinates
-    and the linear spec to fit there (dim capped at the coordinate count)."""
+def _kpca_inputs(dataset: Dataset, kernel: KernelSpec):
+    """The KPCA map of the training inputs and the dataset of their coordinates."""
     kmap = kpca_fit(dataset.X, kernel)
-    coords = kmap.train_coords()
-    mapped = Dataset(X=coords, labels=dataset.labels, n_classes=dataset.n_classes,
-                     label_names=dataset.label_names)
-    return kmap, mapped, replace(spec, kernel=None, dim=min(spec.dim, coords.shape[0]))
+    mapped = Dataset(X=kmap.train_coords(), labels=dataset.labels,
+                     n_classes=dataset.n_classes, label_names=dataset.label_names)
+    return kmap, mapped
+
+
+def _linear_spec(spec: LearnerSpec, kmap: KpcaMap) -> LearnerSpec:
+    """The linear spec to fit on kmap's coordinates (dim capped at their count)."""
+    return replace(spec, kernel=None, dim=min(spec.dim, kmap.out_dim))
 
 
 def kpca_embed(kmap: KpcaMap, model: EmbeddingModel, x: np.ndarray) -> np.ndarray:

@@ -173,7 +173,7 @@ def resolve_k(class_counts: np.ndarray) -> int:
     return int(min(3, counts.min()))
 
 
-def _prepare(dataset: Dataset, dim: int):
+def _prepare(dataset: Dataset):
     """Centered inputs, projected onto their principal subspace when rank
     deficient: (X, train mean, PCA basis or None)."""
     ds, mean = center(dataset)
@@ -181,9 +181,13 @@ def _prepare(dataset: Dataset, dim: int):
     basis = None
     if numerical_rank(X) < X.shape[0]:
         X, basis = pca_preprocess(X)
+    return X, mean, basis
+
+
+def _check_dim(dim: int, X: np.ndarray) -> None:
+    """Reject a target dimension above the rank of the prepared inputs X."""
     if dim > X.shape[0]:
         raise ValueError(f"target dimension {dim} exceeds the data rank {X.shape[0]}")
-    return X, mean, basis
 
 
 def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
@@ -284,7 +288,8 @@ def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
     if spec.kernel is not None:
         raise ValueError("kernelized specs go through the KPCA trick "
                          "(ssdr.kpca.kpca_trick_fit)")
-    X, mean, basis = _prepare(dataset, spec.dim)
+    X, mean, basis = _prepare(dataset)
+    _check_dim(spec.dim, X)
     return _solve(*build_scatters(X, dataset.labels, spec), spec, mean, basis)
 
 

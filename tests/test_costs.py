@@ -360,6 +360,24 @@ class TestHadamardPower:
         with pytest.raises(ValueError):
             hadamard_power(CostMatrix(np.zeros((2, 2))), 2)
 
+    @staticmethod
+    def scaled_norm(m):
+        s = np.abs(m).max()
+        return s * np.linalg.norm(m / s)
+
+    @pytest.mark.parametrize("seed, alpha", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)])
+    def test_tiny_entries_keep_their_norm(self, seed, alpha):
+        # a small global sigma leaves only tiny positive heat costs: for seed 0
+        # the largest is 2.2e-226, so np.linalg.norm reads 0; for seed 1 the
+        # norm is 1.5e-83 but that of the power underflows
+        X = np.random.default_rng(seed).standard_normal((3, 5))
+        e = heat_kernel_costs(X, HeatKernelSpec("global", sigma=0.05)).dense()
+        assert 0.0 < e.max() < 1e-80
+        out = hadamard_power(CostMatrix(e), alpha).dense()
+        assert np.isfinite(out).all() and out.max() > 0.0
+        assert self.scaled_norm(out) == pytest.approx(self.scaled_norm(e), rel=1e-12)
+        assert out.argmax() == e.argmax() and (out >= 0).all()
+
 
 class TestTraceIdentity:
     def test_random_instances(self):

@@ -13,8 +13,8 @@ from ssdr import (ExperimentConfig, HeatKernelSpec, KernelSpec, KnnIndex,
                   format_report, generate_multimodal_toy, knn_classify,
                   kpca_embed, kpca_trick_fit, learner_preset, load_csv,
                   parse_config, run_benchmark, run_learner, split)
-from ssdr.harness import (_scorer, _sweep_scores, config_from_dict, load_dataset,
-                          stratified_folds)
+from ssdr.harness import (_scorer, _shared_inputs, _sweep_scores, config_from_dict,
+                          load_dataset, stratified_folds)
 
 
 def run_cli(*args):
@@ -182,7 +182,7 @@ class TestSweepMatchesFitPerCandidate:
         spec, _ = learner_preset(name, dim=1, kernel=kernel)
         expect, _ = recorded(lambda: reference_scores(train, spec, grid, folds=4, eval_k=3))
         got, warned = recorded(lambda: _sweep_scores(
-            train, _scorer(train, spec, grid, 3), grid, 4, 0, []))
+            train, _scorer(_shared_inputs(train, spec.kernel), spec, grid, 3), grid, 4, 0, []))
         assert got == expect and not warned
         gammas = tuple(dict.fromkeys(g for g, _ in grid))
         alphas = tuple(dict.fromkeys(a for _, a in grid))
@@ -201,7 +201,7 @@ class TestSweepMatchesFitPerCandidate:
         grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
         expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 4))
         got, warned = recorded(lambda: _sweep_scores(
-            train, _scorer(train, spec, grid, 1), grid, 4, 0, []))
+            train, _scorer(_shared_inputs(train, spec.kernel), spec, grid, 1), grid, 4, 0, []))
         assert got == expect and all(len(s) == 2 for s in got)
         assert warned == expect_warned and len(warned) == len(grid)
 
@@ -211,7 +211,7 @@ class TestSweepMatchesFitPerCandidate:
         grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
         expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 3))
         got, warned = recorded(lambda: _sweep_scores(
-            train, _scorer(train, spec, grid, 1), grid, 3, 0, []))
+            train, _scorer(_shared_inputs(train, spec.kernel), spec, grid, 1), grid, 3, 0, []))
         assert got == expect == [[]] * len(grid)
         assert warned == expect_warned and len(warned) == 3 * len(grid)
         assert "exceeds the data rank" in warned[0]
@@ -346,6 +346,94 @@ class TestRunLearnerMatchesSeparateFinalFit:
                 run_learner(data, cfg, name)
         assert str(got.value) == str(expect.value)
         assert "exceeds the data rank 2" in str(got.value)
+
+
+def shared_config(kernel):
+    return toy_config(dataset="three-cluster", kernel=kernel,
+                      learners=("ss-lfda", "lfda", "mmc", "pca"),
+                      split=SplitSpec(labeled=12, seed=4, realizations=2,
+                                      per_class_labels=True),
+                      gamma_grid=(0.1, 1.0, 10.0), alpha_grid=(1, 2))
+
+
+KERNELS = [None, KernelSpec("gaussian", sigma=2.0)]
+
+
+class TestSharedRealization:
+    """run_benchmark builds each realization's split, KPCA map, centering and
+    evaluation inputs once for all learners; no result may change."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_same_report_as_one_learner_at_a_time(self, kernel):
+        cfg = shared_config(kernel)
+        data = load_dataset(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = run_benchmark(cfg)
+            alone = [run_learner(data, cfg, name) for name in cfg.learners]
+            expect = [reference_run_learner(data, cfg, name) for name in cfg.learners]
+        assert format_report(results) == format_report(alone)
+        assert results == alone
+        assert [(r.accuracies, r.failures) for r in results] == expect
+        assert all(len(r.accuracies) == 2 for r in results)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_prepared_once_per_realization(self, monkeypatch, kernel):
+        calls = {name: TestSweepBuildCounts.count(monkeypatch, ssdr.harness, name)
+                 for name in ("_kpca_inputs", "_prepare", "split")}
+        cfg = shared_config(kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = run_benchmark(cfg)
+        assert [len(r.accuracies) for r in results] == [2] * 4
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_kpca_inputs": 2 * (kernel is not None), "_prepare": 2, "split": 2}
+
+    def test_failed_preparation_fails_the_realization_for_every_learner(self, monkeypatch):
+        degenerate = "degenerate kernel: no positive eigenvalues above tolerance"
+        calls = []
+        original = ssdr.harness._kpca_inputs
+
+        def kpca_inputs(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError(degenerate)
+            return original(*args)
+
+        cfg = shared_config(KernelSpec("gaussian", sigma=2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            clean = run_benchmark(cfg)
+            monkeypatch.setattr(ssdr.harness, "_kpca_inputs", kpca_inputs)
+            results = run_benchmark(cfg)
+        assert len(calls) == 2
+        # ss-lfda meets the error in its sweep, the untuned learners in the final fit
+        assert [r.failures for r in results] == [
+            (f"realization 1: cross validation failed: fold 0 failed for "
+             f"gamma=0.1, alpha=1: {degenerate}",)] + [
+            (f"realization 1: {degenerate}",)] * 3
+        assert [r.accuracies for r in results] == [c.accuracies[:1] for c in clean]
+
+    def test_failed_learner_step_fails_only_that_learner(self, monkeypatch):
+        original = ssdr.harness._solve
+        failed = []
+
+        def solve(L_l, L_u, B, spec, mean, basis):
+            if spec.base == "mmc" and not failed:
+                failed.append(1)
+                raise np.linalg.LinAlgError("mmc solve failed")
+            return original(L_l, L_u, B, spec, mean, basis)
+
+        cfg = shared_config(KernelSpec("gaussian", sigma=2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            clean = run_benchmark(cfg)
+            monkeypatch.setattr(ssdr.harness, "_solve", solve)
+            results = run_benchmark(cfg)
+        assert [r.failures for r in results] == [
+            (), (), ("realization 0: mmc solve failed",), ()]
+        assert results[2].accuracies == clean[2].accuracies[1:]
+        assert results[:2] + results[3:] == clean[:2] + clean[3:]
 
 
 class TestRunBenchmark:
