@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .costs import HeatKernelSpec, export_edge_list, heat_kernel_costs
-from .dataset import (TOY_KINDS, UNLABELED, generate_balance,
-                      generate_multimodal_toy, load_csv, save_csv)
+from .dataset import (TOY_KINDS, generate_balance, generate_multimodal_toy,
+                      load_csv, save_csv)
 from .harness import (_parse_heat, _parse_kernel, format_report, parse_config,
                       run_benchmark)
 from .knn import KnnIndex, good_neighbors_score, knn_classify
@@ -56,17 +55,18 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _project(args, X):
+def _projector(args):
+    """Raw points -> embedding, through the model (and kernel map) read once."""
     model = load_model(args.model)
     if args.kpca:
         kmap = load_kpca(args.kpca)
-        return kpca_embed(kmap, model, X)
-    return embed(model, X)
+        return lambda X: kpca_embed(kmap, model, X)
+    return lambda X: embed(model, X)
 
 
 def _cmd_transform(args) -> int:
     data = _load(args)
-    Z = _project(args, data.X)
+    Z = _projector(args)(data.X)
     header = ",".join(f"z{i}" for i in range(Z.shape[0]))
     np.savetxt(args.out, Z.T, delimiter=",", header=header, comments="")
     print(f"{data.n} embedded points written to {args.out}")
@@ -79,9 +79,10 @@ def _cmd_classify(args) -> int:
     lab = np.flatnonzero(train.labeled_mask)
     if lab.size == 0:
         raise ValueError(f"{args.train}: no labeled examples to classify against")
-    index = KnnIndex(points=_project(args, train.X)[:, lab],
+    project = _projector(args)
+    index = KnnIndex(points=project(train.X)[:, lab],
                      labels=train.labels[lab], k=min(args.k, lab.size))
-    pred = knn_classify(index, _project(args, data.X))
+    pred = knn_classify(index, project(data.X))
     names = train.label_names or tuple(str(k) for k in range(1, train.n_classes + 1))
     lines = [names[p - 1] for p in np.atleast_1d(pred)]
     if args.out:
@@ -152,17 +153,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit an embedding and save the model")
     _add_data_args(p)
-    p.add_argument("--base", default="lfda", choices=BASES)
-    p.add_argument("--unlabel", default="heat", choices=UNLABEL_MODES)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--weighting", default="T1_identity", choices=WEIGHTING_MODES)
-    p.add_argument("--heat", default="local", help="'local' or 'global:SIGMA'")
-    p.add_argument("--heat-k", type=int, default=7)
-    p.add_argument("--gamma-prime", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--base", default=LearnerSpec.base, choices=BASES)
+    p.add_argument("--unlabel", default=LearnerSpec.unlabel, choices=UNLABEL_MODES)
+    p.add_argument("--gamma", type=float, default=LearnerSpec.gamma)
+    p.add_argument("--alpha", type=int, default=LearnerSpec.alpha)
+    p.add_argument("--k", type=int, default=LearnerSpec.k)
+    p.add_argument("--dim", type=int, default=LearnerSpec.dim)
+    p.add_argument("--weighting", default=LearnerSpec.weighting_mode, choices=WEIGHTING_MODES)
+    p.add_argument("--heat", default=HeatKernelSpec.scaling, help="'local' or 'global:SIGMA'")
+    p.add_argument("--heat-k", type=int, default=HeatKernelSpec.k)
+    p.add_argument("--gamma-prime", type=float, default=LearnerSpec.gamma_prime)
+    p.add_argument("--epsilon", type=float, default=LearnerSpec.epsilon)
     p.add_argument("--kernel", default="none",
                    help="none | linear | polyN | gaussian:SIGMA")
     p.add_argument("--kpca-out", default=None, help="kernel-map output path")
@@ -203,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="export the heat-kernel neighborhood graph as TSV")
     _add_data_args(p)
     p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--heat", default="local")
-    p.add_argument("--heat-k", type=int, default=7)
+    p.add_argument("--heat", default=HeatKernelSpec.scaling)
+    p.add_argument("--heat-k", type=int, default=HeatKernelSpec.k)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_graph_export)
 

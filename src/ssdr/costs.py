@@ -75,6 +75,12 @@ def pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _cross_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """|x_i|^2 + |y_j|^2 - 2 x_i.y_j over the columns of X and Y; unclamped,
+    so rounding can leave a small negative value."""
+    return (X * X).sum(axis=0)[:, None] + (Y * Y).sum(axis=0)[None, :] - 2.0 * (X.T @ Y)
+
+
 def _row_blocks(n: int):
     """Slices of _ROW_BLOCK rows covering range(n)."""
     return [slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK)]

@@ -90,7 +90,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    labeled: int
+    labeled: int = 10
     unlabeled: int | None = None   # None: all remaining (transductive when test == 0)
     test: int = 0
     seed: int = 0

@@ -3,7 +3,7 @@ weights, the repeated-split protocol and TSV reporting."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,29 +36,26 @@ _PRESETS = {
 LEARNER_NAMES = tuple(_PRESETS)
 
 
-def learner_preset(name: str, dim: int, heat: HeatKernelSpec | None = None,
-                   kernel: KernelSpec | None = None) -> tuple[LearnerSpec, tuple]:
+def learner_preset(name: str, dim: int,
+                   heat: HeatKernelSpec | None = None) -> tuple[LearnerSpec, tuple]:
     try:
         spec, tunes = _PRESETS[name.lower()]
     except KeyError:
         raise ValueError(f"unknown learner {name!r}; choose from {sorted(_PRESETS)}")
-    spec = replace(spec, dim=dim, kernel=kernel)
-    if heat is not None:
-        spec = replace(spec, heat=heat)
-    return spec, tunes
+    return replace(spec, dim=dim, heat=heat or spec.heat), tunes
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str                         # generator name or CSV path
-    split: SplitSpec
-    learners: tuple[str, ...]
+    split: SplitSpec = field(default_factory=SplitSpec)
+    learners: tuple[str, ...] = ("ss-lfda",)
     gamma_grid: tuple[float, ...] = (0.01, 0.1, 0.5, 1.0, 5.0, 10.0)
     alpha_grid: tuple[int, ...] = (1, 2, 4, 8)
     folds: int = 5
     eval_k: int = 1
     dim: int = 2
-    kernel: KernelSpec | None = None
+    kernel: KernelSpec | None = None     # applied to the inputs of every learner
     heat: HeatKernelSpec = field(default_factory=HeatKernelSpec)
     label_column: str = "label"
     missing_label_token: str = ""
@@ -68,6 +65,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _at_least(self, folds=2, eval_k=1)
+        for name, least in (("gamma_grid", 0), ("alpha_grid", 1)):
+            if min(getattr(self, name), default=least) < least:
+                raise ValueError(f"{name} values must be >= {least}: {getattr(self, name)}")
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
@@ -220,12 +220,14 @@ def _sweep_scores(train: Dataset, score, grid, folds: int, seed: int,
 
 def cross_validate(train: Dataset, spec: LearnerSpec, tunes: tuple,
                    gamma_grid, alpha_grid, folds: int, eval_k: int = 1,
-                   seed: int = 0, *, _score=None):
+                   seed: int = 0, kernel: KernelSpec | None = None, *, _score=None):
     """Pick (gamma, alpha) by held-out labeled-fold 1-NN accuracy.
 
     Folds are stratified over the labeled examples; the unlabeled examples
-    stay in every training fold.  Ties go to the smaller gamma, then the
-    smaller alpha.  ``_score`` is a prebuilt ``_scorer`` of these arguments.
+    stay in every training fold.  With a ``kernel`` the learner runs on the
+    KPCA coordinates of the training inputs.  Ties go to the smaller gamma,
+    then the smaller alpha.  ``_score`` is a prebuilt ``_scorer`` of these
+    arguments.
     """
     grid = _grid(spec, tunes, gamma_grid, alpha_grid)
     if len(grid) == 1:
@@ -233,7 +235,7 @@ def cross_validate(train: Dataset, spec: LearnerSpec, tunes: tuple,
     folds = max(2, min(folds, train.labeled_count))
     failures = []
     if _score is None:
-        _score = _scorer(_shared_inputs(train, spec.kernel), spec, grid, eval_k)
+        _score = _scorer(_shared_inputs(train, kernel), spec, grid, eval_k)
     scores = _sweep_scores(train, _score, grid, folds, seed, failures)
     best = min(((-float(np.mean(s)), g, a) for (g, a), s in zip(grid, scores) if s),
                default=None)
@@ -296,8 +298,7 @@ def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> l
 
 def _run_learners(data: Dataset, config: ExperimentConfig, names) -> list[LearnerResult]:
     """Every realization once, each learner of ``names`` fitted on it in turn."""
-    learners = [learner_preset(name, config.dim, config.heat, config.kernel)
-                for name in names]
+    learners = [learner_preset(name, config.dim, config.heat) for name in names]
     runs = [_realization(data, config, r, learners)
             for r in range(config.split.realizations)]
     results = []
@@ -331,9 +332,6 @@ def format_report(results: list[LearnerResult]) -> str:
 # ---------------------------------------------------------------------------
 # flat key = value config files
 
-_GENERATORS = ("balance",) + TOY_KINDS
-
-
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a flat ``key = value`` config file; '#' starts a comment."""
     raw: dict[str, str] = {}
@@ -357,68 +355,66 @@ def _parse_kernel(text: str) -> KernelSpec | None:
     if text == "linear":
         return KernelSpec("linear")
     if text.startswith("poly"):
-        return KernelSpec("polynomial", degree=int(text[4:] or 2))
+        return KernelSpec("polynomial", degree=int(text[4:]) if text[4:] else KernelSpec.degree)
     if text.startswith("gaussian"):
-        sigma = float(text.split(":", 1)[1]) if ":" in text else 1.0
+        sigma = float(text.split(":", 1)[1]) if ":" in text else KernelSpec.sigma
         return KernelSpec("gaussian", sigma=sigma)
     raise ValueError(f"unknown kernel {text!r}")
 
 
-def _parse_heat(text: str, k: int) -> HeatKernelSpec:
+def _parse_heat(text: str, k: int = HeatKernelSpec.k) -> HeatKernelSpec:
     text = text.strip().lower()
     if text in ("", "local"):
         return HeatKernelSpec("local", k=k)
     if text.startswith("global"):
-        sigma = float(text.split(":", 1)[1]) if ":" in text else 1.0
+        sigma = float(text.split(":", 1)[1]) if ":" in text else HeatKernelSpec.sigma
         return HeatKernelSpec("global", sigma=sigma)
     raise ValueError(f"unknown heat-kernel spec {text!r}")
+
+
+# Every config key with the parser of its text.  Each key is the name of a
+# ``SplitSpec`` or ``ExperimentConfig`` field, except ``heat_k``: the neighbor
+# rank of a local heat scale.  A key left out keeps the dataclass default.
+_CONFIG_KEYS = {
+    "dataset": str,
+    "labeled": int,
+    "unlabeled": lambda text: None if text.strip() in ("", "rest") else int(text),
+    "test": int,
+    "seed": int,
+    "realizations": int,
+    "per_class_labels": lambda text: text.strip().lower() in ("1", "true", "yes"),
+    "learners": lambda text: tuple(s.strip().lower() for s in text.split(",") if s.strip()),
+    "gamma_grid": lambda text: tuple(float(s) for s in text.split(",")),
+    "alpha_grid": lambda text: tuple(int(s) for s in text.split(",")),
+    "folds": int,
+    "eval_k": int,
+    "dim": int,
+    "kernel": _parse_kernel,
+    "heat": _parse_heat,
+    "heat_k": lambda text: HeatKernelSpec(k=int(text)),
+    "label_column": str,
+    "missing_label_token": str,
+    "n_per_cluster": int,
+    "toy_noise": float,
+    "data_seed": int,
+}
 
 
 def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
     """Build the experiment config; every key of ``raw`` must be one it reads."""
     if "dataset" not in raw:
         raise ValueError("config needs a 'dataset' entry")
-    read = set()
-
-    def get(key, default):
-        read.add(key)
-        return raw.get(key, default)
-
-    unlabeled = get("unlabeled", "rest").strip()
-    spec = SplitSpec(
-        labeled=int(get("labeled", "10")),
-        unlabeled=None if unlabeled in ("", "rest") else int(unlabeled),
-        test=int(get("test", "0")),
-        seed=int(get("seed", "0")),
-        realizations=int(get("realizations", "25")),
-        per_class_labels=get("per_class_labels", "false").strip().lower()
-        in ("1", "true", "yes"),
-    )
-    learners = tuple(s.strip().lower() for s in get("learners", "ss-lfda").split(",")
-                     if s.strip())
-    gamma_grid = tuple(float(s) for s in get("gamma_grid", "0.01,0.1,0.5,1,5,10").split(","))
-    if any(g < 0 for g in gamma_grid):
-        raise ValueError("gamma_grid values must be non-negative")
-    alpha_grid = tuple(int(s) for s in get("alpha_grid", "1,2,4,8").split(","))
-    heat_k = int(get("heat_k", "7"))
-    config = ExperimentConfig(
-        dataset=get("dataset", ""),
-        split=spec,
-        learners=learners,
-        gamma_grid=gamma_grid,
-        alpha_grid=alpha_grid,
-        folds=int(get("folds", "5")),
-        eval_k=int(get("eval_k", "1")),
-        dim=int(get("dim", "2")),
-        kernel=_parse_kernel(get("kernel", "none")),
-        heat=_parse_heat(get("heat", "local"), heat_k),
-        label_column=get("label_column", "label"),
-        missing_label_token=get("missing_label_token", ""),
-        n_per_cluster=int(get("n_per_cluster", "50")),
-        toy_noise=float(get("toy_noise", "0.5")),
-        data_seed=int(get("data_seed", "0")),
-    )
-    unknown = sorted(set(raw) - read)
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    return config
+    values = {}
+    for key, text in raw.items():
+        try:
+            values[key] = _CONFIG_KEYS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    split = {f.name: values.pop(f.name) for f in fields(SplitSpec) if f.name in values}
+    local = values.pop("heat_k", None)       # a global heat scale has no rank
+    if local is not None and values.get("heat", local).scaling == "local":
+        values["heat"] = local
+    return ExperimentConfig(split=SplitSpec(**split), **values)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, pairwise_sq_dists
+from .costs import CostMatrix, _cross_sq_dists, pairwise_sq_dists
 from .dataset import Dataset
 
 
@@ -40,8 +40,7 @@ def knn_classify(index: KnnIndex, z: np.ndarray) -> int | np.ndarray:
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     Q = z[:, None] if single else z
-    sq_p = (index.points**2).sum(axis=0)
-    d2 = sq_p[None, :] + (Q**2).sum(axis=0)[:, None] - 2.0 * (Q.T @ index.points)
+    d2 = _cross_sq_dists(Q, index.points)
     if index.k == 1:
         # argmin returns the first minimum: ties go to the smaller index
         out = index.labels[d2.argmin(axis=1)]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
+from .costs import _cross_sq_dists
 from .dataset import Dataset
 from .solver import (EmbeddingModel, LearnerSpec, _input_columns, _read_header,
                      _read_payload, fit)
@@ -39,9 +40,7 @@ def kernel_values(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarra
         return X.T @ Y
     if kernel.kind == "polynomial":
         return (X.T @ Y) ** kernel.degree
-    sq_x = (X * X).sum(axis=0)
-    sq_y = (Y * Y).sum(axis=0)
-    d2 = np.maximum(sq_x[:, None] + sq_y[None, :] - 2.0 * (X.T @ Y), 0.0)
+    d2 = np.maximum(_cross_sq_dists(X, Y), 0.0)
     return np.exp(-d2 / (2.0 * kernel.sigma**2))
 
 
@@ -124,8 +123,8 @@ def _kpca_inputs(dataset: Dataset, kernel: KernelSpec):
 
 
 def _linear_spec(spec: LearnerSpec, kmap: KpcaMap) -> LearnerSpec:
-    """The linear spec to fit on kmap's coordinates (dim capped at their count)."""
-    return replace(spec, kernel=None, dim=min(spec.dim, kmap.out_dim))
+    """The spec to fit on kmap's coordinates: dim capped at their count."""
+    return replace(spec, dim=min(spec.dim, kmap.out_dim))
 
 
 def kpca_embed(kmap: KpcaMap, model: EmbeddingModel, x: np.ndarray) -> np.ndarray:

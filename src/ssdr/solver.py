@@ -35,7 +35,6 @@ class LearnerSpec:
     heat: HeatKernelSpec = field(default_factory=HeatKernelSpec)
     gamma_prime: float = 1.0           # MMC within-scatter weight
     epsilon: float | None = None       # constraint regularizer; None: gamma
-    kernel: "object | None" = None     # KernelSpec; handled by the KPCA trick
 
     def __post_init__(self):
         if self.base not in BASES:
@@ -50,7 +49,7 @@ class LearnerSpec:
             raise ValueError("gamma must be non-negative")
         if self.gamma_prime < 0:
             raise ValueError("gamma_prime must be non-negative")
-        _at_least(self, dim=1, k=1)
+        _at_least(self, dim=1, k=1, alpha=1, epsilon=0)
 
 
 @dataclass(frozen=True)
@@ -284,10 +283,8 @@ def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis) -> EmbeddingModel:
 
 
 def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
-    """Full pipeline: center, optional PCA, scatters, GEV, weighting."""
-    if spec.kernel is not None:
-        raise ValueError("kernelized specs go through the KPCA trick "
-                         "(ssdr.kpca.kpca_trick_fit)")
+    """Full pipeline: center, optional PCA, scatters, GEV, weighting.  A
+    kernel is applied to the inputs first, by ``ssdr.kpca.kpca_trick_fit``."""
     X, mean, basis = _prepare(dataset)
     _check_dim(spec.dim, X)
     return _solve(*build_scatters(X, dataset.labels, spec), spec, mean, basis)

@@ -8,13 +8,14 @@ import pytest
 
 import ssdr.kpca
 import ssdr.solver
+from ssdr import cli
 from ssdr import (ExperimentConfig, HeatKernelSpec, KernelSpec, KnnIndex,
-                  LEARNER_NAMES, SplitSpec, cross_validate, embed, fit,
+                  LEARNER_NAMES, LearnerSpec, SplitSpec, cross_validate, embed, fit,
                   format_report, generate_multimodal_toy, knn_classify,
                   kpca_embed, kpca_trick_fit, learner_preset, load_csv,
                   parse_config, run_benchmark, run_learner, split)
-from ssdr.harness import (_scorer, _shared_inputs, _sweep_scores, config_from_dict,
-                          load_dataset, stratified_folds)
+from ssdr.harness import (_parse_heat, _scorer, _shared_inputs, _sweep_scores,
+                          config_from_dict, load_dataset, stratified_folds)
 
 
 def run_cli(*args):
@@ -112,7 +113,7 @@ class TestCrossValidate:
                 cross_validate(train, spec, tunes, (0.1, 1.0), (1, 2), folds=3)
 
 
-def reference_scores(train, spec, grid, folds, eval_k=1, seed=0):
+def reference_scores(train, spec, grid, folds, eval_k=1, seed=0, kernel=None):
     """Fold scores of every (gamma, alpha) from one full fit per candidate
     and fold, warning once per skipped or failed (candidate, fold)."""
     labeled = np.flatnonzero(train.labeled_mask)
@@ -133,12 +134,11 @@ def reference_scores(train, spec, grid, folds, eval_k=1, seed=0):
                 continue
             view = train.with_labels_hidden(keep)
             try:
-                if cand.kernel is None:
+                if kernel is None:
                     model = fit(view, cand)
                     project = lambda X: embed(model, X)
                 else:
-                    kmap, model = kpca_trick_fit(view, cand.kernel,
-                                                 replace(cand, kernel=None))
+                    kmap, model = kpca_trick_fit(view, kernel, cand)
                     project = lambda X: kpca_embed(kmap, model, X)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 warnings.warn(f"fold {f} failed for gamma={gamma}, "
@@ -179,17 +179,18 @@ class TestSweepMatchesFitPerCandidate:
     ])
     def test_scores_and_choice(self, name, grid, kernel):
         train = self.train()
-        spec, _ = learner_preset(name, dim=1, kernel=kernel)
-        expect, _ = recorded(lambda: reference_scores(train, spec, grid, folds=4, eval_k=3))
+        spec, _ = learner_preset(name, dim=1)
+        expect, _ = recorded(lambda: reference_scores(train, spec, grid, folds=4, eval_k=3,
+                                                      kernel=kernel))
         got, warned = recorded(lambda: _sweep_scores(
-            train, _scorer(_shared_inputs(train, spec.kernel), spec, grid, 3), grid, 4, 0, []))
+            train, _scorer(_shared_inputs(train, kernel), spec, grid, 3), grid, 4, 0, []))
         assert got == expect and not warned
         gammas = tuple(dict.fromkeys(g for g, _ in grid))
         alphas = tuple(dict.fromkeys(a for _, a in grid))
         best = min((-float(np.mean(s)), g, a) for (g, a), s in zip(grid, expect))
         tunes = ("gamma",) * (len(gammas) > 1) + ("alpha",) * (len(alphas) > 1)
         assert cross_validate(train, spec, tunes, gammas, alphas, folds=4,
-                              eval_k=3) == best[1:]
+                              eval_k=3, kernel=kernel) == best[1:]
 
     def test_skipped_folds_warn_once_per_candidate_and_fold(self):
         train = self.train(labeled=6)
@@ -201,7 +202,7 @@ class TestSweepMatchesFitPerCandidate:
         grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
         expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 4))
         got, warned = recorded(lambda: _sweep_scores(
-            train, _scorer(_shared_inputs(train, spec.kernel), spec, grid, 1), grid, 4, 0, []))
+            train, _scorer(_shared_inputs(train, None), spec, grid, 1), grid, 4, 0, []))
         assert got == expect and all(len(s) == 2 for s in got)
         assert warned == expect_warned and len(warned) == len(grid)
 
@@ -211,7 +212,7 @@ class TestSweepMatchesFitPerCandidate:
         grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
         expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 3))
         got, warned = recorded(lambda: _sweep_scores(
-            train, _scorer(_shared_inputs(train, spec.kernel), spec, grid, 1), grid, 3, 0, []))
+            train, _scorer(_shared_inputs(train, None), spec, grid, 1), grid, 3, 0, []))
         assert got == expect == [[]] * len(grid)
         assert warned == expect_warned and len(warned) == 3 * len(grid)
         assert "exceeds the data rank" in warned[0]
@@ -236,9 +237,9 @@ class TestSweepBuildCounts:
         power = self.count(monkeypatch, ssdr.solver, "hadamard_power")
         label = self.count(monkeypatch, ssdr.solver, "lfda_costs")
         kpca = self.count(monkeypatch, ssdr.kpca, "kpca_fit")
-        spec, tunes = learner_preset("ss-lfda", dim=1, kernel=kernel)
+        spec, tunes = learner_preset("ss-lfda", dim=1)
         alphas = (1, 2, 4, 8)
-        cross_validate(train, spec, tunes, (0.1, 1.0, 10.0), alphas, folds=5)
+        cross_validate(train, spec, tunes, (0.1, 1.0, 10.0), alphas, folds=5, kernel=kernel)
         assert len(heat) == 1 and len(power) <= len(alphas) and len(label) == 5
         assert len(kpca) == (kernel is not None)
 
@@ -273,7 +274,7 @@ def toy_config(**kw):
 def reference_run_learner(data, config, name):
     """run_learner as cross_validate followed by a second, full fit of the
     chosen (gamma, alpha) per realization; its accuracies and failures."""
-    spec, tunes = learner_preset(name, config.dim, config.heat, config.kernel)
+    spec, tunes = learner_preset(name, config.dim, config.heat)
     accs, fails = [], []
     for r in range(config.split.realizations):
         try:
@@ -283,14 +284,14 @@ def reference_run_learner(data, config, name):
                 np.flatnonzero(np.isin(train_idx, lab_idx)))
             gamma, alpha = cross_validate(train, spec, tunes, config.gamma_grid,
                                           config.alpha_grid, config.folds,
-                                          config.eval_k, seed=config.split.seed + r)
+                                          config.eval_k, seed=config.split.seed + r,
+                                          kernel=config.kernel)
             chosen = replace(spec, gamma=gamma, alpha=alpha)
-            if chosen.kernel is None:
+            if config.kernel is None:
                 model = fit(train, chosen)
                 project = lambda X: embed(model, X)
             else:
-                kmap, model = kpca_trick_fit(train, chosen.kernel,
-                                             replace(chosen, kernel=None))
+                kmap, model = kpca_trick_fit(train, config.kernel, chosen)
                 project = lambda X: kpca_embed(kmap, model, X)
             eval_idx = unl_idx if test_idx.size == 0 else test_idx
             lab = np.flatnonzero(train.labeled_mask)
@@ -533,6 +534,47 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="gamma_grid"):
             config_from_dict({"dataset": "three-cluster", "gamma_grid": "0.1,-1"})
 
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        assert config_from_dict({"dataset": "three-cluster"}) == ExperimentConfig(
+            dataset="three-cluster", split=SplitSpec(labeled=10))
+        assert ExperimentConfig(dataset="three-cluster").learners == ("ss-lfda",)
+
+    def test_every_key(self):
+        raw = {"dataset": "ssl-only", "labeled": "6", "unlabeled": "40", "test": "5",
+               "seed": "3", "realizations": "4", "per_class_labels": "yes",
+               "learners": "ss-lfda, LFDA", "gamma_grid": "0.1, 1", "alpha_grid": "1,2",
+               "folds": "3", "eval_k": "2", "dim": "1", "kernel": "gaussian:2",
+               "heat": "local", "heat_k": "5", "label_column": "y",
+               "missing_label_token": "?", "n_per_cluster": "20", "toy_noise": "0.3",
+               "data_seed": "9"}
+        assert config_from_dict(raw) == ExperimentConfig(
+            dataset="ssl-only",
+            split=SplitSpec(labeled=6, unlabeled=40, test=5, seed=3, realizations=4,
+                            per_class_labels=True),
+            learners=("ss-lfda", "lfda"), gamma_grid=(0.1, 1.0), alpha_grid=(1, 2),
+            folds=3, eval_k=2, dim=1, kernel=KernelSpec("gaussian", sigma=2.0),
+            heat=HeatKernelSpec("local", k=5), label_column="y",
+            missing_label_token="?", n_per_cluster=20, toy_noise=0.3, data_seed=9)
+        # heat_k is the rank of a local scale; a global scale keeps its own
+        glob = config_from_dict({**raw, "heat": "global:0.5"})
+        assert glob.heat == HeatKernelSpec("global", sigma=0.5)
+
+    def test_alpha_grid_below_one_errors(self):
+        # unchecked, every alpha-0 candidate failed in every fold
+        with pytest.raises(ValueError, match="alpha_grid values must be >= 1"):
+            config_from_dict({"dataset": "three-cluster", "alpha_grid": "0,1"})
+        with pytest.raises(ValueError, match="alpha_grid values must be >= 1"):
+            ExperimentConfig(dataset="three-cluster", alpha_grid=(1, -2))
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("folds", "five", "invalid literal for int"),
+        ("gamma_grid", "", "could not convert string to float"),
+        ("heat", "cosine", "unknown heat-kernel spec"),
+        ("heat_k", "0", "neighbor rank k must be >= 1")])
+    def test_value_errors_name_their_key(self, key, value, error):
+        with pytest.raises(ValueError, match=f"^config key '{key}': {error}"):
+            config_from_dict({"dataset": "three-cluster", key: value})
+
     @pytest.mark.parametrize("key, value, least", [
         ("folds", "0", 2), ("folds", "1", 2), ("eval_k", "0", 1)])
     def test_too_few_folds_or_neighbors_errors(self, key, value, least):
@@ -578,6 +620,36 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert len(r.stdout.strip().split("\n")) == 100
         assert "accuracy" in r.stderr
+
+    def test_classify_reads_the_model_files_once(self, tmp_path, monkeypatch):
+        data_csv = tmp_path / "toy.csv"
+        model, kmap = tmp_path / "m.bin", tmp_path / "k.bin"
+        assert cli.main(["toy-gen", "--kind", "three-cluster", "--n-per-cluster", "10",
+                         "--out", str(data_csv)]) == 0
+        assert cli.main(["fit", "--data", str(data_csv), "--kernel", "poly2", "--dim",
+                         "1", "--out", str(model), "--kpca-out", str(kmap)]) == 0
+        loads = []
+        for name in ("load_model", "load_kpca"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda path, name=name, original=original:
+                                loads.append(name) or original(path))
+        assert cli.main(["classify", "--train", str(data_csv), "--data", str(data_csv),
+                         "--model", str(model), "--kpca", str(kmap),
+                         "--out", str(tmp_path / "pred.txt")]) == 0
+        assert sorted(loads) == ["load_kpca", "load_model"]
+
+    def test_fit_and_graph_export_defaults_are_the_dataclass_defaults(self):
+        parser = cli.build_parser()
+        fit_args = parser.parse_args(["fit", "--data", "d.csv", "--out", "m.bin"])
+        spec = LearnerSpec()
+        assert (fit_args.base, fit_args.unlabel, fit_args.gamma, fit_args.alpha,
+                fit_args.k, fit_args.dim, fit_args.weighting, fit_args.gamma_prime,
+                fit_args.epsilon) == (spec.base, spec.unlabel, spec.gamma, spec.alpha,
+                                      spec.k, spec.dim, spec.weighting_mode,
+                                      spec.gamma_prime, spec.epsilon)
+        graph_args = parser.parse_args(["graph-export", "--data", "d.csv", "--out", "g"])
+        for args in (fit_args, graph_args):
+            assert _parse_heat(args.heat, args.heat_k) == spec.heat == HeatKernelSpec()
 
     def test_fit_rejects_negative_dim(self, tmp_path):
         data_csv = tmp_path / "toy.csv"

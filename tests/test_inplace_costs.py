@@ -1,15 +1,16 @@
 """The dense cost constructors work in place, in row blocks, and return the same
-floats as the whole-matrix formulas below, bit for bit."""
+floats as the whole-matrix formulas below, bit for bit; so do the k-NN and
+gaussian-kernel distances, which share one cross-distance rule."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import ssdr.solver
-from ssdr import (HeatKernelSpec, LearnerSpec, UNLABELED,
-                  hadamard_power, heat_kernel_costs, laplacian_scatter,
-                  neighbor_graphs, pairwise_sq_dists)
-from ssdr.costs import _ROW_BLOCK, _class_costs
+from ssdr import (HeatKernelSpec, KernelSpec, LearnerSpec, UNLABELED,
+                  hadamard_power, heat_kernel_costs, kernel_values,
+                  laplacian_scatter, neighbor_graphs, pairwise_sq_dists)
+from ssdr.costs import _ROW_BLOCK, _class_costs, _cross_sq_dists
 
 
 def ref_pairwise_sq_dists(X):
@@ -179,3 +180,36 @@ def test_heat_kernel_peak_memory(spec):
         tracemalloc.stop()
     assert (cu[~np.eye(n, dtype=bool)] > 0).all()
     assert peak <= 1.25 * 8 * n * n
+
+
+def ref_knn_sq_dists(points, Q):
+    """knn_classify's query-to-point distances, as it wrote them."""
+    sq_p = (points**2).sum(axis=0)
+    return sq_p[None, :] + (Q**2).sum(axis=0)[:, None] - 2.0 * (Q.T @ points)
+
+
+def ref_gaussian_kernel(X, Y, sigma):
+    """kernel_values' gaussian kernel, as it wrote it."""
+    sq_x = (X * X).sum(axis=0)
+    sq_y = (Y * Y).sum(axis=0)
+    d2 = np.maximum(sq_x[:, None] + sq_y[None, :] - 2.0 * (X.T @ Y), 0.0)
+    return np.exp(-d2 / (2.0 * sigma**2))
+
+
+def test_cross_sq_dists_bitwise():
+    # k-NN keeps the unclamped values, the gaussian kernel clamps them at 0;
+    # points far from the origin make rounding leave negative self-distances
+    rng = np.random.default_rng(17)
+    negative = False
+    for trial in range(60):
+        d, n, m = rng.integers(1, 9), rng.integers(1, 40), rng.integers(1, 40)
+        scale, offset = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-2, 4)
+        X = offset + scale * rng.standard_normal((d, n))
+        Y = np.hstack([X[:, : m // 2], offset + scale * rng.standard_normal((d, m - m // 2))])
+        ref = ref_knn_sq_dists(X, Y)
+        negative |= bool((ref < 0).any())
+        np.testing.assert_array_equal(_cross_sq_dists(Y, X), ref)
+        sigma = scale * rng.uniform(0.5, 4.0)
+        np.testing.assert_array_equal(kernel_values(KernelSpec("gaussian", sigma=sigma), X, Y),
+                                      ref_gaussian_kernel(X, Y, sigma))
+    assert negative

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -378,6 +378,22 @@ class TestFit:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             fit(d, LearnerSpec(base="mmc", unlabel="none", gamma=0.0,
                                **{field: value}))
+
+    @pytest.mark.parametrize("field, value, least", [
+        ("alpha", 0, 1), ("alpha", -3, 1), ("epsilon", -1.0, 0)])
+    def test_alpha_below_one_or_negative_epsilon_rejected(self, field, value, least):
+        # alpha = -3 with self_pca fitted and was saved to the model file;
+        # alpha = 0 failed only in the Hadamard power, epsilon = -1 only in
+        # the solve
+        with pytest.raises(ValueError, match=f"{field} must be >= {least}, got {value}"):
+            LearnerSpec(base="lfda", unlabel="self_pca", **{field: value})
+
+    def test_spec_has_no_kernel(self):
+        # a kernel maps the inputs: it is given to kpca_trick_fit,
+        # cross_validate or ExperimentConfig, never to the linear learner
+        assert "kernel" not in {f.name for f in fields(LearnerSpec)}
+        with pytest.raises(TypeError):
+            LearnerSpec(kernel=None)
 
 
 class TestClassWideBases:
