@@ -35,17 +35,18 @@ def _add_data_args(p):
 
 
 def _cmd_fit(args) -> int:
-    data = _load(args)
     spec = LearnerSpec(
         base=args.base, unlabel=args.unlabel, gamma=args.gamma, alpha=args.alpha,
         k=args.k, dim=args.dim, weighting_mode=args.weighting,
         heat=_parse_heat(args.heat, args.heat_k), gamma_prime=args.gamma_prime,
         epsilon=args.epsilon)
     kernel = _parse_kernel(args.kernel)
+    # every option is checked before the data is read and the model fitted
+    if kernel is not None and not args.kpca_out:
+        raise ValueError("--kpca-out is required with a kernel")
+    data = _load(args)
     if kernel is not None:
         kmap, model = kpca_trick_fit(data, kernel, spec)
-        if not args.kpca_out:
-            raise ValueError("--kpca-out is required with a kernel")
         save_kpca(kmap, args.kpca_out)
     else:
         model = fit(data, spec)

@@ -6,7 +6,9 @@ rows and columns touching an unlabeled example are zero in the label-based
 matrices.  FDA and MMC share one class-wide between/within cost rule; LFDA
 weights that rule's same-class entries by the neighbor graph C^I.
 ``solver.build_scatters`` turns these costs into the scatters a learner
-solves with.
+solves with.  A label cost is zero outside the labeled block, so the solver
+builds the costs of fda, lfda, dne and mfa on the labeled examples alone
+(m x m); only mmc's label costs and the unlabel costs are n x n.
 
 Dense n x n costs are built in place, in blocks of ``_ROW_BLOCK`` rows: each
 matrix is one n x n buffer, and the temporaries stay O(block * n).
@@ -93,9 +95,27 @@ def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
     i, or vice versa; C^E analogously over different classes.  Distance ties
     go to the smaller index.  Pairs with an unlabeled endpoint are zero.
     """
+    n = X.shape[1]
+    labeled = np.flatnonzero(labels != UNLABELED)
+    graphs = []
+    for g in _labeled_neighbor_graphs(X, labels, k):
+        g = g.entries.tocoo()
+        graphs.append(CostMatrix(sp.csr_matrix(
+            (g.data, (labeled[g.row], labeled[g.col])), shape=(n, n))))
+    return tuple(graphs)
+
+
+def _labeled_neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
+    """C^I and C^E of :func:`neighbor_graphs` on the labeled examples only:
+    m x m graphs over the m labeled columns of X, in column order.
+
+    The ranking reads the labeled block of the full ``pairwise_sq_dists(X)``.
+    On integer-grid data many distances tie exactly, so the last bits of the
+    distances break the ties; distances of the labeled columns alone round
+    differently and would change some graphs.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = X.shape[1]
     labeled = np.flatnonzero(labels != UNLABELED)
     lab = labels[labeled]
     d2 = pairwise_sq_dists(X)
@@ -112,13 +132,14 @@ def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
         same &= np.cumsum(same, axis=1, dtype=np.int32) <= k
         diff &= np.cumsum(diff, axis=1, dtype=np.int32) <= k
         for name, pick in (("same", same), ("diff", diff)):
-            pairs[name][0].append(labeled[rows[np.nonzero(pick)[0]]])
-            pairs[name][1].append(labeled[order[pick]])
+            pairs[name][0].append(rows[np.nonzero(pick)[0]])
+            pairs[name][1].append(order[pick])
 
     def graph(name):
         i, j = map(np.concatenate, pairs[name])
         # both directions; a pair picked from each end is summed, then reset to 1
-        g = sp.csr_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+        g = sp.csr_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])),
+                          shape=(labeled.size,) * 2)
         g.data[:] = 1.0
         return CostMatrix(g)
 

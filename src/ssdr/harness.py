@@ -349,27 +349,35 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def _parse_kernel(text: str) -> KernelSpec | None:
-    text = text.strip().lower()
-    if text in ("", "none"):
+    """``none``, ``linear``, ``poly``/``polyN`` or ``gaussian[:SIGMA]``."""
+    name, colon, arg = text.strip().lower().partition(":")
+    if name in ("", "none") and not colon:
         return None
-    if text == "linear":
+    if name == "linear" and not colon:
         return KernelSpec("linear")
-    if text.startswith("poly"):
-        return KernelSpec("polynomial", degree=int(text[4:]) if text[4:] else KernelSpec.degree)
-    if text.startswith("gaussian"):
-        sigma = float(text.split(":", 1)[1]) if ":" in text else KernelSpec.sigma
-        return KernelSpec("gaussian", sigma=sigma)
+    degree = name[4:]
+    if name[:4] == "poly" and (degree.isdigit() or not degree) and not colon:
+        return KernelSpec("polynomial", degree=int(degree or KernelSpec.degree))
+    if name == "gaussian":
+        return KernelSpec("gaussian", sigma=float(arg) if colon else KernelSpec.sigma)
     raise ValueError(f"unknown kernel {text!r}")
 
 
 def _parse_heat(text: str, k: int = HeatKernelSpec.k) -> HeatKernelSpec:
-    text = text.strip().lower()
-    if text in ("", "local"):
+    """``local`` (rank k) or ``global[:SIGMA]``."""
+    name, colon, arg = text.strip().lower().partition(":")
+    if name in ("", "local") and not colon:
         return HeatKernelSpec("local", k=k)
-    if text.startswith("global"):
-        sigma = float(text.split(":", 1)[1]) if ":" in text else HeatKernelSpec.sigma
-        return HeatKernelSpec("global", sigma=sigma)
+    if name == "global":
+        return HeatKernelSpec("global", sigma=float(arg) if colon else HeatKernelSpec.sigma)
     raise ValueError(f"unknown heat-kernel spec {text!r}")
+
+
+def _parse_bool(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
+    return value in ("1", "true", "yes")
 
 
 # Every config key with the parser of its text.  Each key is the name of a
@@ -382,7 +390,7 @@ _CONFIG_KEYS = {
     "test": int,
     "seed": int,
     "realizations": int,
-    "per_class_labels": lambda text: text.strip().lower() in ("1", "true", "yes"),
+    "per_class_labels": _parse_bool,
     "learners": lambda text: tuple(s.strip().lower() for s in text.split(",") if s.strip()),
     "gamma_grid": lambda text: tuple(float(s) for s in text.split(",")),
     "alpha_grid": lambda text: tuple(int(s) for s in text.split(",")),

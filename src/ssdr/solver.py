@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .costs import CostMatrix, HeatKernelSpec, _class_costs, hadamard_power, \
-    heat_kernel_costs, lfda_costs, mmc_costs, neighbor_graphs, self_cost
+from .costs import CostMatrix, HeatKernelSpec, _class_costs, _labeled_neighbor_graphs, \
+    hadamard_power, heat_kernel_costs, lfda_costs, mmc_costs, self_cost
 from .dataset import Dataset, UNLABELED, _at_least, center
 
 BASES = ("dne", "mfa", "lfda", "fda", "mmc", "none")
@@ -192,7 +192,11 @@ def _check_dim(dim: int, X: np.ndarray) -> None:
 def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     """L_l of the label costs and the constraint B of the base.
 
-    B is None only for base "none", whose constraint the unlabel term sets.
+    A label cost is zero on every pair with an unlabeled end, so
+    X (D - C) X^T = X_l (D_l - C_l) X_l^T over the m labeled columns X_l and
+    the m x m labeled block C_l: fda, lfda, dne and mfa build only that
+    block.  B is None only for base "none", whose constraint the unlabel
+    term sets.
     """
     d0 = X.shape[0]
     if spec.base == "none":
@@ -201,27 +205,31 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     if not labeled.any():
         raise ValueError(f"base {spec.base!r} needs labeled examples")
     class_counts = np.bincount(labels[labeled])[1:]
-    if spec.base == "fda":
-        # LFDA with every labeled same-class pair a neighbor
-        cb, cw = _class_costs(labels, class_counts)
-        return laplacian_scatter(X, cb), laplacian_scatter(X, cw)
     if spec.base == "mmc":
-        # C^l = gamma' C^w - C^b, built in c^w's buffer
+        # C^l = gamma' C^w - C^b, built in c^w's buffer.  Still n x n: with
+        # this sign of C^b the bottom eigenvalues are near zero, rounding
+        # decides the projection, and a labeled-block scatter changes it;
+        # mmc moves to the labeled block when the sign of C^b is fixed
         cb, cw = (c.entries for c in mmc_costs(labels, class_counts))
         cw *= spec.gamma_prime
         cw -= cb
         del cb
         return laplacian_scatter(X, cw), np.eye(d0)
+    X_l, lab = X[:, labeled], labels[labeled]
+    if spec.base == "fda":
+        # LFDA with every labeled same-class pair a neighbor
+        cb, cw = _class_costs(lab, class_counts)
+        return laplacian_scatter(X_l, cb), laplacian_scatter(X_l, cw)
     k = spec.k if spec.k is not None else resolve_k(class_counts[class_counts > 0])
-    ci, ce = neighbor_graphs(X, labels, k)
+    ci, ce = _labeled_neighbor_graphs(X, labels, k)
     if spec.base == "dne":
         # C^l = C^I - C^E
-        return laplacian_scatter(X, (ci.entries - ce.entries).toarray()), np.eye(d0)
+        return laplacian_scatter(X_l, (ci.entries - ce.entries).toarray()), np.eye(d0)
     if spec.base == "mfa":
         # C^l = -C^E under the same-class graph constraint
-        return laplacian_scatter(X, -ce.entries.toarray()), laplacian_scatter(X, ci)
-    cbet, cwit = lfda_costs(ci, labels, class_counts)
-    return laplacian_scatter(X, cbet), laplacian_scatter(X, cwit)
+        return laplacian_scatter(X_l, -ce.entries.toarray()), laplacian_scatter(X_l, ci)
+    cbet, cwit = lfda_costs(ci, lab, class_counts)
+    return laplacian_scatter(X_l, cbet), laplacian_scatter(X_l, cwit)
 
 
 def _unlabel_costs(X: np.ndarray, spec: LearnerSpec) -> CostMatrix:

@@ -570,10 +570,25 @@ class TestConfigParsing:
         ("folds", "five", "invalid literal for int"),
         ("gamma_grid", "", "could not convert string to float"),
         ("heat", "cosine", "unknown heat-kernel spec"),
-        ("heat_k", "0", "neighbor rank k must be >= 1")])
+        ("heat_k", "0", "neighbor rank k must be >= 1"),
+        # three typos that once parsed: as false, a global heat kernel and a
+        # gaussian kernel
+        ("per_class_labels", "ture", "expected 1/0/true/false/yes/no"),
+        ("heat", "globally", "unknown heat-kernel spec"),
+        ("kernel", "gaussianx", "unknown kernel")])
     def test_value_errors_name_their_key(self, key, value, error):
         with pytest.raises(ValueError, match=f"^config key '{key}': {error}"):
             config_from_dict({"dataset": "three-cluster", key: value})
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("per_class_labels", " No ", False), ("per_class_labels", "1", True),
+        ("heat", "GLOBAL", HeatKernelSpec("global")), ("heat", "", HeatKernelSpec()),
+        ("kernel", "poly", KernelSpec("polynomial")), ("kernel", "none", None),
+        ("kernel", "gaussian", KernelSpec("gaussian"))])
+    def test_exact_names_parse(self, key, value, want):
+        cfg = config_from_dict({"dataset": "three-cluster", key: value})
+        got = cfg.split.per_class_labels if key == "per_class_labels" else getattr(cfg, key)
+        assert got == want
 
     @pytest.mark.parametrize("key, value, least", [
         ("folds", "0", 2), ("folds", "1", 2), ("eval_k", "0", 1)])
@@ -672,13 +687,27 @@ class TestCli:
                     "--kpca", str(kmap), "--out", str(tmp_path / "e.csv"))
         assert r.returncode == 0, r.stderr
 
-    def test_kernel_fit_without_kpca_out_fails(self, tmp_path):
+    def test_kernel_fit_without_kpca_out_fails(self, tmp_path, monkeypatch, capsys):
+        # the missing path is reported before the kernel fit runs
         data_csv = tmp_path / "toy.csv"
-        run_cli("toy-gen", "--kind", "three-cluster", "--n-per-cluster", "10",
-                "--out", str(data_csv))
-        r = run_cli("fit", "--data", str(data_csv), "--kernel", "poly2",
-                    "--out", str(tmp_path / "m.bin"))
-        assert r.returncode == 1 and "kpca-out" in r.stderr
+        assert cli.main(["toy-gen", "--kind", "three-cluster", "--n-per-cluster", "10",
+                         "--out", str(data_csv)]) == 0
+        fits = []
+        monkeypatch.setattr(cli, "kpca_trick_fit", lambda *a: fits.append(a))
+        assert cli.main(["fit", "--data", str(data_csv), "--kernel", "poly2",
+                         "--out", str(tmp_path / "m.bin")]) == 1
+        assert "kpca-out" in capsys.readouterr().err and fits == []
+
+    @pytest.mark.parametrize("option, value", [("--kernel", "gaussianx"),
+                                               ("--heat", "globally")])
+    def test_fit_rejects_mistyped_names(self, tmp_path, capsys, option, value):
+        data_csv = tmp_path / "toy.csv"
+        assert cli.main(["toy-gen", "--kind", "three-cluster", "--n-per-cluster", "10",
+                         "--out", str(data_csv)]) == 0
+        model = tmp_path / "m.bin"
+        assert cli.main(["fit", "--data", str(data_csv), option, value,
+                         "--kpca-out", str(tmp_path / "k.bin"), "--out", str(model)]) == 1
+        assert repr(value) in capsys.readouterr().err and not model.exists()
 
     def test_graph_export(self, tmp_path):
         data_csv = tmp_path / "toy.csv"

@@ -1,15 +1,18 @@
 """The dense cost constructors work in place, in row blocks, and return the same
 floats as the whole-matrix formulas below, bit for bit; so do the k-NN and
-gaussian-kernel distances, which share one cross-distance rule."""
+gaussian-kernel distances, which share one cross-distance rule.  The label
+scatters of fda, lfda, dne and mfa come from the labeled block: bit for bit
+the labeled-block formula below, and the n x n formula up to rounding."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import ssdr.solver
-from ssdr import (HeatKernelSpec, KernelSpec, LearnerSpec, UNLABELED,
+from ssdr import (CostMatrix, HeatKernelSpec, KernelSpec, LearnerSpec, UNLABELED,
                   hadamard_power, heat_kernel_costs, kernel_values,
-                  laplacian_scatter, neighbor_graphs, pairwise_sq_dists)
+                  laplacian_scatter, lfda_costs, mmc_costs, neighbor_graphs,
+                  pairwise_sq_dists)
 from ssdr.costs import _ROW_BLOCK, _class_costs, _cross_sq_dists
 
 
@@ -61,6 +64,7 @@ def ref_hadamard_power(e, alpha):
 
 
 def ref_label_scatters(X, labels, spec):
+    """The label scatters from the full n x n costs."""
     labeled = labels != UNLABELED
     counts = np.bincount(labels[labeled])[1:]
     if spec.base in ("fda", "mmc"):
@@ -75,6 +79,25 @@ def ref_label_scatters(X, labels, spec):
         return laplacian_scatter(X, -ce.entries.toarray()), laplacian_scatter(X, ci)
     cb, cw = ref_class_costs(labels, counts, None, ci.dense())
     return laplacian_scatter(X, cb), laplacian_scatter(X, cw)
+
+
+def ref_block_label_scatters(X, labels, spec):
+    """The label scatters of fda, lfda, dne and mfa from the public builders'
+    costs on the labeled examples, scattered over the labeled columns."""
+    lab = labels != UNLABELED
+    X_l, labels_l = X[:, lab], labels[lab]
+    counts = np.bincount(labels_l)[1:]
+    if spec.base == "fda":
+        cb, cw = mmc_costs(labels_l, counts)
+        return laplacian_scatter(X_l, cb), laplacian_scatter(X_l, cw)
+    ci, ce = (CostMatrix(g.dense()[np.ix_(lab, lab)])
+              for g in neighbor_graphs(X, labels, spec.k))
+    if spec.base == "dne":
+        return laplacian_scatter(X_l, ci.dense() - ce.dense()), np.eye(X.shape[0])
+    if spec.base == "mfa":
+        return laplacian_scatter(X_l, -ce.dense()), laplacian_scatter(X_l, ci)
+    cb, cw = lfda_costs(ci, labels_l, counts)
+    return laplacian_scatter(X_l, cb), laplacian_scatter(X_l, cw)
 
 
 def _points(name):
@@ -148,14 +171,67 @@ def test_class_costs_bitwise(n_total):
 
 @pytest.mark.parametrize("base", ["lfda", "fda", "mmc", "dne", "mfa"])
 def test_label_scatters_bitwise(base):
+    # mmc scatters its n x n costs, the other bases their labeled block
     rng = np.random.default_rng(4)
     X = rng.standard_normal((4, 150))
     labels = rng.integers(1, 4, 150)
     labels[rng.random(150) < 0.5] = UNLABELED
     spec = LearnerSpec(base=base, k=3, gamma_prime=0.3)
+    ref = ref_label_scatters if base == "mmc" else ref_block_label_scatters
     for got, want in zip(ssdr.solver._label_scatters(X, labels, spec),
-                         ref_label_scatters(X, labels, spec)):
+                         ref(X, labels, spec)):
         np.testing.assert_array_equal(got, want)
+
+
+def _labeled_points(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n = 2 * _ROW_BLOCK + 22
+    labels = rng.integers(1, 4, n)
+    labels[rng.random(n) < 0.5] = UNLABELED
+    X = rng.standard_normal((4, n))
+    if name == "grid ties":
+        X = rng.integers(0, 4, (2, n)).astype(float)
+    elif name == "all labeled":
+        labels = rng.integers(1, 4, n)
+    elif name == "one-label class":
+        labels[labels == 3] = UNLABELED
+        labels[np.flatnonzero(labels == UNLABELED)[5]] = 3
+    elif name == "non-contiguous":
+        X = rng.standard_normal((8, 3 * n))[::2, ::3]
+    return X, labels
+
+
+@pytest.mark.parametrize("base", ["lfda", "fda", "dne", "mfa"])
+@pytest.mark.parametrize("name", ["random", "grid ties", "all labeled",
+                                  "one-label class", "non-contiguous"])
+def test_label_scatters_scatter_the_labeled_block(name, base):
+    # equal to the n x n formula up to rounding, and to the labeled-block
+    # formula from the public builders bit for bit
+    X, labels = _labeled_points(name)
+    spec = LearnerSpec(base=base, k=3)
+    got = ssdr.solver._label_scatters(X, labels, spec)
+    for g, want in zip(got, ref_label_scatters(X, labels, spec)):
+        assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
+    for g, want in zip(got, ref_block_label_scatters(X, labels, spec)):
+        np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize("base,bound", [("lfda", 1.25), ("dne", 1.25), ("fda", 0.05)])
+def test_label_scatters_peak_memory(base, bound):
+    # lfda and dne rank on the n x n distances; past the ranking, every
+    # label cost is an m x m block
+    n = 1500
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((3, n))
+    labels = np.full(n, UNLABELED)
+    labels[rng.choice(n, 150, replace=False)] = 1 + np.arange(150) % 3
+    tracemalloc.start()
+    try:
+        ssdr.solver._label_scatters(X, labels, LearnerSpec(base=base))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * n
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 5])

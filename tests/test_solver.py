@@ -269,7 +269,10 @@ class TestBuildScatters:
         L_l, L_u, _ = build_scatters(self.X, self.labels, spec)
         assert L_u is None
         cl, _, _ = reference_costs(self.X, self.labels, spec)
-        np.testing.assert_array_equal(L_l, laplacian_scatter(self.X, cl))
+        # the labeled block of C^l, scattered over the labeled columns
+        lab = self.labels != UNLABELED
+        np.testing.assert_array_equal(L_l, laplacian_scatter(self.X[:, lab],
+                                                             cl[np.ix_(lab, lab)]))
 
     @pytest.mark.parametrize("base", ["dne", "mmc"])
     def test_heat_keeps_identity_constraint(self, base):
@@ -405,7 +408,7 @@ class TestClassWideBases:
                                                             base, unlabel):
         calls = []
         for module, name in ((ssdr.costs, "pairwise_sq_dists"),
-                             (ssdr.solver, "neighbor_graphs")):
+                             (ssdr.solver, "_labeled_neighbor_graphs")):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
                                 calls.append(_n) or _f(*a, **k))
@@ -413,7 +416,7 @@ class TestClassWideBases:
         fit(d, LearnerSpec(base=base, unlabel=unlabel,
                            gamma=0.5 if unlabel == "self_pca" else 0.0))
         if base == "lfda":
-            assert calls == ["neighbor_graphs", "pairwise_sq_dists"]
+            assert calls == ["_labeled_neighbor_graphs", "pairwise_sq_dists"]
         else:
             assert calls == []
 
