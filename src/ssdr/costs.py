@@ -8,7 +8,9 @@ weights that rule's same-class entries by the neighbor graph C^I.
 ``solver.build_scatters`` turns these costs into the scatters a learner
 solves with.  A label cost is zero outside the labeled block, so the solver
 builds the costs of fda, lfda, dne and mfa on the labeled examples alone
-(m x m); only mmc's label costs and the unlabel costs are n x n.
+(m x m); only mmc's label costs and the unlabel costs are n x n.  Their
+neighbor graphs are boolean m x m arrays; only the public ``neighbor_graphs``
+returns sparse n x n matrices.
 
 Dense n x n costs are built in place, in blocks of ``_ROW_BLOCK`` rows: each
 matrix is one n x n buffer, and the temporaries stay O(block * n).
@@ -31,7 +33,7 @@ class CostMatrix:
     """An n x n symmetric cost matrix.
 
     ``entries`` is dense (ndarray), or a scipy sparse matrix for the binary
-    neighbor graphs.
+    neighbor graphs of the public :func:`neighbor_graphs`.
     """
     entries: np.ndarray | sp.spmatrix
 
@@ -60,6 +62,8 @@ class HeatKernelSpec:
             raise ValueError("sigma must be positive")
         if self.scaling == "local" and self.k < 1:
             raise ValueError("neighbor rank k must be >= 1")
+        if self.distance_floor is not None and not self.distance_floor > 0:
+            raise ValueError(f"distance_floor must be positive, got {self.distance_floor}")
 
 
 def pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
@@ -94,20 +98,21 @@ def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
     c^I_ij = 1 iff j is among the k nearest labeled same-class neighbors of
     i, or vice versa; C^E analogously over different classes.  Distance ties
     go to the smaller index.  Pairs with an unlabeled endpoint are zero.
+    Each graph is a scipy sparse n x n matrix.
     """
     n = X.shape[1]
     labeled = np.flatnonzero(labels != UNLABELED)
     graphs = []
     for g in _labeled_neighbor_graphs(X, labels, k):
-        g = g.entries.tocoo()
+        i, j = np.nonzero(g)
         graphs.append(CostMatrix(sp.csr_matrix(
-            (g.data, (labeled[g.row], labeled[g.col])), shape=(n, n))))
+            (np.ones(i.size), (labeled[i], labeled[j])), shape=(n, n))))
     return tuple(graphs)
 
 
 def _labeled_neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
     """C^I and C^E of :func:`neighbor_graphs` on the labeled examples only:
-    m x m graphs over the m labeled columns of X, in column order.
+    boolean m x m arrays over the m labeled columns of X, in column order.
 
     The ranking reads the labeled block of the full ``pairwise_sq_dists(X)``.
     On integer-grid data many distances tie exactly, so the last bits of the
@@ -119,8 +124,7 @@ def _labeled_neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
     labeled = np.flatnonzero(labels != UNLABELED)
     lab = labels[labeled]
     d2 = pairwise_sq_dists(X)
-    empty = np.zeros(0, dtype=np.intp)
-    pairs = {name: ([empty], [empty]) for name in ("same", "diff")}
+    ci, ce = (np.zeros((labeled.size,) * 2, dtype=bool) for _ in range(2))
     # rows go in blocks, so the sort's temporaries stay O(block * n_labeled)
     for lo in range(0, labeled.size, _ROW_BLOCK):
         rows = np.arange(lo, min(lo + _ROW_BLOCK, labeled.size))
@@ -131,19 +135,11 @@ def _labeled_neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
         same &= order != rows[:, None]
         same &= np.cumsum(same, axis=1, dtype=np.int32) <= k
         diff &= np.cumsum(diff, axis=1, dtype=np.int32) <= k
-        for name, pick in (("same", same), ("diff", diff)):
-            pairs[name][0].append(rows[np.nonzero(pick)[0]])
-            pairs[name][1].append(order[pick])
-
-    def graph(name):
-        i, j = map(np.concatenate, pairs[name])
-        # both directions; a pair picked from each end is summed, then reset to 1
-        g = sp.csr_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])),
-                          shape=(labeled.size,) * 2)
-        g.data[:] = 1.0
-        return CostMatrix(g)
-
-    return graph("same"), graph("diff")
+        for g, pick in ((ci, same), (ce, diff)):
+            # both directions: a pair picked from either end is an edge
+            i, j = rows[np.nonzero(pick)[0]], order[pick]
+            g[i, j] = g[j, i] = True
+    return ci, ce
 
 
 def _class_costs(labels: np.ndarray, class_counts: np.ndarray,
@@ -270,13 +266,16 @@ def export_dense_csv(cm: CostMatrix, path) -> None:
     np.savetxt(path, cm.dense(), delimiter=",")
 
 
+_EDGE_HEADER = "i\tj\tc_ij"
+
+
 def export_edge_list(cm: CostMatrix, threshold: float, path) -> None:
     """TSV rows (i, j, c_ij) for upper-triangle entries above threshold."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     e = cm.dense()
     with open(path, "w") as fh:
-        fh.write("i\tj\tc_ij\n")
+        fh.write(_EDGE_HEADER + "\n")
         iu, ju = np.triu_indices(e.shape[0], k=1)
         keep = e[iu, ju] > threshold
         for i, j in zip(iu[keep], ju[keep]):
@@ -284,11 +283,29 @@ def export_edge_list(cm: CostMatrix, threshold: float, path) -> None:
 
 
 def import_edge_list(path, n: int) -> CostMatrix:
-    """Rebuild the thresholded matrix written by :func:`export_edge_list`."""
-    e = np.zeros((n, n))
+    """Rebuild the thresholded matrix written by :func:`export_edge_list`.
+    A malformed line is rejected with the file name and the line number."""
     with open(path) as fh:
-        next(fh)
-        for line in fh:
-            i, j, v = line.split("\t")
-            e[int(i), int(j)] = e[int(j), int(i)] = float(v)
+        lines = fh.read().splitlines()
+    if lines[:1] != [_EDGE_HEADER]:
+        raise ValueError(f"{path}: line 1: expected the header {_EDGE_HEADER!r}")
+    e = np.zeros((n, n))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            i, j, v = _edge(line.split("\t"), n)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        e[i, j] = e[j, i] = v
     return CostMatrix(e)
+
+
+def _edge(cells: list[str], n: int) -> tuple[int, int, float]:
+    """The (i, j, c_ij) of one edge-list row over n points."""
+    if len(cells) != 3:
+        raise ValueError(f"expected 3 tab-separated fields, got {len(cells)}")
+    i, j, v = int(cells[0]), int(cells[1]), float(cells[2])
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"index pair ({i}, {j}) outside 0..{n - 1}")
+    if not np.isfinite(v):
+        raise ValueError(f"non-finite cost {v}")
+    return i, j, v

@@ -65,6 +65,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _at_least(self, folds=2, eval_k=1)
+        if not self.learners:
+            raise ValueError("learners must name at least one learner")
         for name, least in (("gamma_grid", 0), ("alpha_grid", 1)):
             if min(getattr(self, name), default=least) < least:
                 raise ValueError(f"{name} values must be >= {least}: {getattr(self, name)}")

@@ -161,6 +161,8 @@ def load_kpca(path) -> KpcaMap:
             _read_header(fh, path, "<Iqqqqqdd")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        if kind not in _CODE_KERNELS:
+            raise ValueError(f"{path}: unknown kernel code {kind}")
         X, col_means, lam, V = _read_payload(fh, path, (d0 * n, n, r, n * r))
     return KpcaMap(kernel=KernelSpec(_CODE_KERNELS[kind], degree, sigma),
                    train_inputs=X.reshape(d0, n), col_means=col_means,

@@ -224,11 +224,11 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     ci, ce = _labeled_neighbor_graphs(X, labels, k)
     if spec.base == "dne":
         # C^l = C^I - C^E
-        return laplacian_scatter(X_l, (ci.entries - ce.entries).toarray()), np.eye(d0)
+        return laplacian_scatter(X_l, np.subtract(ci, ce, dtype=float)), np.eye(d0)
     if spec.base == "mfa":
         # C^l = -C^E under the same-class graph constraint
-        return laplacian_scatter(X_l, -ce.entries.toarray()), laplacian_scatter(X_l, ci)
-    cbet, cwit = lfda_costs(ci, lab, class_counts)
+        return laplacian_scatter(X_l, np.where(ce, -1.0, 0.0)), laplacian_scatter(X_l, ci)
+    cbet, cwit = lfda_costs(CostMatrix(ci), lab, class_counts)
     return laplacian_scatter(X_l, cbet), laplacian_scatter(X_l, cwit)
 
 
@@ -372,6 +372,8 @@ def load_model(path) -> EmbeddingModel:
             _read_header(fh, path, "<IqqqqdqdQ")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        if mode not in _CODE_MODES:
+            raise ValueError(f"{path}: unknown weighting mode code {mode}")
         mean, basis, A, lam = _read_payload(fh, path, (d0, d0 * r, dim * a_cols, dim))
     basis = basis.reshape(d0, r) if r else None
     A = A.reshape(dim, a_cols)

@@ -6,6 +6,7 @@ from ssdr import (CostMatrix, Dataset, HeatKernelSpec, LearnerSpec, UNLABELED,
                   hadamard_power, heat_kernel_costs, import_edge_list,
                   laplacian_scatter, lfda_costs, mmc_costs, neighbor_graphs,
                   pairwise_sq_dists, self_cost)
+from ssdr.costs import _labeled_neighbor_graphs
 
 
 def unordered_cost_sum(c, Z):
@@ -74,6 +75,11 @@ class TestNeighborGraphs:
         bi, be = brute_force_graphs(X, labels, 3)
         np.testing.assert_array_equal(ci.dense(), bi)
         np.testing.assert_array_equal(ce.dense(), be)
+        # the fit's graphs: boolean arrays over the labeled block
+        lab = labels != UNLABELED
+        for g, b in zip(_labeled_neighbor_graphs(X, labels, 3), (bi, be)):
+            assert g.dtype == bool
+            np.testing.assert_array_equal(g, b[np.ix_(lab, lab)])
 
     def test_unlabeled_rows_zero_and_symmetry(self):
         rng = np.random.default_rng(4)
@@ -278,6 +284,16 @@ class TestHeatKernel:
         assert np.isfinite(cu).all()
         assert cu[0, 1] == pytest.approx(1.0)  # zero distance, any scale
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
+    def test_nonpositive_distance_floor_rejected(self, floor):
+        # equal columns at k = 1 put the local scale on the floor: 0/0 at a
+        # floor of zero, a negative scale below it
+        with pytest.raises(ValueError, match="distance_floor must be positive"):
+            HeatKernelSpec("local", k=1, distance_floor=floor)
+        X = np.array([[0.0, 0.0, 5.0]])
+        cu = heat_kernel_costs(X, HeatKernelSpec("local", k=1, distance_floor=1e-3))
+        assert np.isfinite(cu.dense()).all()
+
     def test_symmetry_zero_diagonal_nonnegative(self):
         X = np.random.default_rng(10).standard_normal((3, 12))
         for spec in (HeatKernelSpec("global", sigma=0.7),
@@ -405,6 +421,21 @@ class TestEdgeListExport:
         back = import_edge_list(tmp_path / "e.tsv", 8).dense()
         expect = np.where(cu.dense() > 0.3, cu.dense(), 0.0)
         np.testing.assert_array_equal(back, expect)
+
+    @pytest.mark.parametrize("body,message", [
+        ("i\tj\tc_ij\n-1\t2\t0.5\n", r"line 2: index pair \(-1, 2\) outside 0\.\.3"),
+        ("i\tj\tc_ij\n0\t4\t0.5\n", r"line 2: index pair \(0, 4\) outside 0\.\.3"),
+        ("i\tj\tc_ij\n0\t1\t0.5\n1\t2\tnan\n", r"line 3: non-finite cost nan"),
+        ("i\tj\tc_ij\n0\t1\n", r"line 2: expected 3 tab-separated fields, got 2"),
+        ("i\tj\tc_ij\n0\tx\t0.5\n", r"line 2: invalid literal"),
+        ("", r"line 1: expected the header"),
+        ("i,j,c_ij\n0\t1\t0.5\n", r"line 1: expected the header"),
+    ], ids=["negative index", "index past n", "nan", "field count", "not an integer",
+            "empty file", "wrong header"])
+    def test_malformed_edge_list_names_file_and_line(self, tmp_path, body, message):
+        (tmp_path / "bad.tsv").write_text(body)
+        with pytest.raises(ValueError, match=r"bad\.tsv: " + message):
+            import_edge_list(tmp_path / "bad.tsv", 4)
 
     def test_threshold_above_max(self, tmp_path):
         cu = CostMatrix(np.full((3, 3), 0.1) - 0.1 * np.eye(3))

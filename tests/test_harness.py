@@ -534,6 +534,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="gamma_grid"):
             config_from_dict({"dataset": "three-cluster", "gamma_grid": "0.1,-1"})
 
+    @pytest.mark.parametrize("text", [",", " , ", ""])
+    def test_empty_learners_rejected(self, text):
+        with pytest.raises(ValueError, match="learners"):
+            config_from_dict({"dataset": "three-cluster", "learners": text})
+
     def test_absent_keys_take_the_dataclass_defaults(self):
         assert config_from_dict({"dataset": "three-cluster"}) == ExperimentConfig(
             dataset="three-cluster", split=SplitSpec(labeled=10))

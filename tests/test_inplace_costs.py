@@ -234,6 +234,24 @@ def test_label_scatters_peak_memory(base, bound):
     assert peak <= bound * 8 * n * n
 
 
+@pytest.mark.parametrize("base,bound", [("dne", 1.5), ("mfa", 1.5), ("lfda", 2.75)])
+def test_fully_labeled_label_scatters_peak_memory(base, bound):
+    # m = n: dne and mfa hold the ranking distances and then one m x m cost
+    # next to the two boolean graphs; lfda its two m x m costs, and no float
+    # copy of C^I
+    n = 1500
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((3, n))
+    labels = 1 + np.arange(n) % 3
+    tracemalloc.start()
+    try:
+        ssdr.solver._label_scatters(X, labels, LearnerSpec(base=base))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * n
+
+
 @pytest.mark.parametrize("alpha", [1, 2, 5])
 def test_hadamard_power_bitwise(alpha):
     X = _points("random")

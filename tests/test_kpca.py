@@ -243,6 +243,16 @@ class TestKpcaSerialization:
                                              r"after the magic, found 6"):
             load_kpca(tmp_path / "bad.bin")
 
+    def test_unknown_kernel_code_names_file_and_code(self, tmp_path):
+        kmap = kpca_fit(np.random.default_rng(12).standard_normal((3, 8)),
+                        KernelSpec("gaussian"))
+        save_kpca(kmap, tmp_path / "k.bin")
+        data = bytearray((tmp_path / "k.bin").read_bytes())
+        data[32] = 9  # low byte of the kernel code: magic, version, d0, n, r before it
+        (tmp_path / "bad.bin").write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"bad\.bin: unknown kernel code 9"):
+            load_kpca(tmp_path / "bad.bin")
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"XXXX" + b"\0" * 80)
         with pytest.raises(ValueError, match="not a kernel-map file"):

@@ -3,12 +3,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import ssdr.costs
 import ssdr.solver
 from ssdr import (BASES, Dataset, EmbeddingModel, LearnerSpec, UNLABELED,
-                  UNLABEL_MODES, axis_weighting, build_scatters, embed, fit,
-                  generate_multimodal_toy, hadamard_power, heat_kernel_costs,
+                  UNLABEL_MODES, axis_weighting, build_scatters, cross_validate,
+                  embed, fit, generate_multimodal_toy, hadamard_power, heat_kernel_costs,
                   laplacian_scatter, lfda_costs, load_model, mmc_costs,
                   neighbor_graphs, numerical_rank, pairwise_sq_dists,
                   pca_preprocess, regularize, resolve_k, save_model,
@@ -434,6 +435,26 @@ class TestClassWideBases:
         np.testing.assert_array_equal(model.A, fit(d, spec).A)
 
 
+class TestNeighborGraphArrays:
+    """A fit takes its neighbor graphs as boolean labeled-block arrays."""
+
+    @pytest.mark.parametrize("spec", [
+        LearnerSpec(base="dne", unlabel="none", gamma=0.0),
+        LearnerSpec(base="mfa", unlabel="none", gamma=0.0),
+        LearnerSpec(base="lfda", unlabel="none", gamma=0.0),
+        LearnerSpec(base="lfda", unlabel="heat", gamma=0.5),
+    ], ids=["dne", "mfa", "lfda", "ss-lfda"])
+    def test_fit_builds_no_sparse_matrix(self, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit built a scipy.sparse matrix")
+        for name in ("csr_matrix", "csc_matrix", "coo_matrix"):
+            monkeypatch.setattr(scipy.sparse, name, refuse)
+        d = labeled_dataset(np.random.default_rng(28), c=3).with_labels_hidden(np.arange(24))
+        fit(d, spec)
+        # the harness's fits: cross_validate sweeps through _scorer
+        cross_validate(d, spec, ("gamma",), (0.5, 1.0), (1,), folds=2)
+
+
 class TestPermutationAndTranslationInvariance:
     """Reordering the examples (with their labels) or shifting every input
     by one vector leaves the projection unchanged.  Continuous random data,
@@ -565,6 +586,16 @@ class TestModelSerialization:
         (tmp_path / "bad.bin").write_bytes((tmp_path / "m.bin").read_bytes()[:30])
         with pytest.raises(ValueError, match=r"bad\.bin: expected 68 header bytes "
                                              r"after the magic, found 26"):
+            load_model(tmp_path / "bad.bin")
+
+    def test_unknown_weighting_mode_code_names_file_and_code(self, tmp_path):
+        d = labeled_dataset(np.random.default_rng(24))
+        save_model(fit(d, LearnerSpec(base="lfda", unlabel="none", gamma=0.0, dim=2)),
+                   tmp_path / "m.bin")
+        data = bytearray((tmp_path / "m.bin").read_bytes())
+        data[32] = 9  # low byte of the mode code: magic, version, d0, dim, r before it
+        (tmp_path / "bad.bin").write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"bad\.bin: unknown weighting mode code 9"):
             load_model(tmp_path / "bad.bin")
 
     def test_bad_magic(self, tmp_path):
