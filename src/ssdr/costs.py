@@ -9,14 +9,18 @@ weights that rule's same-class entries by the neighbor graph C^I.
 solves with.  A label cost is zero outside the labeled block, so the solver
 builds the costs of fda, lfda, dne and mfa on the labeled examples alone
 (m x m); only mmc's label costs and the unlabel costs are n x n.  Their
-neighbor graphs are boolean m x m arrays; only the public ``neighbor_graphs``
+neighbor graphs are boolean m x m arrays, ranked from the labeled block of
+the squared distances (``_labeled_sq_dists``), which a cross-validation
+sweep builds once and cuts per fold; only the public ``neighbor_graphs``
 returns sparse n x n matrices.
 
 Dense n x n costs are built in place, in blocks of ``_ROW_BLOCK`` rows: each
-matrix is one n x n buffer, and the temporaries stay O(block * n).
+matrix is one n x n buffer, and the temporaries stay O(block * n).  The
+Hadamard power squares one copy of the costs in place, bit by bit of alpha.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +62,8 @@ class HeatKernelSpec:
     def __post_init__(self):
         if self.scaling not in ("global", "local"):
             raise ValueError(f"unknown scaling {self.scaling!r}")
-        if self.scaling == "global" and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if self.scaling == "global" and not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.scaling == "local" and self.k < 1:
             raise ValueError("neighbor rank k must be >= 1")
         if self.distance_floor is not None and not self.distance_floor > 0:
@@ -103,33 +107,50 @@ def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
     n = X.shape[1]
     labeled = np.flatnonzero(labels != UNLABELED)
     graphs = []
-    for g in _labeled_neighbor_graphs(X, labels, k):
+    for g in _labeled_neighbor_graphs(_labeled_sq_dists(X, labeled), labels[labeled], k):
         i, j = np.nonzero(g)
         graphs.append(CostMatrix(sp.csr_matrix(
             (np.ones(i.size), (labeled[i], labeled[j])), shape=(n, n))))
     return tuple(graphs)
 
 
-def _labeled_neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
-    """C^I and C^E of :func:`neighbor_graphs` on the labeled examples only:
-    boolean m x m arrays over the m labeled columns of X, in column order.
+def _labeled_sq_dists(X: np.ndarray, labeled: np.ndarray) -> np.ndarray:
+    """The m x m block of ``pairwise_sq_dists(X)`` over the m sorted column
+    indices ``labeled``, with the same bits.
 
-    The ranking reads the labeled block of the full ``pairwise_sq_dists(X)``.
-    On integer-grid data many distances tie exactly, so the last bits of the
-    distances break the ties; distances of the labeled columns alone round
-    differently and would change some graphs.
+    On integer-grid data many distances tie exactly, so their last bits
+    break the ranking's ties; distances of the labeled columns alone round
+    differently and would change some graphs.  The block is compacted into
+    the head of the n x n buffer, which then shrinks to it; when every
+    column is labeled it is that buffer.
     """
+    d2 = pairwise_sq_dists(X)
+    m = labeled.size
+    if m == d2.shape[0]:
+        return d2
+    head = d2.reshape(-1)[:m * m].reshape(m, m)
+    for r in _row_blocks(m):
+        # block row i lands before its source row labeled[i] >= i, and the
+        # rows still to come start past it
+        head[r] = d2[np.ix_(labeled[r], labeled)]
+    del head
+    d2.resize((m, m), refcheck=False)
+    return d2
+
+
+def _labeled_neighbor_graphs(d2: np.ndarray, lab: np.ndarray, k: int):
+    """C^I and C^E of :func:`neighbor_graphs` on the labeled examples only:
+    boolean m x m arrays ranked from ``d2``, the labeled block of
+    :func:`_labeled_sq_dists`, and ``lab``, the m labels in its order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    labeled = np.flatnonzero(labels != UNLABELED)
-    lab = labels[labeled]
-    d2 = pairwise_sq_dists(X)
-    ci, ce = (np.zeros((labeled.size,) * 2, dtype=bool) for _ in range(2))
-    # rows go in blocks, so the sort's temporaries stay O(block * n_labeled)
-    for lo in range(0, labeled.size, _ROW_BLOCK):
-        rows = np.arange(lo, min(lo + _ROW_BLOCK, labeled.size))
+    m = lab.size
+    ci, ce = (np.zeros((m, m), dtype=bool) for _ in range(2))
+    # rows go in blocks, so the sort's temporaries stay O(block * m)
+    for r in _row_blocks(m):
+        rows = np.arange(m)[r]
         # a stable sort keeps equal distances in index order
-        order = np.argsort(d2[np.ix_(labeled[rows], labeled)], axis=1, kind="stable")
+        order = np.argsort(d2[r], axis=1, kind="stable")
         same = lab[order] == lab[rows, None]
         diff = ~same
         same &= order != rows[:, None]
@@ -243,12 +264,20 @@ def self_cost(n: int) -> CostMatrix:
 
 
 def hadamard_power(cu: CostMatrix, alpha: int) -> CostMatrix:
-    """Entrywise alpha-th power rescaled to preserve the Frobenius norm."""
+    """Entrywise alpha-th power rescaled to preserve the Frobenius norm.
+
+    The power is taken by repeated squaring in one buffer, so an entry may
+    differ from ``e**alpha`` in the last place."""
     if alpha < 1 or int(alpha) != alpha:
         raise ValueError("alpha must be a positive integer")
     e = cu.dense()
     norm = np.linalg.norm(e)
-    p = e.copy() if alpha == 1 else e**alpha
+    p = e.copy()
+    # square-and-multiply over the bits of alpha after the leading one
+    for bit in bin(int(alpha))[3:]:
+        np.square(p, out=p)
+        if bit == "1":
+            p *= e
     p_norm = norm if alpha == 1 else np.linalg.norm(p)
     if p_norm == 0.0:
         # the squares in a norm underflow: power e scaled to a largest |entry| of 1
@@ -284,17 +313,23 @@ def export_edge_list(cm: CostMatrix, threshold: float, path) -> None:
 
 def import_edge_list(path, n: int) -> CostMatrix:
     """Rebuild the thresholded matrix written by :func:`export_edge_list`.
-    A malformed line is rejected with the file name and the line number."""
+    A malformed line, a diagonal pair or a pair given twice (in either
+    order) is rejected with the file name and the line number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if lines[:1] != [_EDGE_HEADER]:
         raise ValueError(f"{path}: line 1: expected the header {_EDGE_HEADER!r}")
     e = np.zeros((n, n))
+    first = {}   # the line of each unordered pair
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             i, j, v = _edge(line.split("\t"), n)
+            pair = (min(i, j), max(i, j))
+            if pair in first:
+                raise ValueError(f"pair ({i}, {j}) repeats line {first[pair]}")
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        first[pair] = lineno
         e[i, j] = e[j, i] = v
     return CostMatrix(e)
 
@@ -306,6 +341,8 @@ def _edge(cells: list[str], n: int) -> tuple[int, int, float]:
     i, j, v = int(cells[0]), int(cells[1]), float(cells[2])
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"index pair ({i}, {j}) outside 0..{n - 1}")
+    if i == j:
+        raise ValueError(f"diagonal pair ({i}, {j}); costs are zero on the diagonal")
     if not np.isfinite(v):
         raise ValueError(f"non-finite cost {v}")
     return i, j, v

@@ -21,11 +21,13 @@ class DatasetError(ValueError):
 
 
 def _at_least(spec, **least) -> None:
-    """Reject a field of ``spec`` below its least value; None passes."""
+    """Reject a field of ``spec`` that is not a finite value at or above its
+    least value: NaN and infinity fail too.  None passes."""
     for name, bound in least.items():
         value = getattr(spec, name)
-        if value is not None and value < bound:
-            raise ValueError(f"{name} must be >= {bound}, got {value}")
+        if value is not None and not bound <= value < math.inf:
+            rule = "finite" if value == math.inf else f">= {bound}"
+            raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)

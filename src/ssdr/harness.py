@@ -2,12 +2,14 @@
 weights, the repeated-split protocol and TSV reporting."""
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
-from .costs import HeatKernelSpec
+from .costs import HeatKernelSpec, _labeled_sq_dists
 from .dataset import (Dataset, SplitSpec, UNLABELED, _at_least, generate_balance,
                       generate_multimodal_toy, load_csv, split, TOY_KINDS)
 from .knn import KnnIndex, knn_classify
@@ -68,8 +70,11 @@ class ExperimentConfig:
         if not self.learners:
             raise ValueError("learners must name at least one learner")
         for name, least in (("gamma_grid", 0), ("alpha_grid", 1)):
-            if min(getattr(self, name), default=least) < least:
-                raise ValueError(f"{name} values must be >= {least}: {getattr(self, name)}")
+            grid = getattr(self, name)
+            if not grid:
+                raise ValueError(f"{name} must not be empty")
+            if not all(least <= v < math.inf for v in grid):
+                raise ValueError(f"{name} values must be >= {least} and finite: {grid}")
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
@@ -119,14 +124,28 @@ def _grid(spec: LearnerSpec, tunes: tuple, gamma_grid, alpha_grid) -> list:
 class _Inputs:
     """What every learner of one realization fits on: the centered (and, when
     rank deficient, PCA-projected) training inputs ``X`` with their ``mean``
-    and ``basis``, the KPCA map (None without a kernel), and the learners'
-    inputs of the training and evaluation points (their KPCA coordinates)."""
+    and ``basis``, the KPCA map (None without a kernel), the learners'
+    inputs of the training and evaluation points (their KPCA coordinates),
+    and the indices ``labeled`` of the training set's labeled points."""
     X: np.ndarray
     mean: np.ndarray
     basis: np.ndarray | None
     kmap: KpcaMap | None
     train: np.ndarray
     eval: np.ndarray | None
+    labeled: np.ndarray
+
+    @cached_property
+    def _ranking_block(self) -> np.ndarray:
+        """The labeled block of ``pairwise_sq_dists(X)``, built at the first
+        neighbor ranking of the realization and kept for the others."""
+        return _labeled_sq_dists(self.X, self.labeled)
+
+    def sq_dists(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``_labeled_sq_dists(X, idx)`` for these inputs ``X`` and a subset
+        ``idx`` of ``labeled`` (a fold's labels), cut from the kept block."""
+        pos = np.searchsorted(self.labeled, idx)
+        return self._ranking_block[np.ix_(pos, pos)]
 
 
 def _mapped(kmap: KpcaMap | None, X: np.ndarray) -> np.ndarray:
@@ -145,14 +164,17 @@ def _shared_inputs(train: Dataset, kernel: KernelSpec | None, X_eval=None):
     except (ValueError, np.linalg.LinAlgError) as exc:
         return exc
     return _Inputs(X, mean, basis, kmap, inputs,
-                   None if X_eval is None else _mapped(kmap, X_eval))
+                   None if X_eval is None else _mapped(kmap, X_eval),
+                   np.flatnonzero(train.labeled_mask))
 
 
 def _scorer(inputs, spec: LearnerSpec, grid, eval_k: int):
     """Run once, on a realization's ``_shared_inputs`` (or the error they
     failed with), what one learner's folds and candidates of ``grid`` share:
     the dimension check and (L_u, B_u) per alpha from one heat kernel (its
-    n x n costs freed on return).  ``score(labels, points, X_eval, truth)``
+    n x n costs freed on return).  A fold's neighbor ranking reads its
+    sub-block of the labeled distances that the inputs keep for every
+    learner of the realization.  ``score(labels, points, X_eval, truth)``
     yields, per (gamma, alpha) in ``points``, the k-NN accuracy on the raw
     points ``X_eval`` (None: the shared evaluation points) of its fit on
     ``labels``, or its first failed step's error."""
@@ -176,7 +198,7 @@ def _scorer(inputs, spec: LearnerSpec, grid, eval_k: int):
         return _solve(L_l, L_u, B_u if B is None else B, cand, inputs.mean, inputs.basis)
 
     def score(labels, points, X_eval, truth):
-        label = _attempt(_label_scatters, X, labels, spec)
+        label = _attempt(_label_scatters, X, labels, spec, inputs.sq_dists)
         eval_inputs = inputs.eval if X_eval is None else _mapped(inputs.kmap, X_eval)
         lab = np.flatnonzero(labels != UNLABELED)
         for model in (_attempt(solve, label, cands[p]) for p in points):

@@ -7,6 +7,7 @@ then runs unchanged on those coordinates.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -30,8 +31,9 @@ class KernelSpec:
             raise ValueError(f"unknown kernel {self.kind!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be a positive integer")
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise ValueError("gaussian bandwidth must be positive")
+        if self.kind == "gaussian" and not 0 < self.sigma < math.inf:
+            raise ValueError(f"gaussian bandwidth sigma must be positive and finite, "
+                             f"got {self.sigma}")
 
 
 def kernel_values(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ A B A^T = I: the rows of A are the generalized eigenvectors of
 """
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .costs import CostMatrix, HeatKernelSpec, _class_costs, _labeled_neighbor_graphs, \
-    hadamard_power, heat_kernel_costs, lfda_costs, mmc_costs, self_cost
+    _labeled_sq_dists, hadamard_power, heat_kernel_costs, lfda_costs, mmc_costs, self_cost
 from .dataset import Dataset, UNLABELED, _at_least, center
 
 BASES = ("dne", "mfa", "lfda", "fda", "mmc", "none")
@@ -43,12 +44,13 @@ class LearnerSpec:
             raise ValueError(f"unknown unlabel mode {self.unlabel!r}")
         if self.weighting_mode not in WEIGHTING_MODES:
             raise ValueError(f"unknown weighting mode {self.weighting_mode!r}")
+        for name in ("gamma", "gamma_prime"):
+            value = getattr(self, name)
+            # NaN fails too: no comparison holds for NaN
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if self.base == "none" and (self.unlabel == "none" or self.gamma <= 0):
             raise ValueError("base 'none' requires an unlabel cost with gamma > 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.gamma_prime < 0:
-            raise ValueError("gamma_prime must be non-negative")
         _at_least(self, dim=1, k=1, alpha=1, epsilon=0)
 
 
@@ -189,20 +191,24 @@ def _check_dim(dim: int, X: np.ndarray) -> None:
         raise ValueError(f"target dimension {dim} exceeds the data rank {X.shape[0]}")
 
 
-def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
+def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec,
+                    sq_dists=_labeled_sq_dists):
     """L_l of the label costs and the constraint B of the base.
 
     A label cost is zero on every pair with an unlabeled end, so
     X (D - C) X^T = X_l (D_l - C_l) X_l^T over the m labeled columns X_l and
     the m x m labeled block C_l: fda, lfda, dne and mfa build only that
-    block.  B is None only for base "none", whose constraint the unlabel
-    term sets.
+    block.  The neighbor ranking of dne, mfa and lfda reads
+    ``sq_dists(X, labeled)``, the labeled block of ``pairwise_sq_dists(X)``
+    (a sweep passes one that cuts it from a block it keeps), and frees it
+    before the costs are built.  B is None only for base "none", whose
+    constraint the unlabel term sets.
     """
     d0 = X.shape[0]
     if spec.base == "none":
         return np.zeros((d0, d0)), None
-    labeled = labels != UNLABELED
-    if not labeled.any():
+    labeled = np.flatnonzero(labels != UNLABELED)
+    if not labeled.size:
         raise ValueError(f"base {spec.base!r} needs labeled examples")
     class_counts = np.bincount(labels[labeled])[1:]
     if spec.base == "mmc":
@@ -221,7 +227,7 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
         cb, cw = _class_costs(lab, class_counts)
         return laplacian_scatter(X_l, cb), laplacian_scatter(X_l, cw)
     k = spec.k if spec.k is not None else resolve_k(class_counts[class_counts > 0])
-    ci, ce = _labeled_neighbor_graphs(X, labels, k)
+    ci, ce = _labeled_neighbor_graphs(sq_dists(X, labeled), lab, k)
     if spec.base == "dne":
         # C^l = C^I - C^E
         return laplacian_scatter(X_l, np.subtract(ci, ce, dtype=float)), np.eye(d0)

@@ -6,7 +6,7 @@ from ssdr import (CostMatrix, Dataset, HeatKernelSpec, LearnerSpec, UNLABELED,
                   hadamard_power, heat_kernel_costs, import_edge_list,
                   laplacian_scatter, lfda_costs, mmc_costs, neighbor_graphs,
                   pairwise_sq_dists, self_cost)
-from ssdr.costs import _labeled_neighbor_graphs
+from ssdr.costs import _labeled_neighbor_graphs, _labeled_sq_dists
 
 
 def unordered_cost_sum(c, Z):
@@ -77,7 +77,8 @@ class TestNeighborGraphs:
         np.testing.assert_array_equal(ce.dense(), be)
         # the fit's graphs: boolean arrays over the labeled block
         lab = labels != UNLABELED
-        for g, b in zip(_labeled_neighbor_graphs(X, labels, 3), (bi, be)):
+        d2 = _labeled_sq_dists(X, np.flatnonzero(lab))
+        for g, b in zip(_labeled_neighbor_graphs(d2, labels[lab], 3), (bi, be)):
             assert g.dtype == bool
             np.testing.assert_array_equal(g, b[np.ix_(lab, lab)])
 
@@ -369,6 +370,15 @@ class TestHadamardPower:
         iu, ju = np.triu_indices(5, 1)
         assert (np.argsort(m[iu, ju]) == np.argsort(out[iu, ju])).all()
 
+    @pytest.mark.parametrize("alpha", range(2, 9))
+    def test_matches_power_formula(self, alpha):
+        # repeated squaring rounds differently from e**alpha, in the last place
+        m = np.random.default_rng(alpha).random((40, 40))
+        m = 0.5 * (m + m.T)
+        want = m**alpha * (np.linalg.norm(m) / np.linalg.norm(m**alpha))
+        np.testing.assert_allclose(hadamard_power(CostMatrix(m), alpha).dense(), want,
+                                   rtol=2e-15, atol=0)
+
     def test_validation(self):
         cu = CostMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -430,8 +440,12 @@ class TestEdgeListExport:
         ("i\tj\tc_ij\n0\tx\t0.5\n", r"line 2: invalid literal"),
         ("", r"line 1: expected the header"),
         ("i,j,c_ij\n0\t1\t0.5\n", r"line 1: expected the header"),
+        ("i\tj\tc_ij\n0\t1\t0.5\n2\t2\t0.5\n", r"line 3: diagonal pair \(2, 2\)"),
+        ("i\tj\tc_ij\n0\t1\t0.5\n0\t1\t0.7\n", r"line 3: pair \(0, 1\) repeats line 2"),
+        ("i\tj\tc_ij\n0\t1\t0.5\n1\t2\t0.5\n1\t0\t0.7\n",
+         r"line 4: pair \(1, 0\) repeats line 2"),
     ], ids=["negative index", "index past n", "nan", "field count", "not an integer",
-            "empty file", "wrong header"])
+            "empty file", "wrong header", "diagonal", "repeated pair", "reversed pair"])
     def test_malformed_edge_list_names_file_and_line(self, tmp_path, body, message):
         (tmp_path / "bad.tsv").write_text(body)
         with pytest.raises(ValueError, match=r"bad\.tsv: " + message):

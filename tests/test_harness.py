@@ -6,14 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ssdr.costs
+import ssdr.harness
 import ssdr.kpca
 import ssdr.solver
 from ssdr import cli
-from ssdr import (ExperimentConfig, HeatKernelSpec, KernelSpec, KnnIndex,
-                  LEARNER_NAMES, LearnerSpec, SplitSpec, cross_validate, embed, fit,
+from ssdr import (Dataset, ExperimentConfig, HeatKernelSpec, KernelSpec, KnnIndex,
+                  LEARNER_NAMES, LearnerSpec, SplitSpec, UNLABELED, cross_validate, embed, fit,
                   format_report, generate_multimodal_toy, knn_classify,
                   kpca_embed, kpca_trick_fit, learner_preset, load_csv,
                   parse_config, run_benchmark, run_learner, split)
+from ssdr.costs import _labeled_sq_dists
 from ssdr.harness import (_parse_heat, _scorer, _shared_inputs, _sweep_scores,
                           config_from_dict, load_dataset, stratified_folds)
 
@@ -259,6 +262,65 @@ class TestSweepBuildCounts:
         assert len(res.accuracies) == 1
         assert len(heat) == 1 and len(kpca) == (kernel is not None)
         assert sum(map(len, fits)) == 0
+
+    @pytest.mark.parametrize("kernel", [None, KernelSpec("gaussian", sigma=2.0)])
+    def test_distances_built_once_per_sweep(self, monkeypatch, kernel):
+        # one n x n distance matrix for the heat kernel and one for the
+        # labeled block that every fold's ranking cuts its own from
+        data = generate_multimodal_toy("three-cluster", 30, 0.5, 0)
+        lab, _, _ = split(data, SplitSpec(labeled=20, seed=1, per_class_labels=True), 0)
+        dists = self.count(monkeypatch, ssdr.costs, "pairwise_sq_dists")
+        spec, tunes = learner_preset("ss-lfda", dim=1)
+        cross_validate(data.with_labels_hidden(lab), spec, tunes, (0.1, 1.0, 10.0),
+                       (1, 2, 4, 8), folds=5, kernel=kernel)
+        assert len(dists) <= 2
+
+    def test_distances_built_once_per_realization(self, monkeypatch):
+        # the final fit and a second ranking learner reuse the sweep's block
+        dists = self.count(monkeypatch, ssdr.costs, "pairwise_sq_dists")
+        cfg = toy_config(dataset="three-cluster", folds=5, learners=("ss-lfda", "dne"),
+                         split=SplitSpec(labeled=20, seed=1, realizations=1,
+                                         per_class_labels=True),
+                         gamma_grid=(0.1, 1.0), alpha_grid=(1, 2))
+        assert all(len(r.accuracies) == 1 for r in run_benchmark(cfg))
+        assert len(dists) <= 2
+
+
+class TestSweepRanking:
+    """A fold ranks its label neighbors from its sub-block of the labeled
+    distances that the realization keeps, with the graphs a ranking from
+    scratch gives."""
+
+    def test_fold_graphs_equal_graphs_ranked_from_scratch(self, monkeypatch):
+        # an integer grid: exactly tied distances, broken by their last bits
+        rng = np.random.default_rng(31)
+        n = 240
+        labels = 1 + np.arange(n) % 3
+        labels[rng.choice(n, 150, replace=False)] = UNLABELED
+        train = Dataset(X=rng.integers(0, 4, (3, n)).astype(float), labels=labels,
+                        n_classes=3)
+        rank, label_scatters = ssdr.solver._labeled_neighbor_graphs, ssdr.harness._label_scatters
+        fits, rankings = [], []
+
+        def record_fit(X, fold_labels, *args):
+            fits.append((X, fold_labels))
+            return label_scatters(X, fold_labels, *args)
+
+        def record_ranking(*args):
+            rankings.append((args, rank(*args)))
+            return rankings[-1][1]
+
+        monkeypatch.setattr(ssdr.harness, "_label_scatters", record_fit)
+        monkeypatch.setattr(ssdr.solver, "_labeled_neighbor_graphs", record_ranking)
+        spec, tunes = learner_preset("ss-lfda", dim=1)
+        cross_validate(train, spec, tunes, (0.1, 1.0), (1,), folds=5)
+        assert len(fits) == len(rankings) == 5
+        for (X, fold_labels), ((d2, lab, k), graphs) in zip(fits, rankings):
+            idx = np.flatnonzero(fold_labels != UNLABELED)
+            scratch = _labeled_sq_dists(X, idx)
+            np.testing.assert_array_equal(d2, scratch)
+            for got, want in zip(graphs, rank(scratch, fold_labels[idx], k)):
+                np.testing.assert_array_equal(got, want)
 
 
 def toy_config(**kw):

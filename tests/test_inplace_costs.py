@@ -13,7 +13,7 @@ from ssdr import (CostMatrix, HeatKernelSpec, KernelSpec, LearnerSpec, UNLABELED
                   hadamard_power, heat_kernel_costs, kernel_values,
                   laplacian_scatter, lfda_costs, mmc_costs, neighbor_graphs,
                   pairwise_sq_dists)
-from ssdr.costs import _ROW_BLOCK, _class_costs, _cross_sq_dists
+from ssdr.costs import _ROW_BLOCK, _class_costs, _cross_sq_dists, _labeled_sq_dists
 
 
 def ref_pairwise_sq_dists(X):
@@ -58,8 +58,10 @@ def ref_class_costs(labels, class_counts, n_total=None, ci=None):
 
 
 def ref_hadamard_power(e, alpha):
+    """The power as the product chain of square-and-multiply."""
     norm = np.linalg.norm(e)
-    p = e**alpha
+    e2 = e * e
+    p = {2: e2, 5: (e2 * e2) * e}[alpha]
     return p * (norm / np.linalg.norm(p))
 
 
@@ -250,6 +252,16 @@ def test_fully_labeled_label_scatters_peak_memory(base, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * n * n
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, _ROW_BLOCK + 3, 2 * _ROW_BLOCK + 40, 200])
+def test_labeled_sq_dists_bitwise(m):
+    # compacted in place across row blocks; all-labeled returns the n x n matrix
+    rng = np.random.default_rng(m)
+    X = rng.integers(0, 4, (3, 200)).astype(float)
+    idx = np.sort(rng.choice(200, m, replace=False))
+    np.testing.assert_array_equal(_labeled_sq_dists(X, idx),
+                                  pairwise_sq_dists(X)[np.ix_(idx, idx)])
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 5])
