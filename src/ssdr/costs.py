@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import UNLABELED
+from .dataset import UNLABELED, _at_least
 
 _ROW_BLOCK = 64  # rows per block of an n x n pass
 _EXP_ZERO = -746.0  # exp(x) is +0.0 for every x below this
@@ -64,8 +64,8 @@ class HeatKernelSpec:
             raise ValueError(f"unknown scaling {self.scaling!r}")
         if self.scaling == "global" and not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.scaling == "local" and self.k < 1:
-            raise ValueError("neighbor rank k must be >= 1")
+        if self.scaling == "local":
+            _at_least(self, integer=True, prefix="neighbor rank ", k=1)
         if self.distance_floor is not None and not self.distance_floor > 0:
             raise ValueError(f"distance_floor must be positive, got {self.distance_floor}")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,14 +21,20 @@ class DatasetError(ValueError):
     pass
 
 
-def _at_least(spec, **least) -> None:
+def _at_least(spec, *, integer: bool = False, prefix: str = "", **least) -> None:
     """Reject a field of ``spec`` that is not a finite value at or above its
-    least value: NaN and infinity fail too.  None passes."""
+    least value: NaN and infinity fail too, and with ``integer`` (counts) a
+    value that is not an integer.  None passes.  The message names the
+    field, after ``prefix``."""
     for name, bound in least.items():
         value = getattr(spec, name)
-        if value is not None and not bound <= value < math.inf:
+        if value is None:
+            continue
+        if integer and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
+        if not bound <= value < math.inf:
             rule = "finite" if value == math.inf else f">= {bound}"
-            raise ValueError(f"{name} must be {rule}, got {value}")
+            raise ValueError(f"{prefix}{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ class SplitSpec:
     per_class_labels: bool = False
 
     def __post_init__(self):
-        _at_least(self, labeled=0, unlabeled=0, test=0, realizations=1)
+        _at_least(self, integer=True, labeled=0, unlabeled=0, test=0, seed=0, realizations=1)
 
 
 def load_csv(path, label_column: str, missing_label_token: str = "") -> Dataset:

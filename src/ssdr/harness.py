@@ -66,7 +66,9 @@ class ExperimentConfig:
     data_seed: int = 0
 
     def __post_init__(self):
-        _at_least(self, folds=2, eval_k=1)
+        _at_least(self, integer=True, folds=2, eval_k=1, dim=1, n_per_cluster=2,
+                  data_seed=0)
+        _at_least(self, toy_noise=0)
         if not self.learners:
             raise ValueError("learners must name at least one learner")
         for name, least in (("gamma_grid", 0), ("alpha_grid", 1)):
@@ -160,7 +162,9 @@ def _shared_inputs(train: Dataset, kernel: KernelSpec | None, X_eval=None):
     try:
         kmap, data = (None, train) if kernel is None else _kpca_inputs(train, kernel)
         inputs = _mapped(kmap, train.X)
-        X, mean, basis = _prepare(data)
+        # KPCA coordinates have full row rank: kpca_fit keeps singular values
+        # above 1e-5 of the largest, so no rank SVD is needed
+        X, mean, basis = _prepare(data, full_rank=kmap is not None)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return exc
     return _Inputs(X, mean, basis, kmap, inputs,

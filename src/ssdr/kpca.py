@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .costs import _cross_sq_dists
-from .dataset import Dataset
+from .dataset import Dataset, _at_least
 from .solver import (EmbeddingModel, LearnerSpec, _input_columns, _read_header,
                      _read_payload, fit)
 
@@ -29,8 +29,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "gaussian"):
             raise ValueError(f"unknown kernel {self.kind!r}")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial degree must be a positive integer")
+        if self.kind == "polynomial":
+            _at_least(self, integer=True, prefix="polynomial ", degree=1)
         if self.kind == "gaussian" and not 0 < self.sigma < math.inf:
             raise ValueError(f"gaussian bandwidth sigma must be positive and finite, "
                              f"got {self.sigma}")

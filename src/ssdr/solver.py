@@ -51,7 +51,8 @@ class LearnerSpec:
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if self.base == "none" and (self.unlabel == "none" or self.gamma <= 0):
             raise ValueError("base 'none' requires an unlabel cost with gamma > 0")
-        _at_least(self, dim=1, k=1, alpha=1, epsilon=0)
+        _at_least(self, integer=True, dim=1, k=1, alpha=1)
+        _at_least(self, epsilon=0)
 
 
 @dataclass(frozen=True)
@@ -94,25 +95,31 @@ def regularize(B: np.ndarray, epsilon: float) -> np.ndarray:
 def solve_gev(L: np.ndarray, B_reg: np.ndarray, dim: int):
     """Bottom-d generalized eigenpairs of L a = lambda B_reg a.
 
-    B_reg must be symmetric positive definite; the problem is reduced to a
-    standard symmetric one through its Cholesky factor.  Rows of the
-    returned A satisfy A B_reg A^T = I; each row's first non-negligible
-    component is made positive for reproducibility.
+    L is symmetric and B_reg symmetric positive definite.  One LAPACK call
+    factors B_reg, reduces the problem to a standard symmetric one and
+    computes only the ``dim`` bottom eigenpairs.  Rows of the returned A
+    satisfy A B_reg A^T = I; each row's first non-negligible component is
+    made positive for reproducibility.
     """
     d0 = L.shape[0]
-    if dim > d0:
-        raise ValueError(f"target dimension {dim} exceeds input dimension {d0}")
-    try:
-        R = scipy.linalg.cholesky(B_reg, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "constraint matrix is not positive definite; increase the "
-            "regularizer epsilon") from exc
-    Rinv = scipy.linalg.solve_triangular(R, np.eye(d0), lower=False)
-    M = Rinv.T @ L @ Rinv
-    M = 0.5 * (M + M.T)
-    lam, V = scipy.linalg.eigh(M)
-    A = (Rinv @ V[:, :dim]).T
+    if not 1 <= dim <= d0:
+        raise ValueError(f"dim must be between 1 and the input dimension {d0}, got {dim}")
+    if np.array_equal(B_reg, np.eye(d0)):
+        # the full spectrum, as the Cholesky reduction by R = I computed it:
+        # mmc's bottom eigenvalues are near zero and rounding picks its
+        # eigenvectors, so a partial solve would move them.  Once mmc's sign
+        # is fixed, this folds into the subset solve below
+        lam, V = scipy.linalg.eigh(L)
+    else:
+        try:
+            lam, V = scipy.linalg.eigh(L, B_reg, subset_by_index=[0, dim - 1])
+        except scipy.linalg.LinAlgError as exc:
+            if "positive definite" not in str(exc):
+                raise
+            raise np.linalg.LinAlgError(
+                "constraint matrix is not positive definite; increase the "
+                "regularizer epsilon") from exc
+    A = V[:, :dim].T.copy()
     # sign convention: first component of non-trivial magnitude positive
     for row in A:
         nz = np.flatnonzero(np.abs(row) > 1e-12 * max(np.abs(row).max(), 1e-300))
@@ -174,13 +181,14 @@ def resolve_k(class_counts: np.ndarray) -> int:
     return int(min(3, counts.min()))
 
 
-def _prepare(dataset: Dataset):
+def _prepare(dataset: Dataset, full_rank: bool = False):
     """Centered inputs, projected onto their principal subspace when rank
-    deficient: (X, train mean, PCA basis or None)."""
+    deficient: (X, train mean, PCA basis or None).  ``full_rank`` skips the
+    rank SVD for inputs known to have full row rank once centered."""
     ds, mean = center(dataset)
     X = ds.X
     basis = None
-    if numerical_rank(X) < X.shape[0]:
+    if not full_rank and numerical_rank(X) < X.shape[0]:
         X, basis = pca_preprocess(X)
     return X, mean, basis
 
@@ -380,7 +388,14 @@ def load_model(path) -> EmbeddingModel:
             raise ValueError(f"{path}: unsupported version {version}")
         if mode not in _CODE_MODES:
             raise ValueError(f"{path}: unknown weighting mode code {mode}")
+        if a_cols != (r or d0):
+            raise ValueError(f"{path}: A has {a_cols} columns; expected {r or d0}, "
+                             f"the {'PCA rank r' if r else 'input dimension d0'}")
+        if not (math.isfinite(eps) and math.isfinite(gamma)):
+            raise ValueError(f"{path}: epsilon {eps} and gamma {gamma} must be finite")
         mean, basis, A, lam = _read_payload(fh, path, (d0, d0 * r, dim * a_cols, dim))
+    if not np.isfinite(lam).all():
+        raise ValueError(f"{path}: eigenvalues must be finite, got {lam}")
     basis = basis.reshape(d0, r) if r else None
     A = A.reshape(dim, a_cols)
     return EmbeddingModel(A=A, eigenvalues=lam, train_mean=mean, pre_pca=basis,

@@ -13,7 +13,7 @@ import ssdr.solver
 from ssdr import cli
 from ssdr import (Dataset, ExperimentConfig, HeatKernelSpec, KernelSpec, KnnIndex,
                   LEARNER_NAMES, LearnerSpec, SplitSpec, UNLABELED, cross_validate, embed, fit,
-                  format_report, generate_multimodal_toy, knn_classify,
+                  format_report, generate_balance, generate_multimodal_toy, knn_classify,
                   kpca_embed, kpca_trick_fit, learner_preset, load_csv,
                   parse_config, run_benchmark, run_learner, split)
 from ssdr.costs import _labeled_sq_dists
@@ -451,6 +451,21 @@ class TestSharedRealization:
         assert [len(r.accuracies) for r in results] == [2] * 4
         assert {name: len(c) for name, c in calls.items()} == {
             "_kpca_inputs": 2 * (kernel is not None), "_prepare": 2, "split": 2}
+
+    def test_kpca_inputs_skip_the_rank_svd(self, monkeypatch):
+        # KPCA coordinates have full row rank, so the inputs are those of the
+        # rank-checked preparation, bit for bit, with no SVD
+        kernel = KernelSpec("gaussian", sigma=2.0)
+        data = generate_balance().subset(np.arange(0, 625, 4))
+        lab, _, _ = split(data, SplitSpec(labeled=60, seed=3), 0)
+        train = data.with_labels_hidden(lab)
+        rank = TestSweepBuildCounts.count(monkeypatch, ssdr.solver, "numerical_rank")
+        inputs = _shared_inputs(train, kernel)
+        assert rank == []
+        X, mean, basis = ssdr.solver._prepare(ssdr.kpca._kpca_inputs(train, kernel)[1])
+        assert len(rank) == 1 and basis is None and inputs.basis is None
+        np.testing.assert_array_equal(inputs.X, X)
+        np.testing.assert_array_equal(inputs.mean, mean)
 
     def test_failed_preparation_fails_the_realization_for_every_learner(self, monkeypatch):
         degenerate = "degenerate kernel: no positive eigenvalues above tolerance"

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ssdr import (Dataset, KernelSpec, KnnIndex, LearnerSpec, SplitSpec,
-                  embed, fit, generate_balance, gram, kernel_values,
+from ssdr import (Dataset, KernelSpec, KnnIndex, LearnerSpec, SplitSpec, UNLABELED,
+                  center, embed, fit, generate_balance, gram, kernel_values,
                   knn_classify, kpca_embed, kpca_fit, kpca_transform,
-                  kpca_trick_fit, load_kpca, pairwise_sq_dists, save_kpca,
-                  split)
+                  kpca_trick_fit, load_kpca, numerical_rank, pairwise_sq_dists,
+                  save_kpca, split)
 
 KERNELS = (KernelSpec("linear"), KernelSpec("polynomial", degree=2),
            KernelSpec("gaussian", sigma=1.3))
@@ -96,6 +96,21 @@ class TestKpcaFit:
         X = np.ones((2, 4))  # all identical points: centered Gram is zero
         with pytest.raises(ValueError, match="degenerate"):
             kpca_fit(X, KernelSpec("linear"))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_centered_coordinates_have_full_row_rank(self, kernel):
+        # the harness fits on them with no rank SVD
+        rng = np.random.default_rng(6)
+        base = rng.standard_normal((2, 16))
+        balance = generate_balance().X[:, ::9]        # integer grid, with ties
+        for X in (rng.standard_normal((3, 20)),
+                  np.vstack([base, base[0] - 2 * base[1]]),    # rank-deficient rows
+                  np.hstack([base, base[:, :6]]),              # duplicate points
+                  balance):
+            kmap = kpca_fit(X, kernel)
+            coords = Dataset(X=kmap.train_coords(), n_classes=1,
+                             labels=np.full(X.shape[1], UNLABELED))
+            assert numerical_rank(center(coords)[0].X) == kmap.out_dim
 
     def test_out_dim_bounded_by_n_minus_one(self):
         X = np.random.default_rng(5).standard_normal((6, 3))

@@ -26,6 +26,26 @@ def random_symmetric(rng, d):
     return 0.5 * (M + M.T)
 
 
+def explicit_reduction(L, B_reg, dim):
+    """Bottom-dim pairs through R^-T L R^-1 with B_reg = R^T R, a full eigh
+    and the back-substitution: the reference for solve_gev."""
+    R = scipy.linalg.cholesky(B_reg, lower=False)
+    Rinv = scipy.linalg.solve_triangular(R, np.eye(L.shape[0]), lower=False)
+    M = Rinv.T @ L @ Rinv
+    lam, V = scipy.linalg.eigh(0.5 * (M + M.T))
+    return (Rinv @ V[:, :dim]).T, lam[:dim]
+
+
+def sign_convention(A):
+    """Rows of A with their first non-negligible component positive."""
+    A = A.copy()
+    for row in A:
+        nz = np.flatnonzero(np.abs(row) > 1e-12 * max(np.abs(row).max(), 1e-300))
+        if nz.size and row[nz[0]] < 0:
+            row *= -1.0
+    return A
+
+
 def labeled_dataset(rng, d0=4, n=40, c=2):
     X = rng.standard_normal((d0, n))
     labels = np.array([1 + i % c for i in range(n)])
@@ -120,6 +140,65 @@ class TestSolveGev:
     def test_dim_too_large(self):
         with pytest.raises(ValueError):
             solve_gev(np.eye(3), np.eye(3), 4)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_rejected_by_name(self, dim):
+        # it used to return empty arrays
+        for B in (np.eye(3), 2 * np.eye(3)):
+            with pytest.raises(ValueError, match=rf"^dim must be .*got {dim}$"):
+                solve_gev(np.eye(3), B, dim)
+
+    @pytest.mark.parametrize("d0", [5, 40, 200])
+    def test_matches_explicit_reduction(self, d0):
+        # well-separated spectrum: L = R^T Q diag(s) Q^T R with B = R^T R
+        rng = np.random.default_rng(d0)
+        B = random_pd(rng, d0)
+        R = scipy.linalg.cholesky(B, lower=False)
+        Q = np.linalg.qr(rng.standard_normal((d0, d0)))[0]
+        s = rng.permutation(np.linspace(-3.0, 5.0, d0) + 0.5 / d0)
+        L = R.T @ (Q * s) @ Q.T @ R
+        L = 0.5 * (L + L.T)
+        for dim in sorted({1, 2, d0 // 2, d0}):
+            A, lam = solve_gev(L, B, dim)
+            A_ref, lam_ref = explicit_reduction(L, B, dim)
+            assert A.shape == (dim, d0) and lam.shape == (dim,)
+            np.testing.assert_allclose(lam, lam_ref, rtol=1e-9)
+            np.testing.assert_allclose(lam, np.sort(s)[:dim], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(A @ B @ A.T, np.eye(dim), atol=1e-10)
+            np.testing.assert_allclose(A, sign_convention(A_ref), atol=1e-8)
+
+    def test_identity_constraint_is_bitwise_full_eigh(self):
+        # B_reg = I (mmc, and dne at epsilon 0): the full spectrum, bit for bit
+        # what the explicit reduction by R = I computed
+        rng = np.random.default_rng(6)
+        for d0, dim in ((5, 2), (40, 3), (120, 2)):
+            L = random_symmetric(rng, d0)
+            A, lam = solve_gev(L, np.eye(d0), dim)
+            w, V = scipy.linalg.eigh(L)
+            np.testing.assert_array_equal(lam, w[:dim])
+            np.testing.assert_array_equal(A, sign_convention(V[:, :dim].T))
+            A_ref, lam_ref = explicit_reduction(L, np.eye(d0), dim)
+            np.testing.assert_array_equal(lam, lam_ref)
+            np.testing.assert_array_equal(A, sign_convention(A_ref))
+
+    def test_indefinite_constraint_keeps_the_message(self):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^constraint matrix is not positive definite; "
+                                 "increase the regularizer epsilon$"):
+            solve_gev(np.eye(3), np.diag([1.0, -1.0, 2.0]), 1)
+
+    def test_one_partial_lapack_call(self, monkeypatch):
+        eigh_calls, triangular = [], []
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda *a, **k: eigh_calls.append((len(a), k)) or eigh(*a, **k))
+        monkeypatch.setattr(scipy.linalg, "solve_triangular",
+                            lambda *a, **k: triangular.append(1))
+        rng = np.random.default_rng(7)
+        A, lam = solve_gev(random_symmetric(rng, 30), random_pd(rng, 30), 2)
+        assert A.shape == (2, 30) and lam.shape == (2,)
+        assert eigh_calls == [(2, {"subset_by_index": [0, 1]})]
+        assert triangular == []
 
 
 class TestAxisWeighting:
@@ -597,6 +676,27 @@ class TestModelSerialization:
         data[32] = 9  # low byte of the mode code: magic, version, d0, dim, r before it
         (tmp_path / "bad.bin").write_bytes(bytes(data))
         with pytest.raises(ValueError, match=r"bad\.bin: unknown weighting mode code 9"):
+            load_model(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_column_count_disagreeing_with_header_names_file(self, tmp_path, r):
+        # A's columns must be r (the PCA rank), or d0 = 4 without a basis
+        model = EmbeddingModel(A=np.ones((2, 3)), eigenvalues=np.array([1.0, 2.0]),
+                               train_mean=np.zeros(4),
+                               pre_pca=np.eye(4)[:, :r] if r else None)
+        save_model(model, tmp_path / "bad.bin")
+        with pytest.raises(ValueError, match=rf"bad\.bin: A has 3 columns; expected "
+                                             rf"{r or 4}"):
+            load_model(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("field, value", [("epsilon", np.nan), ("epsilon", np.inf),
+                                              ("gamma", np.nan),
+                                              ("eigenvalues", np.array([np.nan, 1.0]))])
+    def test_non_finite_scalars_name_file(self, tmp_path, field, value):
+        model = fit(labeled_dataset(np.random.default_rng(24)),
+                    LearnerSpec(base="lfda", unlabel="none", gamma=0.0, dim=2))
+        save_model(replace(model, **{field: value}), tmp_path / "bad.bin")
+        with pytest.raises(ValueError, match=rf"bad\.bin: .*{field}.* must be finite"):
             load_model(tmp_path / "bad.bin")
 
     def test_bad_magic(self, tmp_path):
