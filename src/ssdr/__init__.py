@@ -5,10 +5,10 @@ weighted combination define a single regularized generalized eigenproblem;
 kernelization goes through explicit kernel-PCA coordinates and
 classification is k-NN in the embedded space.
 """
-from .costs import (CostMatrix, HeatKernelSpec, export_dense_csv,
-                    export_edge_list, hadamard_power, heat_kernel_costs,
-                    import_edge_list, lfda_costs, mmc_costs, neighbor_graphs,
-                    pairwise_sq_dists, self_cost)
+from .costs import (CostMatrix, HeatKernelSpec, export_edge_list,
+                    hadamard_power, heat_kernel_costs, import_edge_list,
+                    lfda_costs, mmc_costs, neighbor_graphs, pairwise_sq_dists,
+                    self_cost)
 from .dataset import (Dataset, DatasetError, SplitSpec, TOY_KINDS, UNLABELED,
                       center, generate_balance, generate_multimodal_toy,
                       load_csv, save_csv, split)

@@ -1,18 +1,19 @@
 """Pair-cost rules built from label and neighborhood information.
 
-Positive entries pull a pair of embedded points together, negative entries
-push them apart.  Every constructor returns exactly symmetric matrices;
-rows and columns touching an unlabeled example are zero in the label-based
-matrices.  FDA and MMC share one class-wide between/within cost rule; LFDA
-weights that rule's same-class entries by the neighbor graph C^I.
+Every cost matrix is a plain ``np.ndarray``.  Positive entries pull a pair
+of embedded points together, negative entries push them apart.  Every
+constructor returns exactly symmetric matrices; rows and columns touching
+an unlabeled example are zero in the label-based matrices.  FDA and MMC
+share one class-wide between/within cost rule; LFDA weights that rule's
+same-class entries by the neighbor graph C^I.
 ``solver.build_scatters`` turns these costs into the scatters a learner
 solves with.  A label cost is zero outside the labeled block, so the solver
 builds the costs of fda, lfda, dne and mfa on the labeled examples alone
 (m x m); only mmc's label costs and the unlabel costs are n x n.  Their
 neighbor graphs are boolean m x m arrays, ranked from the labeled block of
 the squared distances (``_labeled_sq_dists``), which a cross-validation
-sweep builds once and cuts per fold; only the public ``neighbor_graphs``
-returns sparse n x n matrices.
+sweep builds once and cuts per fold; the public ``neighbor_graphs`` places
+them in boolean n x n arrays.
 
 Dense n x n costs are built in place, in blocks of ``_ROW_BLOCK`` rows: each
 matrix is one n x n buffer, and the temporaries stay O(block * n).  The
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import UNLABELED, _at_least
 
@@ -32,22 +32,10 @@ _ROW_BLOCK = 64  # rows per block of an n x n pass
 _EXP_ZERO = -746.0  # exp(x) is +0.0 for every x below this
 
 
-@dataclass(frozen=True)
 class CostMatrix:
-    """An n x n symmetric cost matrix.
-
-    ``entries`` is dense (ndarray), or a scipy sparse matrix for the binary
-    neighbor graphs of the public :func:`neighbor_graphs`.
-    """
-    entries: np.ndarray | sp.spmatrix
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def dense(self) -> np.ndarray:
-        e = self.entries
-        return e.toarray() if sp.issparse(e) else np.asarray(e)
+    """Unused: every cost in ``ssdr`` is a plain ndarray, and no function
+    builds or accepts this class.  The name is exported only because the
+    benchmark tracer (``perfbench/tracer.py``) imports it."""
 
 
 @dataclass(frozen=True)
@@ -102,16 +90,15 @@ def neighbor_graphs(X: np.ndarray, labels: np.ndarray, k: int):
     c^I_ij = 1 iff j is among the k nearest labeled same-class neighbors of
     i, or vice versa; C^E analogously over different classes.  Distance ties
     go to the smaller index.  Pairs with an unlabeled endpoint are zero.
-    Each graph is a scipy sparse n x n matrix.
+    Each graph is a boolean n x n array.
     """
     n = X.shape[1]
     labeled = np.flatnonzero(labels != UNLABELED)
-    graphs = []
-    for g in _labeled_neighbor_graphs(_labeled_sq_dists(X, labeled), labels[labeled], k):
-        i, j = np.nonzero(g)
-        graphs.append(CostMatrix(sp.csr_matrix(
-            (np.ones(i.size), (labeled[i], labeled[j])), shape=(n, n))))
-    return tuple(graphs)
+    block = np.ix_(labeled, labeled)
+    ci, ce = (np.zeros((n, n), dtype=bool) for _ in range(2))
+    ci[block], ce[block] = _labeled_neighbor_graphs(
+        _labeled_sq_dists(X, labeled), labels[labeled], k)
+    return ci, ce
 
 
 def _labeled_sq_dists(X: np.ndarray, labeled: np.ndarray) -> np.ndarray:
@@ -168,7 +155,7 @@ def _class_costs(labels: np.ndarray, class_counts: np.ndarray,
     """Class-wide between (c^b) and within (c^w) costs of FDA and MMC: 1/n_k
     - 1/n and 1/n_k for two labeled points of class k, -1/n and 0 for two of
     different classes, else zero.  n is ``n_total``, by default the labeled
-    count; LFDA passes its dense graph ``ci`` to weight same-class pairs by c^I."""
+    count; LFDA passes its graph ``ci`` to weight same-class pairs by c^I."""
     labeled = labels != UNLABELED
     if n_total is None:
         n_total = int(labeled.sum())
@@ -187,13 +174,12 @@ def _class_costs(labels: np.ndarray, class_counts: np.ndarray,
     return cb, cw
 
 
-def lfda_costs(ci: CostMatrix, labels: np.ndarray, class_counts: np.ndarray,
+def lfda_costs(ci: np.ndarray, labels: np.ndarray, class_counts: np.ndarray,
                n_total: int | None = None):
     """Between/within cost matrices of local Fisher discriminant analysis:
     the class-wide FDA costs with each same-class pair weighted by c^I.
     ``n_total`` is the n in the 1/n terms (default: the labeled count)."""
-    cb, cw = _class_costs(np.asarray(labels), class_counts, n_total, ci.dense())
-    return CostMatrix(cb), CostMatrix(cw)
+    return _class_costs(np.asarray(labels), class_counts, n_total, ci)
 
 
 def mmc_costs(labels: np.ndarray, class_counts: np.ndarray,
@@ -204,11 +190,10 @@ def mmc_costs(labels: np.ndarray, class_counts: np.ndarray,
     labels = np.asarray(labels)
     if not (labels != UNLABELED).any():
         raise ValueError("the MMC/FDA scatter costs need labeled examples")
-    cb, cw = _class_costs(labels, class_counts, n_total)
-    return CostMatrix(cb), CostMatrix(cw)
+    return _class_costs(labels, class_counts, n_total)
 
 
-def heat_kernel_costs(X: np.ndarray, spec: HeatKernelSpec) -> CostMatrix:
+def heat_kernel_costs(X: np.ndarray, spec: HeatKernelSpec) -> np.ndarray:
     """Gaussian neighborhood costs exp(-||x_i - x_j||^2 / scale).
 
     The exponent is negated: a positive exponent would grow without bound
@@ -252,25 +237,25 @@ def heat_kernel_costs(X: np.ndarray, spec: HeatKernelSpec) -> CostMatrix:
             s *= 0.5
             cu[a, b] = s
             cu[b, a] = s.T
-    return CostMatrix(cu)
+    return cu
 
 
-def self_cost(n: int) -> CostMatrix:
+def self_cost(n: int) -> np.ndarray:
     """Constant -1/(2n) cost over all pairs; on centered data the unlabel
     objective then equals the (negated) PCA objective."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return CostMatrix(np.full((n, n), -1.0 / (2 * n)))
+    return np.full((n, n), -1.0 / (2 * n))
 
 
-def hadamard_power(cu: CostMatrix, alpha: int) -> CostMatrix:
+def hadamard_power(cu: np.ndarray, alpha: int) -> np.ndarray:
     """Entrywise alpha-th power rescaled to preserve the Frobenius norm.
 
     The power is taken by repeated squaring in one buffer, so an entry may
     differ from ``e**alpha`` in the last place."""
     if alpha < 1 or int(alpha) != alpha:
         raise ValueError("alpha must be a positive integer")
-    e = cu.dense()
+    e = np.asarray(cu)
     norm = np.linalg.norm(e)
     p = e.copy()
     # square-and-multiply over the bits of alpha after the leading one
@@ -284,25 +269,25 @@ def hadamard_power(cu: CostMatrix, alpha: int) -> CostMatrix:
         scale = np.abs(e).max(initial=0.0)
         if scale == 0.0:
             raise ValueError("all-zero cost matrix: norm ratio undefined")
-        p = hadamard_power(CostMatrix(e / scale), alpha).entries
+        p = hadamard_power(e / scale, alpha)
         p *= scale
     elif alpha > 1:
         p *= norm / p_norm
-    return CostMatrix(p)
-
-
-def export_dense_csv(cm: CostMatrix, path) -> None:
-    np.savetxt(path, cm.dense(), delimiter=",")
+    return p
 
 
 _EDGE_HEADER = "i\tj\tc_ij"
 
 
-def export_edge_list(cm: CostMatrix, threshold: float, path) -> None:
+def _check_threshold(threshold: float) -> None:
+    """Reject a cost threshold that is negative, infinite or NaN."""
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be non-negative and finite, got {threshold}")
+
+
+def export_edge_list(e: np.ndarray, threshold: float, path) -> None:
     """TSV rows (i, j, c_ij) for upper-triangle entries above threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    e = cm.dense()
+    _check_threshold(threshold)
     with open(path, "w") as fh:
         fh.write(_EDGE_HEADER + "\n")
         iu, ju = np.triu_indices(e.shape[0], k=1)
@@ -311,7 +296,7 @@ def export_edge_list(cm: CostMatrix, threshold: float, path) -> None:
             fh.write(f"{i}\t{j}\t{float(e[i, j])!r}\n")
 
 
-def import_edge_list(path, n: int) -> CostMatrix:
+def import_edge_list(path, n: int) -> np.ndarray:
     """Rebuild the thresholded matrix written by :func:`export_edge_list`.
     A malformed line, a diagonal pair or a pair given twice (in either
     order) is rejected with the file name and the line number."""
@@ -331,7 +316,7 @@ def import_edge_list(path, n: int) -> CostMatrix:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         first[pair] = lineno
         e[i, j] = e[j, i] = v
-    return CostMatrix(e)
+    return e
 
 
 def _edge(cells: list[str], n: int) -> tuple[int, int, float]:

@@ -242,6 +242,8 @@ def generate_multimodal_toy(kind: str, n_per_cluster: int = 50,
         raise DatasetError(f"unknown toy kind {kind!r}; choose from {sorted(_TOY_BLOBS)}")
     if n_per_cluster < 2:
         raise DatasetError("n_per_cluster must be at least 2")
+    if not 0 <= noise < math.inf:
+        raise DatasetError(f"noise must be non-negative and finite, got {noise}")
     rng = np.random.default_rng([sorted(_TOY_BLOBS).index(kind), seed])
     cols, labels = [], []
     for cx, cy, sx, sy, cls in _TOY_BLOBS[kind]:

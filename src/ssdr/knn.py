@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, _cross_sq_dists, pairwise_sq_dists
+from .costs import _check_threshold, _cross_sq_dists, pairwise_sq_dists
 from .dataset import Dataset
 
 
@@ -68,15 +68,12 @@ def good_neighbors_score(dataset: Dataset, mapping=None) -> float:
     return int((dataset.labels == dataset.labels[nearest]).sum()) / dataset.n
 
 
-def good_nearby_ratio(cu: CostMatrix | np.ndarray, labels: np.ndarray,
-                      threshold: float) -> float:
+def good_nearby_ratio(cu: np.ndarray, labels: np.ndarray, threshold: float) -> float:
     """Fraction of same-class pairs among pairs with c^u_ij > threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    e = cu.dense() if isinstance(cu, CostMatrix) else np.asarray(cu)
+    _check_threshold(threshold)
     labels = np.asarray(labels)
-    iu, ju = np.triu_indices(e.shape[0], k=1)
-    near = e[iu, ju] > threshold
+    iu, ju = np.triu_indices(cu.shape[0], k=1)
+    near = cu[iu, ju] > threshold
     total = int(near.sum())
     if total == 0:
         raise ValueError("no pair exceeds the threshold; ratio undefined")

@@ -16,8 +16,8 @@ import scipy.linalg
 
 from .costs import _cross_sq_dists
 from .dataset import Dataset, _at_least
-from .solver import (EmbeddingModel, LearnerSpec, _input_columns, _read_header,
-                     _read_payload, fit)
+from .solver import (EmbeddingModel, LearnerSpec, _fit, _input_columns, _prepare,
+                     _read_header, _read_payload)
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,12 @@ def kpca_trick_fit(dataset: Dataset, kernel: KernelSpec,
     """Kernelize a linear learner: KPCA coordinates, then the plain fit.
 
     Classification of a new point x' uses ||A phi - A phi'|| with
-    phi' = kpca_transform(map, x').
+    phi' = kpca_transform(map, x').  The coordinates have full row rank, so
+    the fit runs no rank SVD on them.
     """
     kmap, mapped = _kpca_inputs(dataset, kernel)
-    return kmap, fit(mapped, _linear_spec(spec, kmap))
+    return kmap, _fit(*_prepare(mapped, full_rank=True), mapped.labels,
+                      _linear_spec(spec, kmap))
 
 
 def _kpca_inputs(dataset: Dataset, kernel: KernelSpec):
@@ -166,6 +168,15 @@ def load_kpca(path) -> KpcaMap:
         if kind not in _CODE_KERNELS:
             raise ValueError(f"{path}: unknown kernel code {kind}")
         X, col_means, lam, V = _read_payload(fh, path, (d0 * n, n, r, n * r))
-    return KpcaMap(kernel=KernelSpec(_CODE_KERNELS[kind], degree, sigma),
-                   train_inputs=X.reshape(d0, n), col_means=col_means,
+    if not (np.isfinite(lam).all() and (lam > 0).all()):
+        raise ValueError(f"{path}: eigenvalues must be positive and finite, got {lam}")
+    for name, values in (("grand mean", grand), ("column means", col_means),
+                         ("training inputs", X), ("eigenvectors", V)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: the {name} must be finite")
+    try:
+        kernel = KernelSpec(_CODE_KERNELS[kind], degree, sigma)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return KpcaMap(kernel=kernel, train_inputs=X.reshape(d0, n), col_means=col_means,
                    grand_mean=grand, eigenvalues=lam, eigenvectors=V.reshape(n, r))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .costs import CostMatrix, HeatKernelSpec, _class_costs, _labeled_neighbor_graphs, \
+from .costs import HeatKernelSpec, _class_costs, _labeled_neighbor_graphs, \
     _labeled_sq_dists, hadamard_power, heat_kernel_costs, lfda_costs, mmc_costs, self_cost
 from .dataset import Dataset, UNLABELED, _at_least, center
 
@@ -75,13 +75,12 @@ class EmbeddingModel:
         return self.train_mean.shape[0]
 
 
-def laplacian_scatter(X: np.ndarray, C: CostMatrix | np.ndarray) -> np.ndarray:
+def laplacian_scatter(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """X (D - C) X^T with D the diagonal of row sums of C."""
-    c = C.dense() if isinstance(C, CostMatrix) else np.asarray(C)
-    if X.shape[1] != c.shape[0]:
+    if X.shape[1] != C.shape[0]:
         raise ValueError("column count of X must match the cost matrix size")
-    d = c.sum(axis=1)
-    L = (X * d) @ X.T - X @ c @ X.T
+    d = C.sum(axis=1)
+    L = (X * d) @ X.T - X @ C @ X.T
     return 0.5 * (L + L.T)
 
 
@@ -224,7 +223,7 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec,
         # this sign of C^b the bottom eigenvalues are near zero, rounding
         # decides the projection, and a labeled-block scatter changes it;
         # mmc moves to the labeled block when the sign of C^b is fixed
-        cb, cw = (c.entries for c in mmc_costs(labels, class_counts))
+        cb, cw = mmc_costs(labels, class_counts)
         cw *= spec.gamma_prime
         cw -= cb
         del cb
@@ -242,18 +241,18 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec,
     if spec.base == "mfa":
         # C^l = -C^E under the same-class graph constraint
         return laplacian_scatter(X_l, np.where(ce, -1.0, 0.0)), laplacian_scatter(X_l, ci)
-    cbet, cwit = lfda_costs(CostMatrix(ci), lab, class_counts)
+    cbet, cwit = lfda_costs(ci, lab, class_counts)
     return laplacian_scatter(X_l, cbet), laplacian_scatter(X_l, cwit)
 
 
-def _unlabel_costs(X: np.ndarray, spec: LearnerSpec) -> CostMatrix:
+def _unlabel_costs(X: np.ndarray, spec: LearnerSpec) -> np.ndarray:
     """Unlabel pair costs before any Hadamard power (unlabel "heat" or "self_pca")."""
     if spec.unlabel == "heat":
         return heat_kernel_costs(X, spec.heat)
     return self_cost(X.shape[1])
 
 
-def _unlabel_scatters(X: np.ndarray, cu: CostMatrix, spec: LearnerSpec):
+def _unlabel_scatters(X: np.ndarray, cu: np.ndarray, spec: LearnerSpec):
     """L_u of the unlabel costs cu at spec.alpha, and the constraint B_u that
     base "none" takes from the unlabel term (None for the other bases)."""
     if spec.unlabel == "heat" and spec.alpha != 1:
@@ -264,7 +263,7 @@ def _unlabel_scatters(X: np.ndarray, cu: CostMatrix, spec: LearnerSpec):
     if spec.unlabel == "self_pca":
         return L_u, np.eye(X.shape[0])
     # classical locality-preserving constraint X D^u X^T
-    B_u = (X * cu.dense().sum(axis=1)) @ X.T
+    B_u = (X * cu.sum(axis=1)) @ X.T
     return L_u, 0.5 * (B_u + B_u.T)
 
 
@@ -307,9 +306,13 @@ def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis) -> EmbeddingModel:
 def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
     """Full pipeline: center, optional PCA, scatters, GEV, weighting.  A
     kernel is applied to the inputs first, by ``ssdr.kpca.kpca_trick_fit``."""
-    X, mean, basis = _prepare(dataset)
+    return _fit(*_prepare(dataset), dataset.labels, spec)
+
+
+def _fit(X, mean, basis, labels: np.ndarray, spec: LearnerSpec) -> EmbeddingModel:
+    """:func:`fit` on inputs that ``_prepare`` returned."""
     _check_dim(spec.dim, X)
-    return _solve(*build_scatters(X, dataset.labels, spec), spec, mean, basis)
+    return _solve(*build_scatters(X, labels, spec), spec, mean, basis)
 
 
 def _input_columns(x, dim: int):

@@ -113,7 +113,7 @@ def test_criterion_3_self_equivalence():
         X -= X.mean(axis=1, keepdims=True)
         A = rng.standard_normal((min(2, d0), d0))
         Z = A @ X
-        f_u = float((self_cost(n).dense() * pairwise_sq_dists(Z)).sum())
+        f_u = float((self_cost(n) * pairwise_sq_dists(Z)).sum())
         f_pca = -float(np.sum(Z**2))
         worst = max(worst, abs(f_u - f_pca) / max(abs(f_pca), 1e-12))
     ok = worst <= 1e-10
@@ -148,13 +148,13 @@ def test_criterion_4_mmc_equivalence():
             Sb_w += counts[k - 1] * np.outer(mk - mu, mk - mu)
             Sb_plain += np.outer(mk - mu, mk - mu)
         tw = np.trace(A @ Sw @ A.T)
-        sw_sum = unordered_sum(cw.dense(), Z)
+        sw_sum = unordered_sum(cw, Z)
         worst_w = max(worst_w, abs(tw - sw_sum) / max(abs(tw), 1e-12))
         # between-scatter: the pairwise form equals the NEGATED trace of the
         # class-size-WEIGHTED between scatter; the unweighted, unsigned form
         # does not hold and is checked to fail
         tb_w = np.trace(A @ Sb_w @ A.T)
-        sb_sum = unordered_sum(cb.dense(), Z)
+        sb_sum = unordered_sum(cb, Z)
         worst_b = max(worst_b, abs(tb_w + sb_sum) / max(abs(tb_w), 1e-12))
         if abs(np.trace(A @ Sb_plain @ A.T) - sb_sum) \
                 > 1e-6 * max(abs(sb_sum), 1.0):
@@ -182,7 +182,7 @@ def test_criterion_5_lfda_constraint_identity():
         Xc = X - X.mean(axis=1, keepdims=True)
         ci, _ = neighbor_graphs(Xc, labels, k=3)
         _, cwit = lfda_costs(ci, labels, counts, n_total=n)
-        s = unordered_sum(cwit.dense(), Z)
+        s = unordered_sum(cwit, Z)
         worst = max(worst, abs(s - d))
     ok = worst <= 1e-6
     report(5, ok, f"within-cost sum equals target dimension {2} under the "
@@ -193,16 +193,15 @@ def test_criterion_6_hadamard_operator():
     rng = np.random.default_rng(106)
     worst = 0.0
     identity_ok = True
-    from ssdr import CostMatrix
     for _ in range(100):
         n = int(rng.integers(2, 12))
         m = rng.random((n, n))
         m = 0.5 * (m + m.T)
-        cu = CostMatrix(m)
-        if not np.array_equal(hadamard_power(cu, 1).dense(), m):
+        cu = m
+        if not np.array_equal(hadamard_power(cu, 1), m):
             identity_ok = False
         for alpha in (2, 3, 4, 8):
-            out = hadamard_power(cu, alpha).dense()
+            out = hadamard_power(cu, alpha)
             worst = max(worst, abs(np.linalg.norm(out) - np.linalg.norm(m))
                         / np.linalg.norm(m))
     ok = worst <= 1e-12 and identity_ok

@@ -1,8 +1,12 @@
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from ssdr import (CostMatrix, Dataset, HeatKernelSpec, LearnerSpec, UNLABELED,
-                  build_scatters, export_dense_csv, export_edge_list, fit,
+from ssdr import (Dataset, HeatKernelSpec, LearnerSpec, UNLABELED,
+                  build_scatters, export_edge_list, fit,
                   hadamard_power, heat_kernel_costs, import_edge_list,
                   laplacian_scatter, lfda_costs, mmc_costs, neighbor_graphs,
                   pairwise_sq_dists, self_cost)
@@ -39,21 +43,21 @@ class TestNeighborGraphs:
     def test_all_unlabeled_zero(self):
         X = np.random.default_rng(0).standard_normal((2, 5))
         ci, ce = neighbor_graphs(X, np.full(5, UNLABELED), k=2)
-        assert ci.dense().sum() == 0 and ce.dense().sum() == 0
+        assert ci.sum() == 0 and ce.sum() == 0
 
     def test_two_same_class_points(self):
         X = np.array([[0.0, 1.0], [0.0, 0.0]])
         ci, ce = neighbor_graphs(X, np.array([1, 1]), k=1)
-        np.testing.assert_array_equal(ci.dense(), [[0, 1], [1, 0]])
-        assert ce.dense().sum() == 0
+        np.testing.assert_array_equal(ci, [[0, 1], [1, 0]])
+        assert ce.sum() == 0
 
     def test_line_matches_brute_force(self):
         X = np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], np.zeros(6)])
         labels = np.array([1, 2, 1, 2, 1, 2])
         ci, ce = neighbor_graphs(X, labels, k=2)
         bi, be = brute_force_graphs(X, labels, 2)
-        np.testing.assert_array_equal(ci.dense(), bi)
-        np.testing.assert_array_equal(ce.dense(), be)
+        np.testing.assert_array_equal(ci, bi)
+        np.testing.assert_array_equal(ce, be)
 
     def test_random_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -62,8 +66,8 @@ class TestNeighborGraphs:
         labels[rng.choice(15, 4, replace=False)] = UNLABELED
         ci, ce = neighbor_graphs(X, labels, k=3)
         bi, be = brute_force_graphs(X, labels, 3)
-        np.testing.assert_array_equal(ci.dense(), bi)
-        np.testing.assert_array_equal(ce.dense(), be)
+        np.testing.assert_array_equal(ci, bi)
+        np.testing.assert_array_equal(ce, be)
 
     def test_distance_ties_match_brute_force(self):
         # an integer grid: many exactly equal distances, ties to the smaller index
@@ -73,8 +77,9 @@ class TestNeighborGraphs:
         labels[rng.choice(60, 10, replace=False)] = UNLABELED
         ci, ce = neighbor_graphs(X, labels, k=3)
         bi, be = brute_force_graphs(X, labels, 3)
-        np.testing.assert_array_equal(ci.dense(), bi)
-        np.testing.assert_array_equal(ce.dense(), be)
+        assert ci.dtype == ce.dtype == bool and ci.shape == ce.shape == (60, 60)
+        np.testing.assert_array_equal(ci, bi)
+        np.testing.assert_array_equal(ce, be)
         # the fit's graphs: boolean arrays over the labeled block
         lab = labels != UNLABELED
         d2 = _labeled_sq_dists(X, np.flatnonzero(lab))
@@ -87,7 +92,7 @@ class TestNeighborGraphs:
         X = rng.standard_normal((2, 10))
         labels = np.array([1, 2, UNLABELED, 1, 2, UNLABELED, 1, 2, 1, 2])
         ci, ce = neighbor_graphs(X, labels, k=2)
-        for m in (ci.dense(), ce.dense()):
+        for m in (ci, ce):
             assert (m == m.T).all()
             assert (m[2] == 0).all() and (m[:, 5] == 0).all()
             assert (np.diag(m) == 0).all()
@@ -116,23 +121,23 @@ class TestDneMfa:
     def test_dne_ce_zero(self):
         labels = np.ones(8, dtype=int)  # one class: C^E is empty
         ci, ce = neighbor_graphs(self.X, labels, k=2)
-        assert ce.dense().sum() == 0
+        assert ce.sum() == 0
         L_l, B = label_scatters(self.X, labels, "dne")
         np.testing.assert_allclose(L_l, laplacian_scatter(self.X, ci), rtol=1e-12)
         np.testing.assert_array_equal(B, np.eye(3))
 
     def test_dne_entries_match_manual_subtraction(self):
         L_l, _ = label_scatters(self.X, self.labels, "dne")
-        cl = self.ci.dense() - self.ce.dense()
+        cl = np.subtract(self.ci, self.ce, dtype=float)
         assert set(np.unique(cl)) <= {-1.0, 0.0, 1.0}
         oracle = unordered_cost_sum(cl, self.A @ self.X)
         assert np.trace(self.A @ L_l @ self.A.T) == pytest.approx(oracle, rel=1e-10)
 
     def test_mfa_label_cost_and_constraint(self):
         L_l, B = label_scatters(self.X, self.labels, "mfa")
-        oracle = unordered_cost_sum(-self.ce.dense(), self.A @ self.X)
+        oracle = unordered_cost_sum(np.subtract(0, self.ce, dtype=float), self.A @ self.X)
         assert np.trace(self.A @ L_l @ self.A.T) == pytest.approx(oracle, rel=1e-10)
-        oracle = unordered_cost_sum(self.ci.dense(), self.A @ self.X)
+        oracle = unordered_cost_sum(self.ci, self.A @ self.X)
         assert np.trace(self.A @ B @ self.A.T) == pytest.approx(oracle, rel=1e-10)
 
     def test_mfa_degenerate_intra(self):
@@ -152,19 +157,19 @@ class TestLfdaCosts:
 
     def test_same_class_non_neighbor_zero(self):
         cbet, _ = lfda_costs(self.ci, self.labels, self.counts)
-        ci_d = self.ci.dense()
+        ci_d = self.ci
         same = self.labels[:, None] == self.labels[None, :]
-        assert (cbet.dense()[same & (ci_d == 0)] == 0).all()
+        assert (cbet[same & (ci_d == 0)] == 0).all()
 
     def test_different_class_minus_one_over_n(self):
         cbet, _ = lfda_costs(self.ci, self.labels, self.counts)
         diff = self.labels[:, None] != self.labels[None, :]
-        assert (cbet.dense()[diff] == -1.0 / 6).all()
+        assert (cbet[diff] == -1.0 / 6).all()
 
     def test_within_trace_identity(self):
         _, B = label_scatters(self.X, self.labels, "lfda")
         A = np.random.default_rng(8).standard_normal((2, 2))
-        cw = self.ci.dense() / 3.0
+        cw = self.ci / 3.0
         oracle = unordered_cost_sum(cw, A @ self.X)
         assert np.trace(A @ B @ A.T) == pytest.approx(oracle, rel=1e-10)
 
@@ -172,13 +177,13 @@ class TestLfdaCosts:
         labels = np.array([1, 1, UNLABELED, 2, 2, UNLABELED])
         ci, _ = neighbor_graphs(self.X, labels, k=1)
         cbet, cwit = lfda_costs(ci, labels, np.array([2, 2]))
-        for m in (cbet.dense(), cwit.dense()):
+        for m in (cbet, cwit):
             assert (m[2] == 0).all() and (m[:, 5] == 0).all()
 
     def test_n_total_override(self):
         cbet, _ = lfda_costs(self.ci, self.labels, self.counts, n_total=12)
         diff = self.labels[:, None] != self.labels[None, :]
-        assert (cbet.dense()[diff] == -1.0 / 12).all()
+        assert (cbet[diff] == -1.0 / 12).all()
 
     @pytest.mark.parametrize("n_total", [None, 40])
     def test_every_same_class_pair_a_neighbor_gives_mmc_costs(self, n_total):
@@ -191,9 +196,9 @@ class TestLfdaCosts:
         lab = labels != UNLABELED
         ci = (lab[:, None] & (labels[:, None] == labels[None, :])).astype(float)
         np.fill_diagonal(ci, 0.0)
-        for got, want in zip(lfda_costs(CostMatrix(ci), labels, counts, n_total),
+        for got, want in zip(lfda_costs(ci, labels, counts, n_total),
                              mmc_costs(labels, counts, n_total)):
-            assert np.array_equal(got.dense(), want.dense())
+            assert np.array_equal(got, want)
 
 
 class TestMmcCosts:
@@ -226,12 +231,12 @@ class TestMmcCosts:
             D = Xk - Xk.mean(axis=1, keepdims=True)
             Sw += D @ D.T
         assert np.trace(A @ Sw @ A.T) == pytest.approx(
-            unordered_cost_sum(cw.dense(), A @ X), rel=1e-10)
+            unordered_cost_sum(cw, A @ X), rel=1e-10)
 
     def test_unlabeled_rows_zero(self):
         labels = np.array([1, UNLABELED, 2, 1])
         cb, cw = mmc_costs(labels, np.array([2, 1]))
-        for m in (cb.dense(), cw.dense()):
+        for m in (cb, cw):
             assert (m[1] == 0).all() and (m[:, 1] == 0).all()
 
     def test_zero_class_count_allowed(self):
@@ -240,7 +245,7 @@ class TestMmcCosts:
         with np.errstate(divide="raise"):
             costs = mmc_costs(np.array([1, 1]), np.array([2, 0]))
         for got, want in zip(costs, mmc_costs(np.array([1, 1]), np.array([2]))):
-            np.testing.assert_array_equal(got.dense(), want.dense())
+            np.testing.assert_array_equal(got, want)
 
     def test_class_without_labels_fits(self):
         # labels {1, 3} of three classes fit as labels {1, 2} do
@@ -261,18 +266,18 @@ class TestMmcCosts:
 class TestHeatKernel:
     def test_duplicates_global(self):
         X = np.array([[1.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
-        cu = heat_kernel_costs(X, HeatKernelSpec("global", sigma=1.0)).dense()
+        cu = heat_kernel_costs(X, HeatKernelSpec("global", sigma=1.0))
         assert cu[0, 1] == pytest.approx(1.0)
 
     def test_distance_equal_sigma(self):
         X = np.array([[0.0, 2.0]])
-        cu = heat_kernel_costs(X, HeatKernelSpec("global", sigma=2.0)).dense()
+        cu = heat_kernel_costs(X, HeatKernelSpec("global", sigma=2.0))
         assert cu[0, 1] == pytest.approx(np.exp(-1.0))
 
     def test_local_line_brute_force(self):
         x = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
         X = x[None, :]
-        cu = heat_kernel_costs(X, HeatKernelSpec("local", k=1)).dense()
+        cu = heat_kernel_costs(X, HeatKernelSpec("local", k=1))
         # sigma_i = distance to the nearest other point
         sigma = np.array([1.0, 1.0, 2.0, 3.0, 4.0])
         expect = np.exp(-np.subtract.outer(x, x) ** 2 / np.outer(sigma, sigma))
@@ -281,7 +286,7 @@ class TestHeatKernel:
 
     def test_local_duplicate_clamp(self):
         X = np.array([[0.0, 0.0, 5.0]])
-        cu = heat_kernel_costs(X, HeatKernelSpec("local", k=1)).dense()
+        cu = heat_kernel_costs(X, HeatKernelSpec("local", k=1))
         assert np.isfinite(cu).all()
         assert cu[0, 1] == pytest.approx(1.0)  # zero distance, any scale
 
@@ -293,13 +298,13 @@ class TestHeatKernel:
             HeatKernelSpec("local", k=1, distance_floor=floor)
         X = np.array([[0.0, 0.0, 5.0]])
         cu = heat_kernel_costs(X, HeatKernelSpec("local", k=1, distance_floor=1e-3))
-        assert np.isfinite(cu.dense()).all()
+        assert np.isfinite(cu).all()
 
     def test_symmetry_zero_diagonal_nonnegative(self):
         X = np.random.default_rng(10).standard_normal((3, 12))
         for spec in (HeatKernelSpec("global", sigma=0.7),
                      HeatKernelSpec("local", k=3)):
-            cu = heat_kernel_costs(X, spec).dense()
+            cu = heat_kernel_costs(X, spec)
             assert (cu == cu.T).all()
             assert (np.diag(cu) == 0).all()
             assert (cu >= 0).all()
@@ -315,7 +320,7 @@ class TestHeatKernel:
 
 class TestSelfCost:
     def test_n2_entries(self):
-        np.testing.assert_allclose(self_cost(2).dense(), -0.25)
+        np.testing.assert_allclose(self_cost(2), -0.25)
 
     def test_centered_equals_negative_pca_objective(self):
         rng = np.random.default_rng(11)
@@ -323,7 +328,7 @@ class TestSelfCost:
         X -= X.mean(axis=1, keepdims=True)
         A = rng.standard_normal((2, 4))
         Z = A @ X
-        cu = self_cost(15).dense()
+        cu = self_cost(15)
         ordered = float((cu * pairwise_sq_dists(Z)).sum())
         assert ordered == pytest.approx(-np.sum(Z**2), rel=1e-10)
 
@@ -332,7 +337,7 @@ class TestSelfCost:
         X = rng.standard_normal((4, 15)) + 3.0
         A = rng.standard_normal((2, 4))
         Z = A @ X
-        cu = self_cost(15).dense()
+        cu = self_cost(15)
         ordered = float((cu * pairwise_sq_dists(Z)).sum())
         gap = ordered - (-np.sum(Z**2))
         assert gap == pytest.approx(np.sum(Z.sum(axis=1) ** 2) / 15, rel=1e-8)
@@ -340,12 +345,12 @@ class TestSelfCost:
 
 class TestHadamardPower:
     def test_alpha_one_identity(self):
-        cu = CostMatrix(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        np.testing.assert_array_equal(hadamard_power(cu, 1).dense(), cu.dense())
+        cu = np.array([[0.0, 0.5], [0.5, 0.0]])
+        np.testing.assert_array_equal(hadamard_power(cu, 1), cu)
 
     def test_hand_example(self):
-        cu = CostMatrix(np.array([[0.0, 0.9], [0.9, 0.1]]))
-        out = hadamard_power(cu, 2).dense()
+        cu = np.array([[0.0, 0.9], [0.9, 0.1]])
+        out = hadamard_power(cu, 2)
         p = np.array([[0.0, 0.81], [0.81, 0.01]])
         scale = np.sqrt(2 * 0.81 + 0.01) / np.sqrt(2 * 0.6561 + 0.0001)
         np.testing.assert_allclose(out, p * scale, rtol=1e-12)
@@ -355,9 +360,9 @@ class TestHadamardPower:
         for _ in range(20):
             m = rng.random((6, 6))
             m = 0.5 * (m + m.T)
-            cu = CostMatrix(m)
+            cu = m
             for alpha in (1, 2, 3, 5):
-                out = hadamard_power(cu, alpha).dense()
+                out = hadamard_power(cu, alpha)
                 assert np.linalg.norm(out) == pytest.approx(
                     np.linalg.norm(m), rel=1e-12)
                 assert (out == out.T).all() and (out >= 0).all()
@@ -366,7 +371,7 @@ class TestHadamardPower:
         rng = np.random.default_rng(14)
         m = rng.random((5, 5))
         m = 0.5 * (m + m.T)
-        out = hadamard_power(CostMatrix(m), 3).dense()
+        out = hadamard_power(m, 3)
         iu, ju = np.triu_indices(5, 1)
         assert (np.argsort(m[iu, ju]) == np.argsort(out[iu, ju])).all()
 
@@ -376,15 +381,15 @@ class TestHadamardPower:
         m = np.random.default_rng(alpha).random((40, 40))
         m = 0.5 * (m + m.T)
         want = m**alpha * (np.linalg.norm(m) / np.linalg.norm(m**alpha))
-        np.testing.assert_allclose(hadamard_power(CostMatrix(m), alpha).dense(), want,
+        np.testing.assert_allclose(hadamard_power(m, alpha), want,
                                    rtol=2e-15, atol=0)
 
     def test_validation(self):
-        cu = CostMatrix(np.ones((2, 2)))
+        cu = np.ones((2, 2))
         with pytest.raises(ValueError):
             hadamard_power(cu, 0)
         with pytest.raises(ValueError):
-            hadamard_power(CostMatrix(np.zeros((2, 2))), 2)
+            hadamard_power(np.zeros((2, 2)), 2)
 
     @staticmethod
     def scaled_norm(m):
@@ -397,9 +402,9 @@ class TestHadamardPower:
         # the largest is 2.2e-226, so np.linalg.norm reads 0; for seed 1 the
         # norm is 1.5e-83 but that of the power underflows
         X = np.random.default_rng(seed).standard_normal((3, 5))
-        e = heat_kernel_costs(X, HeatKernelSpec("global", sigma=0.05)).dense()
+        e = heat_kernel_costs(X, HeatKernelSpec("global", sigma=0.05))
         assert 0.0 < e.max() < 1e-80
-        out = hadamard_power(CostMatrix(e), alpha).dense()
+        out = hadamard_power(e, alpha)
         assert np.isfinite(out).all() and out.max() > 0.0
         assert self.scaled_norm(out) == pytest.approx(self.scaled_norm(e), rel=1e-12)
         assert out.argmax() == e.argmax() and (out >= 0).all()
@@ -428,8 +433,8 @@ class TestEdgeListExport:
         X = rng.standard_normal((2, 8))
         cu = heat_kernel_costs(X, HeatKernelSpec("global", sigma=1.0))
         export_edge_list(cu, 0.3, tmp_path / "e.tsv")
-        back = import_edge_list(tmp_path / "e.tsv", 8).dense()
-        expect = np.where(cu.dense() > 0.3, cu.dense(), 0.0)
+        back = import_edge_list(tmp_path / "e.tsv", 8)
+        expect = np.where(cu > 0.3, cu, 0.0)
         np.testing.assert_array_equal(back, expect)
 
     @pytest.mark.parametrize("body,message", [
@@ -452,9 +457,16 @@ class TestEdgeListExport:
             import_edge_list(tmp_path / "bad.tsv", 4)
 
     def test_threshold_above_max(self, tmp_path):
-        cu = CostMatrix(np.full((3, 3), 0.1) - 0.1 * np.eye(3))
+        cu = np.full((3, 3), 0.1) - 0.1 * np.eye(3)
         export_edge_list(cu, 5.0, tmp_path / "e.tsv")
         assert (tmp_path / "e.tsv").read_text() == "i\tj\tc_ij\n"
+
+    @pytest.mark.parametrize("threshold", [-0.1, math.nan, math.inf])
+    def test_threshold_out_of_range_rejected(self, tmp_path, threshold):
+        cu = np.full((3, 3), 0.1) - 0.1 * np.eye(3)
+        with pytest.raises(ValueError, match="threshold must be non-negative and finite"):
+            export_edge_list(cu, threshold, tmp_path / "e.tsv")
+        assert not (tmp_path / "e.tsv").exists()
 
     def test_threshold_zero_dense_count(self, tmp_path):
         X = np.random.default_rng(18).standard_normal((2, 7))
@@ -463,8 +475,30 @@ class TestEdgeListExport:
         lines = (tmp_path / "e.tsv").read_text().strip().split("\n")
         assert len(lines) - 1 == 7 * 6 // 2
 
-    def test_dense_csv(self, tmp_path):
-        cu = CostMatrix(np.arange(9.0).reshape(3, 3))
-        export_dense_csv(cu, tmp_path / "m.csv")
-        back = np.loadtxt(tmp_path / "m.csv", delimiter=",")
-        np.testing.assert_allclose(back, cu.dense())
+
+class TestPlainArrays:
+    """Every cost is a plain ndarray; no scipy.sparse matrix is involved."""
+
+    def test_import_loads_no_sparse_module(self):
+        code = "import sys, ssdr; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout.strip()
+        assert out == "False"
+
+    def test_every_builder_returns_an_ndarray(self, tmp_path):
+        X = np.random.default_rng(20).standard_normal((2, 9))
+        labels = np.array([1, 2, 1, 2, 1, 2, UNLABELED, UNLABELED, 1])
+        counts = np.array([4, 3])
+        cu = heat_kernel_costs(X, HeatKernelSpec("global", sigma=1.0))
+        export_edge_list(cu, 0.2, tmp_path / "e.tsv")
+        ci, ce = neighbor_graphs(X, labels, k=2)
+        built = {"heat_kernel_costs": (cu,), "self_cost": (self_cost(9),),
+                 "hadamard_power": (hadamard_power(cu, 2),),
+                 "import_edge_list": (import_edge_list(tmp_path / "e.tsv", 9),),
+                 "neighbor_graphs": (ci, ce),
+                 "lfda_costs": lfda_costs(ci, labels, counts),
+                 "mmc_costs": mmc_costs(labels, counts)}
+        for name, out in built.items():
+            assert isinstance(out, tuple) and len(out) in (1, 2), name
+            for c in out:
+                assert type(c) is np.ndarray and c.shape == (9, 9), name

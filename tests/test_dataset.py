@@ -158,6 +158,11 @@ class TestToyGenerators:
         with pytest.raises(DatasetError, match="unknown toy kind"):
             generate_multimodal_toy("spiral", 10, 0.5, 0)
 
+    @pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
+    def test_bad_noise_rejected_by_name(self, noise):
+        with pytest.raises(DatasetError, match="noise must be non-negative and finite"):
+            generate_multimodal_toy("two-cluster", 5, noise, 0)
+
     def test_n_per_cluster_minimum(self):
         with pytest.raises(DatasetError):
             generate_multimodal_toy("ssl-only", 1, 0.5, 0)

@@ -804,6 +804,22 @@ class TestCli:
         i, j, v = lines[1].split("\t")
         assert int(i) < int(j) and float(v) > 0.36
 
+    def test_graph_export_rejects_nan_threshold(self, tmp_path, capsys):
+        data_csv, out = tmp_path / "toy.csv", tmp_path / "g.tsv"
+        assert cli.main(["toy-gen", "--kind", "ssl-only", "--n-per-cluster", "5",
+                         "--out", str(data_csv)]) == 0
+        assert cli.main(["graph-export", "--data", str(data_csv), "--threshold", "nan",
+                         "--out", str(out)]) == 1
+        assert "threshold must be non-negative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_toy_gen_rejects_negative_noise(self, tmp_path, capsys):
+        out = tmp_path / "toy.csv"
+        assert cli.main(["toy-gen", "--kind", "two-cluster", "--noise", "-0.5",
+                         "--out", str(out)]) == 1
+        assert "noise must be non-negative and finite, got -0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_good_neighbors(self, tmp_path):
         data_csv = tmp_path / "toy.csv"
         run_cli("toy-gen", "--kind", "two-cluster", "--n-per-cluster", "20",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ssdr.solver
-from ssdr import (CostMatrix, HeatKernelSpec, KernelSpec, LearnerSpec, UNLABELED,
+from ssdr import (HeatKernelSpec, KernelSpec, LearnerSpec, UNLABELED,
                   hadamard_power, heat_kernel_costs, kernel_values,
                   laplacian_scatter, lfda_costs, mmc_costs, neighbor_graphs,
                   pairwise_sq_dists)
@@ -76,10 +76,10 @@ def ref_label_scatters(X, labels, spec):
         return laplacian_scatter(X, spec.gamma_prime * cw - cb), np.eye(X.shape[0])
     ci, ce = neighbor_graphs(X, labels, spec.k)
     if spec.base == "dne":
-        return laplacian_scatter(X, (ci.entries - ce.entries).toarray()), np.eye(X.shape[0])
+        return laplacian_scatter(X, np.subtract(ci, ce, dtype=float)), np.eye(X.shape[0])
     if spec.base == "mfa":
-        return laplacian_scatter(X, -ce.entries.toarray()), laplacian_scatter(X, ci)
-    cb, cw = ref_class_costs(labels, counts, None, ci.dense())
+        return laplacian_scatter(X, np.subtract(0, ce, dtype=float)), laplacian_scatter(X, ci)
+    cb, cw = ref_class_costs(labels, counts, None, ci)
     return laplacian_scatter(X, cb), laplacian_scatter(X, cw)
 
 
@@ -92,12 +92,11 @@ def ref_block_label_scatters(X, labels, spec):
     if spec.base == "fda":
         cb, cw = mmc_costs(labels_l, counts)
         return laplacian_scatter(X_l, cb), laplacian_scatter(X_l, cw)
-    ci, ce = (CostMatrix(g.dense()[np.ix_(lab, lab)])
-              for g in neighbor_graphs(X, labels, spec.k))
+    ci, ce = (g[np.ix_(lab, lab)] for g in neighbor_graphs(X, labels, spec.k))
     if spec.base == "dne":
-        return laplacian_scatter(X_l, ci.dense() - ce.dense()), np.eye(X.shape[0])
+        return laplacian_scatter(X_l, np.subtract(ci, ce, dtype=float)), np.eye(X.shape[0])
     if spec.base == "mfa":
-        return laplacian_scatter(X_l, -ce.dense()), laplacian_scatter(X_l, ci)
+        return laplacian_scatter(X_l, np.subtract(0, ce, dtype=float)), laplacian_scatter(X_l, ci)
     cb, cw = lfda_costs(ci, labels_l, counts)
     return laplacian_scatter(X_l, cb), laplacian_scatter(X_l, cw)
 
@@ -139,7 +138,7 @@ def test_pairwise_sq_dists_bitwise(name):
 @pytest.mark.parametrize("name", POINTS)
 def test_heat_kernel_costs_bitwise(name, spec):
     X = _points(name)
-    got = heat_kernel_costs(X, spec).dense()
+    got = heat_kernel_costs(X, spec)
     assert np.array_equal(got, ref_heat_kernel_costs(X, spec))
 
 
@@ -153,7 +152,7 @@ def test_line_crosses_the_exp_underflow():
 
 def test_duplicates_hit_the_distance_floor():
     X = _points("duplicates")
-    cu = heat_kernel_costs(X, HeatKernelSpec("local", k=2)).dense()
+    cu = heat_kernel_costs(X, HeatKernelSpec("local", k=2))
     assert cu[0, 1] == 1.0 and cu[0, 3] == 0.0
 
 
@@ -268,8 +267,8 @@ def test_labeled_sq_dists_bitwise(m):
 def test_hadamard_power_bitwise(alpha):
     X = _points("random")
     cu = heat_kernel_costs(X, HeatKernelSpec())
-    want = cu.dense() if alpha == 1 else ref_hadamard_power(cu.dense(), alpha)
-    np.testing.assert_array_equal(hadamard_power(cu, alpha).dense(), want)
+    want = cu if alpha == 1 else ref_hadamard_power(cu, alpha)
+    np.testing.assert_array_equal(hadamard_power(cu, alpha), want)
 
 
 @pytest.mark.parametrize("spec", [HeatKernelSpec("local"), HeatKernelSpec("global", sigma=10.0)],
@@ -280,7 +279,7 @@ def test_heat_kernel_peak_memory(spec):
     X = np.random.default_rng(5).standard_normal((3, n))
     tracemalloc.start()
     try:
-        cu = heat_kernel_costs(X, spec).dense()
+        cu = heat_kernel_costs(X, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

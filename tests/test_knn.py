@@ -151,13 +151,19 @@ class TestGoodNearbyRatio:
         with pytest.raises(ValueError):
             good_nearby_ratio(cu, np.array([1, 2, 1]), 0.9)
 
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan"), float("inf")])
+    def test_threshold_out_of_range_rejected(self, threshold):
+        cu = np.full((3, 3), 0.2) - 0.2 * np.eye(3)
+        with pytest.raises(ValueError, match="threshold must be non-negative and finite"):
+            good_nearby_ratio(cu, np.array([1, 2, 1]), threshold)
+
     def test_pair_enumeration_oracle(self):
         rng = np.random.default_rng(3)
         X = np.hstack([rng.standard_normal((2, 10)),
                        rng.standard_normal((2, 10)) + 5.0])
         labels = np.array([1] * 10 + [2] * 10)
         cu = heat_kernel_costs(X, HeatKernelSpec("global", sigma=2.0))
-        e = cu.dense()
+        e = cu
         for t in (0.01, 0.1, 0.5):
             good = total = 0
             for i in range(20):
@@ -181,13 +187,13 @@ class TestGoodNearbyRatio:
         X = rng.standard_normal((2, 12))
         labels = rng.integers(1, 3, 12)
         cu = heat_kernel_costs(X, HeatKernelSpec("global", sigma=1.0))
-        e = cu.dense()
+        e = cu
         iu, ju = np.triu_indices(12, 1)
         vals = np.sort(e[iu, ju])
         t = float(vals[len(vals) // 2])  # median entry as threshold
         base = good_nearby_ratio(cu, labels, t)
         for alpha in (2, 3, 5):
             powered = hadamard_power(cu, alpha)
-            pv = np.sort(powered.dense()[iu, ju])
+            pv = np.sort(powered[iu, ju])
             t_alpha = float(pv[len(pv) // 2])
             assert good_nearby_ratio(powered, labels, t_alpha) == base

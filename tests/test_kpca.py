@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import ssdr.solver
 from ssdr import (Dataset, KernelSpec, KnnIndex, LearnerSpec, SplitSpec, UNLABELED,
                   center, embed, fit, generate_balance, gram, kernel_values,
                   knn_classify, kpca_embed, kpca_fit, kpca_transform,
@@ -200,6 +203,31 @@ class TestKpcaTrick:
             assert kmap.out_dim <= 2
             assert model.dim <= kmap.out_dim
 
+    @pytest.mark.parametrize("spec", [
+        LearnerSpec(base="lfda", unlabel="heat", gamma=0.5, dim=2),
+        LearnerSpec(base="mmc", unlabel="none", gamma=0.0, dim=2),
+    ], ids=["ss-lfda", "mmc"])
+    @pytest.mark.parametrize("kernel", KERNELS[1:], ids=["poly2", "gaussian"])
+    def test_no_rank_svd_on_the_coordinates(self, monkeypatch, kernel, spec):
+        # the coordinates have full row rank by construction; the model is
+        # bit for bit that of fit on the dataset of coordinates
+        rng = np.random.default_rng(21)
+        labels = np.where(np.arange(60) < 30, 1 + np.arange(60) % 2, UNLABELED)
+        data = Dataset(X=rng.standard_normal((3, 60)), labels=labels, n_classes=2)
+        ranked = []
+        original = ssdr.solver.numerical_rank
+        monkeypatch.setattr(ssdr.solver, "numerical_rank",
+                            lambda X, *a: ranked.append(X.shape) or original(X, *a))
+        kmap, model = kpca_trick_fit(data, kernel, spec)
+        assert ranked == []
+        monkeypatch.undo()
+        mapped = Dataset(X=kmap.train_coords(), labels=labels, n_classes=2)
+        want = fit(mapped, replace(spec, dim=min(spec.dim, kmap.out_dim)))
+        assert model.pre_pca is None and want.pre_pca is None
+        for got, ref in ((model.A, want.A), (model.train_mean, want.train_mean),
+                         (model.eigenvalues, want.eigenvalues)):
+            np.testing.assert_array_equal(got, ref)
+
     def test_quadratic_kernel_beats_linear_on_balance(self):
         data = generate_balance()
         sp = SplitSpec(labeled=100, seed=0, realizations=10)
@@ -266,6 +294,45 @@ class TestKpcaSerialization:
         data[32] = 9  # low byte of the kernel code: magic, version, d0, n, r before it
         (tmp_path / "bad.bin").write_bytes(bytes(data))
         with pytest.raises(ValueError, match=r"bad\.bin: unknown kernel code 9"):
+            load_kpca(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("eigenvalues", -1.0, "eigenvalues must be positive and finite"),
+        ("eigenvalues", 0.0, "eigenvalues must be positive and finite"),
+        ("eigenvalues", np.nan, "eigenvalues must be positive and finite"),
+        ("eigenvalues", np.inf, "eigenvalues must be positive and finite"),
+        ("grand_mean", np.nan, "the grand mean must be finite"),
+        ("col_means", np.inf, "the column means must be finite"),
+        ("train_inputs", np.nan, "the training inputs must be finite"),
+        ("eigenvectors", np.nan, "the eigenvectors must be finite"),
+    ], ids=["negative eigenvalue", "zero eigenvalue", "nan eigenvalue",
+            "inf eigenvalue", "nan grand mean", "inf column mean", "nan input",
+            "nan eigenvector"])
+    def test_inconsistent_map_names_file(self, tmp_path, field, value, message):
+        kmap = kpca_fit(np.random.default_rng(12).standard_normal((3, 8)),
+                        KernelSpec("gaussian"))
+        if field == "grand_mean":
+            bad = value
+        else:
+            bad = getattr(kmap, field).copy()
+            bad.flat[0] = value
+        save_kpca(replace(kmap, **{field: bad}), tmp_path / "bad.bin")
+        with pytest.raises(ValueError, match=r"bad\.bin: " + message):
+            load_kpca(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("kernel, message", [
+        (KernelSpec("gaussian"), "gaussian bandwidth sigma must be positive and finite"),
+        (KernelSpec("polynomial", degree=2), "polynomial degree must be >= 1"),
+    ], ids=["gaussian sigma", "polynomial degree"])
+    def test_bad_kernel_parameter_names_file(self, tmp_path, kernel, message):
+        kmap = kpca_fit(np.random.default_rng(12).standard_normal((3, 8)), kernel)
+        save_kpca(kmap, tmp_path / "k.bin")
+        data = bytearray((tmp_path / "k.bin").read_bytes())
+        # the header: magic, version, d0, n, r, kernel code, degree, sigma
+        at = 48 if kernel.kind == "gaussian" else 40
+        data[at:at + 8] = bytes(8)   # sigma 0.0, or degree 0
+        (tmp_path / "bad.bin").write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"bad\.bin: " + message):
             load_kpca(tmp_path / "bad.bin")
 
     def test_bad_magic(self, tmp_path):

@@ -296,28 +296,28 @@ def reference_costs(X, labels, spec):
     cl, cu, B = np.zeros((n, n)), np.zeros((n, n)), None
     if spec.base in ("dne", "mfa"):
         ci, ce = neighbor_graphs(X, labels, k)
-        cl = ci.dense() - ce.dense() if spec.base == "dne" else -ce.dense()
+        cl = np.subtract(ci if spec.base == "dne" else 0, ce, dtype=float)
         B = np.eye(d0) if spec.base == "dne" else laplacian_scatter(X, ci)
     elif spec.base == "lfda":
         ci, _ = neighbor_graphs(X, labels, k)
         cbet, cwit = lfda_costs(ci, labels, counts)
-        cl, B = cbet.dense(), laplacian_scatter(X, cwit)
+        cl, B = cbet, laplacian_scatter(X, cwit)
     elif spec.base == "fda":
         # FDA's between/within costs are MMC's class-wide costs
         cb, cw = mmc_costs(labels, counts)
-        cl, B = cb.dense(), laplacian_scatter(X, cw)
+        cl, B = cb, laplacian_scatter(X, cw)
     elif spec.base == "mmc":
         cb, cw = mmc_costs(labels, counts)
-        cl = spec.gamma_prime * cw.dense() - cb.dense()
+        cl = spec.gamma_prime * cw - cb
         B = np.eye(d0)
     # only base "none" takes its constraint from the unlabel term
     if spec.unlabel == "heat":
-        cu = hadamard_power(heat_kernel_costs(X, spec.heat), spec.alpha).dense()
+        cu = hadamard_power(heat_kernel_costs(X, spec.heat), spec.alpha)
         if B is None:
             B = (X * cu.sum(axis=1)) @ X.T
             B = 0.5 * (B + B.T)
     elif spec.unlabel == "self_pca":
-        cu = self_cost(n).dense()
+        cu = self_cost(n)
     return cl, cu, np.eye(d0) if B is None else B
 
 
