@@ -18,7 +18,8 @@ from .dataset import (TOY_KINDS, generate_balance, generate_multimodal_toy,
 from .harness import (_parse_heat, _parse_kernel, format_report, parse_config,
                       run_benchmark)
 from .knn import KnnIndex, good_neighbors_score, knn_classify
-from .kpca import kpca_embed, kpca_trick_fit, kpca_transform, load_kpca, save_kpca
+from .kpca import (kpca_embed, kpca_fit, kpca_trick_fit, kpca_transform, load_kpca,
+                   save_kpca)
 from .solver import (BASES, LearnerSpec, UNLABEL_MODES, WEIGHTING_MODES, embed,
                      fit, load_model, save_model)
 
@@ -139,7 +140,6 @@ def _cmd_good_neighbors(args) -> int:
     mapping = None
     kernel = _parse_kernel(args.kernel)
     if kernel is not None:
-        from .kpca import kpca_fit
         kmap = kpca_fit(data.X, kernel)
         mapping = lambda X: kpca_transform(kmap, X)
     print(f"{good_neighbors_score(data, mapping):.6f}")

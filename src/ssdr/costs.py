@@ -151,20 +151,19 @@ def _labeled_neighbor_graphs(d2: np.ndarray, lab: np.ndarray, k: int):
 
 
 def _class_costs(labels: np.ndarray, class_counts: np.ndarray,
-                 n_total: int | None = None, ci: np.ndarray | None = None):
+                 ci: np.ndarray | None = None):
     """Class-wide between (c^b) and within (c^w) costs of FDA and MMC: 1/n_k
     - 1/n and 1/n_k for two labeled points of class k, -1/n and 0 for two of
-    different classes, else zero.  n is ``n_total``, by default the labeled
-    count; LFDA passes its graph ``ci`` to weight same-class pairs by c^I."""
+    different classes, else zero.  n is the labeled count; LFDA passes its
+    graph ``ci`` to weight same-class pairs by c^I."""
     labeled = labels != UNLABELED
-    if n_total is None:
-        n_total = int(labeled.sum())
+    n = int(labeled.sum())
     inv_nk = 1.0 / np.where(labeled, class_counts[np.maximum(labels, 1) - 1], 1)
     lab_pair = labeled[:, None] & labeled[None, :]
     np.fill_diagonal(lab_pair, False)
     same = lab_pair & (labels[:, None] == labels[None, :])
-    cb = np.where(lab_pair, -1.0 / n_total, 0.0)
-    np.copyto(cb, (inv_nk - 1.0 / n_total)[:, None], where=same)
+    cb = np.where(lab_pair, -1.0 / n, 0.0)
+    np.copyto(cb, (inv_nk - 1.0 / n)[:, None], where=same)
     cw = np.zeros(same.shape)
     np.copyto(cw, inv_nk[:, None], where=same)
     if ci is not None:
@@ -174,23 +173,20 @@ def _class_costs(labels: np.ndarray, class_counts: np.ndarray,
     return cb, cw
 
 
-def lfda_costs(ci: np.ndarray, labels: np.ndarray, class_counts: np.ndarray,
-               n_total: int | None = None):
+def lfda_costs(ci: np.ndarray, labels: np.ndarray, class_counts: np.ndarray):
     """Between/within cost matrices of local Fisher discriminant analysis:
-    the class-wide FDA costs with each same-class pair weighted by c^I.
-    ``n_total`` is the n in the 1/n terms (default: the labeled count)."""
-    return _class_costs(np.asarray(labels), class_counts, n_total, ci)
+    the class-wide FDA costs with each same-class pair weighted by c^I."""
+    return _class_costs(np.asarray(labels), class_counts, ci)
 
 
-def mmc_costs(labels: np.ndarray, class_counts: np.ndarray,
-              n_total: int | None = None):
+def mmc_costs(labels: np.ndarray, class_counts: np.ndarray):
     """Between (c^b) and within (c^w) scatter costs of the maximum margin
-    criterion: the class-wide FDA costs, ``n_total`` as in lfda_costs; rows
-    and columns of unlabeled examples are zero."""
+    criterion: the class-wide FDA costs; rows and columns of unlabeled
+    examples are zero."""
     labels = np.asarray(labels)
     if not (labels != UNLABELED).any():
         raise ValueError("the MMC/FDA scatter costs need labeled examples")
-    return _class_costs(labels, class_counts, n_total)
+    return _class_costs(labels, class_counts)
 
 
 def heat_kernel_costs(X: np.ndarray, spec: HeatKernelSpec) -> np.ndarray:

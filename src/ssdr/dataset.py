@@ -80,10 +80,8 @@ class Dataset:
     @property
     def class_counts(self) -> np.ndarray:
         """Counts n_1..n_c over the labeled entries."""
-        counts = np.zeros(self.n_classes, dtype=int)
-        for k in range(1, self.n_classes + 1):
-            counts[k - 1] = int((self.labels == k).sum())
-        return counts
+        return np.bincount(self.labels[self.labeled_mask],
+                           minlength=self.n_classes + 1)[1:]
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=int)

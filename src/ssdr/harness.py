@@ -157,14 +157,11 @@ def _mapped(kmap: KpcaMap | None, X: np.ndarray) -> np.ndarray:
 
 def _shared_inputs(train: Dataset, kernel: KernelSpec | None, X_eval=None):
     """The ``_Inputs`` of a training set and its evaluation points ``X_eval``,
-    or the error of the first failed step, which then fails every learner.
-    The dataset of KPCA coordinates is dropped: the fits never read it."""
+    or the error of the first failed step, which then fails every learner."""
     try:
-        kmap, data = (None, train) if kernel is None else _kpca_inputs(train, kernel)
+        kmap, (X, mean, basis) = (None, _prepare(train)) if kernel is None \
+            else _kpca_inputs(train.X, kernel)
         inputs = _mapped(kmap, train.X)
-        # KPCA coordinates have full row rank: kpca_fit keeps singular values
-        # above 1e-5 of the largest, so no rank SVD is needed
-        X, mean, basis = _prepare(data, full_rank=kmap is not None)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return exc
     return _Inputs(X, mean, basis, kmap, inputs,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import _check_threshold, _cross_sq_dists, pairwise_sq_dists
-from .dataset import Dataset
+from .dataset import Dataset, UNLABELED
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,8 @@ def good_nearby_ratio(cu: np.ndarray, labels: np.ndarray, threshold: float) -> f
     """Fraction of same-class pairs among pairs with c^u_ij > threshold."""
     _check_threshold(threshold)
     labels = np.asarray(labels)
+    if (labels == UNLABELED).any():
+        raise ValueError("the ratio needs full ground-truth labels")
     iu, ju = np.triu_indices(cu.shape[0], k=1)
     near = cu[iu, ju] > threshold
     total = int(near.sum())

@@ -16,8 +16,8 @@ import scipy.linalg
 
 from .costs import _cross_sq_dists
 from .dataset import Dataset, _at_least
-from .solver import (EmbeddingModel, LearnerSpec, _fit, _input_columns, _prepare,
-                     _read_header, _read_payload)
+from .solver import (EmbeddingModel, LearnerSpec, _fit, _input_columns, _read_header,
+                     _read_payload, embed)
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,11 @@ class KpcaMap:
         return (np.sqrt(self.eigenvalues)[:, None]) * self.eigenvectors.T
 
 
-def kpca_fit(X: np.ndarray, kernel: KernelSpec, tol: float = 1e-10) -> KpcaMap:
+def kpca_fit(X: np.ndarray, kernel: KernelSpec) -> KpcaMap:
     """Eigendecompose the double-centered Gram matrix.
 
     The feature-space points are centered implicitly; components with
-    eigenvalue <= tol * lambda_max are dropped, so duplicate directions and
+    eigenvalue <= 1e-10 * lambda_max are dropped, so duplicate directions and
     the centering null direction never enter the coordinates.
     """
     n = X.shape[1]
@@ -89,7 +89,7 @@ def kpca_fit(X: np.ndarray, kernel: KernelSpec, tol: float = 1e-10) -> KpcaMap:
     Kc = K - col_means[:, None] - col_means[None, :] + grand
     lam, V = scipy.linalg.eigh(Kc)
     lam, V = lam[::-1], V[:, ::-1]
-    keep = lam > max(tol * lam[0], 0.0)
+    keep = lam > max(1e-10 * lam[0], 0.0)
     if not keep.any():
         raise ValueError("degenerate kernel: no positive eigenvalues above tolerance")
     return KpcaMap(kernel=kernel, train_inputs=X.copy(), col_means=col_means,
@@ -110,20 +110,23 @@ def kpca_trick_fit(dataset: Dataset, kernel: KernelSpec,
     """Kernelize a linear learner: KPCA coordinates, then the plain fit.
 
     Classification of a new point x' uses ||A phi - A phi'|| with
-    phi' = kpca_transform(map, x').  The coordinates have full row rank, so
-    the fit runs no rank SVD on them.
+    phi' = kpca_transform(map, x').
     """
-    kmap, mapped = _kpca_inputs(dataset, kernel)
-    return kmap, _fit(*_prepare(mapped, full_rank=True), mapped.labels,
-                      _linear_spec(spec, kmap))
+    kmap, prepared = _kpca_inputs(dataset.X, kernel)
+    return kmap, _fit(*prepared, dataset.labels, _linear_spec(spec, kmap))
 
 
-def _kpca_inputs(dataset: Dataset, kernel: KernelSpec):
-    """The KPCA map of the training inputs and the dataset of their coordinates."""
-    kmap = kpca_fit(dataset.X, kernel)
-    mapped = Dataset(X=kmap.train_coords(), labels=dataset.labels,
-                     n_classes=dataset.n_classes, label_names=dataset.label_names)
-    return kmap, mapped
+def _kpca_inputs(X: np.ndarray, kernel: KernelSpec):
+    """The KPCA map of the training inputs X and ``solver._prepare``'s
+    (inputs, mean, basis) for its coordinates: centered as ``center`` does,
+    basis None.  kpca_fit keeps only eigenvalues above 1e-10 of the largest,
+    so the coordinates' singular values exceed 1e-5 of the largest: they
+    have full row rank and need no rank SVD."""
+    kmap = kpca_fit(X, kernel)
+    coords = kmap.train_coords()
+    mean = coords.mean(axis=1)
+    coords -= mean[:, None]
+    return kmap, (coords, mean, None)
 
 
 def _linear_spec(spec: LearnerSpec, kmap: KpcaMap) -> LearnerSpec:
@@ -133,7 +136,6 @@ def _linear_spec(spec: LearnerSpec, kmap: KpcaMap) -> LearnerSpec:
 
 def kpca_embed(kmap: KpcaMap, model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
     """Embed raw inputs through the kernel map and the linear model."""
-    from .solver import embed
     return embed(model, kpca_transform(kmap, x))
 
 

@@ -152,24 +152,29 @@ def axis_weighting(A: np.ndarray, lam: np.ndarray, mode: str) -> np.ndarray:
     return t[:, None] * A
 
 
-def pca_preprocess(X: np.ndarray, rank_tol: float = 1e-10):
+_RANK_TOL = 1e-10   # singular values at most this times the largest count as zero
+
+
+def _above_tol(s: np.ndarray) -> np.ndarray:
+    return s > _RANK_TOL * s.max(initial=0.0)
+
+
+def pca_preprocess(X: np.ndarray):
     """Project the (centered) columns of X onto their principal subspace.
 
-    Components with singular value <= rank_tol * sigma_max are dropped, so
+    Components with singular value <= _RANK_TOL * sigma_max are dropped, so
     the output has full row rank; pairwise distances are preserved exactly
     when only numerically null components are removed.
     """
     if X.shape[1] < 2:
         raise ValueError("need at least two examples")
     U, s, _ = np.linalg.svd(X, full_matrices=False)
-    keep = s > rank_tol * (s[0] if s.size else 0.0)
-    basis = U[:, keep]
+    basis = U[:, _above_tol(s)]
     return basis.T @ X, basis
 
 
-def numerical_rank(X: np.ndarray, rank_tol: float = 1e-10) -> int:
-    s = np.linalg.svd(X, compute_uv=False)
-    return int((s > rank_tol * (s[0] if s.size else 0.0)).sum())
+def numerical_rank(X: np.ndarray) -> int:
+    return int(_above_tol(np.linalg.svd(X, compute_uv=False)).sum())
 
 
 def resolve_k(class_counts: np.ndarray) -> int:
@@ -180,15 +185,13 @@ def resolve_k(class_counts: np.ndarray) -> int:
     return int(min(3, counts.min()))
 
 
-def _prepare(dataset: Dataset, full_rank: bool = False):
+def _prepare(dataset: Dataset):
     """Centered inputs, projected onto their principal subspace when rank
-    deficient: (X, train mean, PCA basis or None).  ``full_rank`` skips the
-    rank SVD for inputs known to have full row rank once centered."""
+    deficient: (X, train mean, PCA basis or None), from one SVD."""
     ds, mean = center(dataset)
-    X = ds.X
-    basis = None
-    if not full_rank and numerical_rank(X) < X.shape[0]:
-        X, basis = pca_preprocess(X)
+    X, basis = pca_preprocess(ds.X)
+    if basis.shape[1] == ds.X.shape[0]:
+        return ds.X, mean, None
     return X, mean, basis
 
 
@@ -291,8 +294,9 @@ def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis) -> EmbeddingModel:
     gamma = spec.gamma if L_u is not None else 0.0
     L = L_l if L_u is None else L_l + gamma * L_u
     eps = spec.epsilon if spec.epsilon is not None else gamma
-    is_identity = B.shape[0] == B.shape[1] and np.array_equal(B, np.eye(B.shape[0]))
-    if eps == 0.0 and not is_identity and numerical_rank(B) < B.shape[0]:
+    # B is symmetric, so |eigenvalues| are its singular values
+    if eps == 0.0 and not np.array_equal(B, np.eye(B.shape[0])) and \
+            _above_tol(np.abs(scipy.linalg.eigvalsh(B))).sum() < B.shape[0]:
         eps = 1e-8 * max(np.trace(B), 1.0) / B.shape[0]
         warnings.warn("constraint matrix is singular with epsilon = 0; "
                       f"falling back to epsilon = {eps:g}")

@@ -181,7 +181,7 @@ def test_criterion_5_lfda_constraint_identity():
         counts = data.class_counts
         Xc = X - X.mean(axis=1, keepdims=True)
         ci, _ = neighbor_graphs(Xc, labels, k=3)
-        _, cwit = lfda_costs(ci, labels, counts, n_total=n)
+        _, cwit = lfda_costs(ci, labels, counts)
         s = unordered_sum(cwit, Z)
         worst = max(worst, abs(s - d))
     ok = worst <= 1e-6

@@ -180,13 +180,7 @@ class TestLfdaCosts:
         for m in (cbet, cwit):
             assert (m[2] == 0).all() and (m[:, 5] == 0).all()
 
-    def test_n_total_override(self):
-        cbet, _ = lfda_costs(self.ci, self.labels, self.counts, n_total=12)
-        diff = self.labels[:, None] != self.labels[None, :]
-        assert (cbet[diff] == -1.0 / 12).all()
-
-    @pytest.mark.parametrize("n_total", [None, 40])
-    def test_every_same_class_pair_a_neighbor_gives_mmc_costs(self, n_total):
+    def test_every_same_class_pair_a_neighbor_gives_mmc_costs(self):
         # FDA: LFDA whose graph joins every labeled same-class pair has
         # exactly the class-wide costs of MMC, entry for entry
         rng = np.random.default_rng(11)
@@ -196,8 +190,7 @@ class TestLfdaCosts:
         lab = labels != UNLABELED
         ci = (lab[:, None] & (labels[:, None] == labels[None, :])).astype(float)
         np.fill_diagonal(ci, 0.0)
-        for got, want in zip(lfda_costs(ci, labels, counts, n_total),
-                             mmc_costs(labels, counts, n_total)):
+        for got, want in zip(lfda_costs(ci, labels, counts), mmc_costs(labels, counts)):
             assert np.array_equal(got, want)
 
 

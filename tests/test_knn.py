@@ -157,6 +157,12 @@ class TestGoodNearbyRatio:
         with pytest.raises(ValueError, match="threshold must be non-negative and finite"):
             good_nearby_ratio(cu, np.array([1, 2, 1]), threshold)
 
+    def test_unlabeled_examples_rejected(self):
+        # the only near pair joins the two unlabeled points: no class to compare
+        cu = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.1], [0.1, 0.1, 0.0]])
+        with pytest.raises(ValueError, match="full ground-truth labels"):
+            good_nearby_ratio(cu, np.array([UNLABELED, UNLABELED, 1]), 0.5)
+
     def test_pair_enumeration_oracle(self):
         rng = np.random.default_rng(3)
         X = np.hstack([rng.standard_normal((2, 10)),

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import ssdr.solver
 from ssdr import (Dataset, KernelSpec, KnnIndex, LearnerSpec, SplitSpec, UNLABELED,
                   center, embed, fit, generate_balance, gram, kernel_values,
                   knn_classify, kpca_embed, kpca_fit, kpca_transform,
                   kpca_trick_fit, load_kpca, numerical_rank, pairwise_sq_dists,
                   save_kpca, split)
+from ssdr.kpca import _kpca_inputs
 
 KERNELS = (KernelSpec("linear"), KernelSpec("polynomial", degree=2),
            KernelSpec("gaussian", sigma=1.3))
@@ -115,6 +115,17 @@ class TestKpcaFit:
                              labels=np.full(X.shape[1], UNLABELED))
             assert numerical_rank(center(coords)[0].X) == kmap.out_dim
 
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_inputs_are_the_centered_coordinates(self, kernel):
+        X = np.random.default_rng(7).standard_normal((3, 20))
+        kmap, (Xp, mean, basis) = _kpca_inputs(X, kernel)
+        coords = Dataset(X=kmap.train_coords(), n_classes=1,
+                         labels=np.full(X.shape[1], UNLABELED))
+        want, want_mean = center(coords)
+        np.testing.assert_array_equal(Xp, want.X)
+        np.testing.assert_array_equal(mean, want_mean)
+        assert basis is None
+
     def test_out_dim_bounded_by_n_minus_one(self):
         X = np.random.default_rng(5).standard_normal((6, 3))
         for kernel in KERNELS:
@@ -214,12 +225,12 @@ class TestKpcaTrick:
         rng = np.random.default_rng(21)
         labels = np.where(np.arange(60) < 30, 1 + np.arange(60) % 2, UNLABELED)
         data = Dataset(X=rng.standard_normal((3, 60)), labels=labels, n_classes=2)
-        ranked = []
-        original = ssdr.solver.numerical_rank
-        monkeypatch.setattr(ssdr.solver, "numerical_rank",
-                            lambda X, *a: ranked.append(X.shape) or original(X, *a))
+        svd = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda X, *a, **kw: svd.append(X.shape) or original(X, *a, **kw))
         kmap, model = kpca_trick_fit(data, kernel, spec)
-        assert ranked == []
+        assert svd == []
         monkeypatch.undo()
         mapped = Dataset(X=kmap.train_coords(), labels=labels, n_classes=2)
         want = fit(mapped, replace(spec, dim=min(spec.dim, kmap.out_dim)))

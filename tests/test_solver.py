@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,10 +11,11 @@ import ssdr.solver
 from ssdr import (BASES, Dataset, EmbeddingModel, LearnerSpec, UNLABELED,
                   UNLABEL_MODES, axis_weighting, build_scatters, cross_validate,
                   embed, fit, generate_multimodal_toy, hadamard_power, heat_kernel_costs,
-                  laplacian_scatter, lfda_costs, load_model, mmc_costs,
+                  center, laplacian_scatter, lfda_costs, load_model, mmc_costs,
                   neighbor_graphs, numerical_rank, pairwise_sq_dists,
                   pca_preprocess, regularize, resolve_k, save_model,
                   self_cost, solve_gev)
+from ssdr.solver import _prepare, _solve
 
 
 def random_pd(rng, d):
@@ -275,6 +277,71 @@ class TestPcaPreprocess:
         Xr, _ = pca_preprocess(X)
         np.testing.assert_allclose(pairwise_sq_dists(Xr), pairwise_sq_dists(X),
                                    rtol=1e-8, atol=1e-8)
+
+
+def old_prepare(dataset):
+    """The former rule: a rank SVD, then PCA iff the rank is below d0."""
+    ds, mean = center(dataset)
+    if numerical_rank(ds.X) < ds.X.shape[0]:
+        return (*pca_preprocess(ds.X), mean)
+    return ds.X, None, mean
+
+
+class TestPrepare:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(31)
+        base = rng.standard_normal((3, 25))
+        return {"full rank": base,
+                "rank deficient": np.vstack([base, base[0] - 2 * base[2]]),
+                "d0 > n": rng.standard_normal((30, 12)),
+                "constant feature": np.vstack([base, np.full(25, 4.0)])}
+
+    @pytest.mark.parametrize("name", ["full rank", "rank deficient", "d0 > n",
+                                      "constant feature"])
+    def test_same_arrays_as_the_rank_checked_rule(self, name):
+        X = self.inputs()[name]
+        data = Dataset(X=X, labels=np.full(X.shape[1], UNLABELED), n_classes=1)
+        Xp, mean, basis = _prepare(data)
+        want_X, want_basis, want_mean = old_prepare(data)
+        np.testing.assert_array_equal(Xp, want_X)
+        np.testing.assert_array_equal(mean, want_mean)
+        assert (basis is None) == (want_basis is None) == (name == "full rank")
+        if basis is not None:
+            np.testing.assert_array_equal(basis, want_basis)
+
+    def test_one_svd_on_rank_deficient_inputs(self, monkeypatch):
+        X = self.inputs()["rank deficient"]
+        data = Dataset(X=X, labels=np.full(X.shape[1], UNLABELED), n_classes=1)
+        calls = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        _, _, basis = _prepare(data)
+        assert basis.shape == (4, 3) and len(calls) == 1
+
+
+class TestEpsilonFallback:
+    @pytest.mark.parametrize("floor", [0.0, 1e-13, 1e-6, 1.0],
+                             ids=["rank deficient", "below tolerance",
+                                  "near singular", "full rank"])
+    def test_fires_exactly_when_the_rank_is_short(self, floor):
+        # B = V diag(s) V^T, PSD, with its smallest eigenvalues at floor
+        rng = np.random.default_rng(41)
+        d0 = 6
+        V, _ = np.linalg.qr(rng.standard_normal((d0, d0)))
+        s = np.array([3.0, 2.0, 1.5, 1.0, floor, floor])
+        B = (V * s) @ V.T
+        B = 0.5 * (B + B.T)
+        L = random_symmetric(rng, d0)
+        spec = LearnerSpec(base="lfda", unlabel="none", gamma=0.0, epsilon=0.0, dim=2)
+        singular = numerical_rank(B) < d0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = _solve(L, None, B, spec, np.zeros(d0), None)
+        assert (len(caught) == 1) == singular == (floor < 1e-10)
+        want = 1e-8 * max(np.trace(B), 1.0) / d0 if singular else 0.0
+        assert model.epsilon == want
 
 
 class TestResolveK:
