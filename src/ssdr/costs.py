@@ -8,12 +8,14 @@ share one class-wide between/within cost rule; LFDA weights that rule's
 same-class entries by the neighbor graph C^I.
 ``solver.build_scatters`` turns these costs into the scatters a learner
 solves with.  A label cost is zero outside the labeled block, so the solver
-builds the costs of fda, lfda, dne and mfa on the labeled examples alone
-(m x m); only mmc's label costs and the unlabel costs are n x n.  Their
-neighbor graphs are boolean m x m arrays, ranked from the labeled block of
-the squared distances (``_labeled_sq_dists``), which a cross-validation
-sweep builds once and cuts per fold; the public ``neighbor_graphs`` places
-them in boolean n x n arrays.
+builds every label cost on the labeled examples alone (m x m); only the
+unlabel costs are n x n, and mmc places its block in an n x n matrix to
+scatter it.  The neighbor graphs are boolean m x m arrays, ranked from the
+labeled block of the squared distances: ``_labeled_sq_dists`` gathers it
+from the n x n gram and turns only the block into distances, a
+cross-validation sweep builds it once and cuts it per fold, and a fit with
+heat costs cuts it from the distances that its heat kernel then consumes.
+The public ``neighbor_graphs`` places the graphs in boolean n x n arrays.
 
 Dense n x n costs are built in place, in blocks of ``_ROW_BLOCK`` rows: each
 matrix is one n x n buffer, and the temporaries stay O(block * n).  The
@@ -61,16 +63,21 @@ class HeatKernelSpec:
 def pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the columns of X."""
     X = np.asarray(X, dtype=float)
-    sq = (X * X).sum(axis=0)
-    # one symmetric product (row-block products would round differently),
-    # then (sq_i + sq_j) - 2 g_ij written over it
-    d2 = X.T @ X
-    for r in _row_blocks(d2.shape[0]):
-        np.multiply(d2[r], 2.0, out=d2[r])
-        np.subtract(sq[r, None] + sq[None, :], d2[r], out=d2[r])
-        np.maximum(d2[r], 0.0, out=d2[r])
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    sq = (X * X).sum(axis=0)   # before the gram: X * X is d0 x n
+    # one symmetric product (row-block products would round differently)
+    return _dists_from_gram(X.T @ X, sq)
+
+
+def _dists_from_gram(g: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """(sq_i + sq_j) - 2 g_ij, clamped at zero with a zero diagonal, written
+    over ``g``: a square block of the gram X^T X whose diagonal is the
+    gram's, and ``sq`` the squared norms of its columns."""
+    for r in _row_blocks(g.shape[0]):
+        np.multiply(g[r], 2.0, out=g[r])
+        np.subtract(sq[r, None] + sq[None, :], g[r], out=g[r])
+        np.maximum(g[r], 0.0, out=g[r])
+    np.fill_diagonal(g, 0.0)
+    return g
 
 
 def _cross_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -107,22 +114,15 @@ def _labeled_sq_dists(X: np.ndarray, labeled: np.ndarray) -> np.ndarray:
 
     On integer-grid data many distances tie exactly, so their last bits
     break the ranking's ties; distances of the labeled columns alone round
-    differently and would change some graphs.  The block is compacted into
-    the head of the n x n buffer, which then shrinks to it; when every
-    column is labeled it is that buffer.
+    differently and would change some graphs.  So the block is gathered from
+    the product of all columns, and only the block is turned into distances.
     """
-    d2 = pairwise_sq_dists(X)
-    m = labeled.size
-    if m == d2.shape[0]:
-        return d2
-    head = d2.reshape(-1)[:m * m].reshape(m, m)
-    for r in _row_blocks(m):
-        # block row i lands before its source row labeled[i] >= i, and the
-        # rows still to come start past it
-        head[r] = d2[np.ix_(labeled[r], labeled)]
-    del head
-    d2.resize((m, m), refcheck=False)
-    return d2
+    X = np.asarray(X, dtype=float)
+    sq = (X * X).sum(axis=0)
+    g = X.T @ X
+    if labeled.size < g.shape[0]:
+        g, sq = g[np.ix_(labeled, labeled)], sq[labeled]
+    return _dists_from_gram(g, sq)
 
 
 def _labeled_neighbor_graphs(d2: np.ndarray, lab: np.ndarray, k: int):
@@ -197,11 +197,15 @@ def heat_kernel_costs(X: np.ndarray, spec: HeatKernelSpec) -> np.ndarray:
     the scale is sigma_i * sigma_j, sigma_i the distance to the k-th
     nearest neighbor of x_i (clamped away from zero for duplicates).
     """
-    n = X.shape[1]
+    return _heat_costs(pairwise_sq_dists(X), spec)
+
+
+def _heat_costs(cu: np.ndarray, spec: HeatKernelSpec) -> np.ndarray:
+    """:func:`heat_kernel_costs` of the points whose ``pairwise_sq_dists``
+    is ``cu``, written over it one row block at a time."""
+    n = cu.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    # the distances are overwritten, one row block at a time, by the costs
-    cu = pairwise_sq_dists(X)
     blocks = _row_blocks(n)
     sigma = None
     if spec.scaling == "local":

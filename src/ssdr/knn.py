@@ -18,6 +18,9 @@ class KnnIndex:
     def __post_init__(self):
         if self.points.ndim != 2 or self.points.shape[1] == 0:
             raise ValueError("index needs a non-empty (d, m) point matrix")
+        if np.shape(self.labels) != (self.points.shape[1],):
+            raise ValueError(f"{np.size(self.labels)} labels for {self.points.shape[1]} "
+                             "points; expected one label per point")
         if not 1 <= self.k <= self.points.shape[1]:
             raise ValueError("k must satisfy 1 <= k <= m")
 

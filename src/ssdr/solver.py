@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .costs import HeatKernelSpec, _class_costs, _labeled_neighbor_graphs, \
-    _labeled_sq_dists, hadamard_power, heat_kernel_costs, lfda_costs, mmc_costs, self_cost
+from .costs import HeatKernelSpec, _class_costs, _heat_costs, _labeled_neighbor_graphs, \
+    _labeled_sq_dists, hadamard_power, heat_kernel_costs, lfda_costs, mmc_costs, \
+    pairwise_sq_dists, self_cost
 from .dataset import Dataset, UNLABELED, _at_least, center
 
 BASES = ("dne", "mfa", "lfda", "fda", "mmc", "none")
@@ -208,10 +209,12 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec,
     A label cost is zero on every pair with an unlabeled end, so
     X (D - C) X^T = X_l (D_l - C_l) X_l^T over the m labeled columns X_l and
     the m x m labeled block C_l: fda, lfda, dne and mfa build only that
-    block.  The neighbor ranking of dne, mfa and lfda reads
+    block; mmc builds its costs on that block too, but scatters them from an
+    n x n matrix.  The neighbor ranking of dne, mfa and lfda reads
     ``sq_dists(X, labeled)``, the labeled block of ``pairwise_sq_dists(X)``
-    (a sweep passes one that cuts it from a block it keeps), and frees it
-    before the costs are built.  B is None only for base "none", whose
+    (``build_scatters`` passes one that cuts it from the distances of its
+    heat kernel, a sweep one that cuts it from a block it keeps), and frees
+    it before the costs are built.  B is None only for base "none", whose
     constraint the unlabel term sets.
     """
     d0 = X.shape[0]
@@ -220,18 +223,23 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec,
     labeled = np.flatnonzero(labels != UNLABELED)
     if not labeled.size:
         raise ValueError(f"base {spec.base!r} needs labeled examples")
-    class_counts = np.bincount(labels[labeled])[1:]
+    lab = labels[labeled]
+    class_counts = np.bincount(lab)[1:]
     if spec.base == "mmc":
-        # C^l = gamma' C^w - C^b, built in c^w's buffer.  Still n x n: with
-        # this sign of C^b the bottom eigenvalues are near zero, rounding
-        # decides the projection, and a labeled-block scatter changes it;
-        # mmc moves to the labeled block when the sign of C^b is fixed
-        cb, cw = mmc_costs(labels, class_counts)
+        # C^l = gamma' C^w - C^b on the labeled block, in c^w's buffer.  With
+        # this sign of C^b the bottom eigenvalues are near zero and rounding
+        # decides the projection, so the block is scattered from n x n costs
+        # that are zero elsewhere; X_l serves once the sign is fixed
+        cb, cw = mmc_costs(lab, class_counts)
         cw *= spec.gamma_prime
         cw -= cb
         del cb
-        return laplacian_scatter(X, cw), np.eye(d0)
-    X_l, lab = X[:, labeled], labels[labeled]
+        C = cw
+        if labeled.size < X.shape[1]:
+            C = np.zeros((X.shape[1],) * 2)
+            C[np.ix_(labeled, labeled)] = cw
+        return laplacian_scatter(X, C), np.eye(d0)
+    X_l = X[:, labeled]
     if spec.base == "fda":
         # LFDA with every labeled same-class pair a neighbor
         cb, cw = _class_costs(lab, class_counts)
@@ -279,11 +287,23 @@ def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     (unlabel "none" or gamma = 0).  B is the base's constraint; only base
     "none" takes it from the unlabel term (X D^u X^T for heat costs).
     """
-    # the label costs are freed before the unlabel costs are built
-    L_l, B = _label_scatters(X, labels, spec)
+    has_u = spec.unlabel != "none" and spec.gamma > 0
+    if has_u and spec.unlabel == "heat" and spec.base in ("dne", "mfa", "lfda"):
+        # one n x n distance matrix: the ranking cuts its labeled block, and
+        # the heat kernel then turns the matrix into its costs in place
+        d2 = pairwise_sq_dists(X)
+
+        def block(_, idx):
+            return d2 if idx.size == d2.shape[0] else d2[np.ix_(idx, idx)]
+        L_l, B = _label_scatters(X, labels, spec, block)
+        cu = _heat_costs(d2, spec.heat)
+    else:
+        # the label costs are freed before the unlabel costs are built
+        L_l, B = _label_scatters(X, labels, spec)
+        cu = _unlabel_costs(X, spec) if has_u else None
     L_u = None
-    if spec.unlabel != "none" and spec.gamma > 0:
-        L_u, B_u = _unlabel_scatters(X, _unlabel_costs(X, spec), spec)
+    if has_u:
+        L_u, B_u = _unlabel_scatters(X, cu, spec)
         B = B_u if B is None else B
     return L_l, L_u, B
 

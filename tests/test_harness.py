@@ -265,11 +265,12 @@ class TestSweepBuildCounts:
 
     @pytest.mark.parametrize("kernel", [None, KernelSpec("gaussian", sigma=2.0)])
     def test_distances_built_once_per_sweep(self, monkeypatch, kernel):
-        # one n x n distance matrix for the heat kernel and one for the
-        # labeled block that every fold's ranking cuts its own from
+        # one n x n gram for the heat kernel's distances and one for the
+        # labeled block that every fold's ranking cuts its own from; every
+        # gram is turned into distances by _dists_from_gram, once
         data = generate_multimodal_toy("three-cluster", 30, 0.5, 0)
         lab, _, _ = split(data, SplitSpec(labeled=20, seed=1, per_class_labels=True), 0)
-        dists = self.count(monkeypatch, ssdr.costs, "pairwise_sq_dists")
+        dists = self.count(monkeypatch, ssdr.costs, "_dists_from_gram")
         spec, tunes = learner_preset("ss-lfda", dim=1)
         cross_validate(data.with_labels_hidden(lab), spec, tunes, (0.1, 1.0, 10.0),
                        (1, 2, 4, 8), folds=5, kernel=kernel)
@@ -277,7 +278,7 @@ class TestSweepBuildCounts:
 
     def test_distances_built_once_per_realization(self, monkeypatch):
         # the final fit and a second ranking learner reuse the sweep's block
-        dists = self.count(monkeypatch, ssdr.costs, "pairwise_sq_dists")
+        dists = self.count(monkeypatch, ssdr.costs, "_dists_from_gram")
         cfg = toy_config(dataset="three-cluster", folds=5, learners=("ss-lfda", "dne"),
                          split=SplitSpec(labeled=20, seed=1, realizations=1,
                                          per_class_labels=True),

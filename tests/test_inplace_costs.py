@@ -215,10 +215,12 @@ def test_label_scatters_scatter_the_labeled_block(name, base):
         np.testing.assert_array_equal(g, want)
 
 
-@pytest.mark.parametrize("base,bound", [("lfda", 1.25), ("dne", 1.25), ("fda", 0.05)])
+@pytest.mark.parametrize("base,bound", [("lfda", 1.25), ("dne", 1.25), ("fda", 0.05),
+                                        ("mmc", 1.1)])
 def test_label_scatters_peak_memory(base, bound):
-    # lfda and dne rank on the n x n distances; past the ranking, every
-    # label cost is an m x m block
+    # lfda and dne gather the ranking block from the n x n gram; past the
+    # ranking, every label cost is an m x m block, and mmc scatters its
+    # block from one n x n matrix
     n = 1500
     rng = np.random.default_rng(6)
     X = rng.standard_normal((3, n))
@@ -253,12 +255,30 @@ def test_fully_labeled_label_scatters_peak_memory(base, bound):
 
 @pytest.mark.parametrize("m", [0, 1, 7, _ROW_BLOCK + 3, 2 * _ROW_BLOCK + 40, 200])
 def test_labeled_sq_dists_bitwise(m):
-    # compacted in place across row blocks; all-labeled returns the n x n matrix
+    # gathered from the gram across row blocks; all-labeled is the n x n matrix
     rng = np.random.default_rng(m)
     X = rng.integers(0, 4, (3, 200)).astype(float)
     idx = np.sort(rng.choice(200, m, replace=False))
     np.testing.assert_array_equal(_labeled_sq_dists(X, idx),
                                   pairwise_sq_dists(X)[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("labeled", [None, 60], ids=["pairwise", "labeled block"])
+def test_sq_dists_peak_memory_with_as_many_features_as_points(labeled):
+    # KPCA coordinates have d0 close to n, so X * X is as large as the gram:
+    # the squared norms are taken before the gram is built
+    n = 600
+    X = np.random.default_rng(8).standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        if labeled is None:
+            pairwise_sq_dists(X)
+        else:
+            _labeled_sq_dists(X, np.arange(0, n, n // labeled))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 5])

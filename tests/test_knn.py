@@ -102,6 +102,13 @@ class TestKnnClassify:
         with pytest.raises(ValueError):
             KnnIndex(points=np.zeros((2, 3)), labels=np.array([1, 1, 2]), k=4)
 
+    @pytest.mark.parametrize("labels", [[1, 2], [1, 2, 1, 2], [[1, 2, 1]]],
+                             ids=["fewer", "more", "2-d"])
+    def test_label_count_must_match_points(self, labels):
+        # 2 or 4 labels for 3 points classified without error
+        with pytest.raises(ValueError, match=rf"{np.size(labels)} labels for 3 points"):
+            KnnIndex(points=np.zeros((2, 3)), labels=np.array(labels), k=1)
+
 
 class TestGoodNeighborsScore:
     def test_two_same_class_points(self):

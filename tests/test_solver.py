@@ -421,6 +421,30 @@ class TestBuildScatters:
         np.testing.assert_array_equal(L_l, laplacian_scatter(self.X[:, lab],
                                                              cl[np.ix_(lab, lab)]))
 
+    @pytest.mark.parametrize("base", ["lfda", "dne", "mfa"])
+    @pytest.mark.parametrize("points", ["random", "integer grid", "all labeled"])
+    def test_ranking_and_heat_share_one_distance_matrix(self, monkeypatch, base, points):
+        # the ranking cuts its labeled block from the distances that the heat
+        # kernel then consumes: one gram, and the scatters of the two built apart
+        rng = np.random.default_rng(25)
+        n = 150
+        X = rng.integers(0, 4, (3, n)).astype(float) if points == "integer grid" \
+            else rng.standard_normal((3, n))
+        labels = 1 + np.arange(n) % 3
+        if points != "all labeled":
+            labels[rng.choice(n, 90, replace=False)] = UNLABELED
+        spec = LearnerSpec(base=base, unlabel="heat", gamma=0.7, alpha=2, k=3)
+        L_l, B = ssdr.solver._label_scatters(X, labels, spec)
+        L_u, _ = ssdr.solver._unlabel_scatters(X, ssdr.solver._unlabel_costs(X, spec), spec)
+        grams = []
+        original = ssdr.costs._dists_from_gram
+        monkeypatch.setattr(ssdr.costs, "_dists_from_gram",
+                            lambda *a: grams.append(1) or original(*a))
+        got = build_scatters(X, labels, spec)
+        assert len(grams) == 1
+        for g, want in zip(got, (L_l, L_u, B)):
+            np.testing.assert_array_equal(g, want)
+
     @pytest.mark.parametrize("base", ["dne", "mmc"])
     def test_heat_keeps_identity_constraint(self, base):
         # dne and mmc constrain A A^T, whatever the unlabel term
@@ -554,7 +578,8 @@ class TestClassWideBases:
     def test_fit_builds_distances_and_graphs_only_for_lfda(self, monkeypatch,
                                                             base, unlabel):
         calls = []
-        for module, name in ((ssdr.costs, "pairwise_sq_dists"),
+        # every n x n gram is turned into distances by _dists_from_gram
+        for module, name in ((ssdr.costs, "_dists_from_gram"),
                              (ssdr.solver, "_labeled_neighbor_graphs")):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
@@ -564,7 +589,7 @@ class TestClassWideBases:
                            gamma=0.5 if unlabel == "self_pca" else 0.0))
         if base == "lfda":
             # the ranking takes the labeled block of the distances as its argument
-            assert calls == ["pairwise_sq_dists", "_labeled_neighbor_graphs"]
+            assert calls == ["_dists_from_gram", "_labeled_neighbor_graphs"]
         else:
             assert calls == []
 
