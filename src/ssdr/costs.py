@@ -9,7 +9,7 @@ same-class entries by the neighbor graph C^I.
 ``solver.build_scatters`` turns these costs into the scatters a learner
 solves with.  A label cost is zero outside the labeled block, so the solver
 builds every label cost on the labeled examples alone (m x m); only the
-unlabel costs are n x n, and mmc places its block in an n x n matrix to
+unlabel heat costs are n x n, and mmc places its block in an n x n matrix to
 scatter it.  The neighbor graphs are boolean m x m arrays, ranked from the
 labeled block of the squared distances: ``_labeled_sq_dists`` gathers it
 from the n x n gram and turns only the block into distances, a
@@ -18,8 +18,11 @@ heat costs cuts it from the distances that its heat kernel then consumes.
 The public ``neighbor_graphs`` places the graphs in boolean n x n arrays.
 
 Dense n x n costs are built in place, in blocks of ``_ROW_BLOCK`` rows: each
-matrix is one n x n buffer, and the temporaries stay O(block * n).  The
-Hadamard power squares one copy of the costs in place, bit by bit of alpha.
+matrix is one n x n buffer, and the temporaries stay O(block * n).  The heat
+kernel computes the upper block triangle of its exactly symmetric distances
+and mirrors it, so no averaging pass is needed.  The Hadamard power squares
+one copy of the costs in place, bit by bit of alpha.  ``self_cost`` is for
+callers and tests: the solver scatters the self_pca term in closed form.
 """
 from __future__ import annotations
 
@@ -61,11 +64,20 @@ class HeatKernelSpec:
 
 
 def pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the columns of X."""
+    """Squared Euclidean distances between the columns of X, exactly
+    symmetric: the gram is one symmetric product, and sq_i + sq_j commutes."""
+    return _dists_from_gram(*_gram(X))
+
+
+def _gram(X: np.ndarray):
+    """X^T X and the squared norms of the columns of X."""
     X = np.asarray(X, dtype=float)
+    if not (X.flags.c_contiguous or X.flags.f_contiguous):
+        # a product of strided views may round g_ij and g_ji apart
+        X = np.ascontiguousarray(X)
     sq = (X * X).sum(axis=0)   # before the gram: X * X is d0 x n
     # one symmetric product (row-block products would round differently)
-    return _dists_from_gram(X.T @ X, sq)
+    return X.T @ X, sq
 
 
 def _dists_from_gram(g: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -117,9 +129,7 @@ def _labeled_sq_dists(X: np.ndarray, labeled: np.ndarray) -> np.ndarray:
     differently and would change some graphs.  So the block is gathered from
     the product of all columns, and only the block is turned into distances.
     """
-    X = np.asarray(X, dtype=float)
-    sq = (X * X).sum(axis=0)
-    g = X.T @ X
+    g, sq = _gram(X)
     if labeled.size < g.shape[0]:
         g, sq = g[np.ix_(labeled, labeled)], sq[labeled]
     return _dists_from_gram(g, sq)
@@ -202,7 +212,14 @@ def heat_kernel_costs(X: np.ndarray, spec: HeatKernelSpec) -> np.ndarray:
 
 def _heat_costs(cu: np.ndarray, spec: HeatKernelSpec) -> np.ndarray:
     """:func:`heat_kernel_costs` of the points whose ``pairwise_sq_dists``
-    is ``cu``, written over it one row block at a time."""
+    is ``cu``, written over it one row block at a time.
+
+    ``cu`` must be exactly symmetric, as ``pairwise_sq_dists`` returns it.
+    The scale sigma_i sigma_j commutes too, so c_ij and c_ji are the same
+    float: each row block computes only its columns from its first row on
+    and mirrors the part right of its diagonal block below it.  Averaging
+    0.5 (c_ij + c_ji) would return the same bits, so no pass does.
+    """
     n = cu.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
@@ -210,18 +227,27 @@ def _heat_costs(cu: np.ndarray, spec: HeatKernelSpec) -> np.ndarray:
     sigma = None
     if spec.scaling == "local":
         k = min(spec.k, n - 1)
-        # distance to the k-th nearest other point; sqrt is monotone
-        sigma = np.empty(n)
-        for r in blocks:
-            sigma[r] = np.partition(cu[r], k, axis=1)[:, k]
+        # distance to the k-th nearest other point (sqrt is monotone), and
+        # each block's largest distance for the floor
+        sigma, top = np.empty(n), np.empty(len(blocks))
+        for i, r in enumerate(blocks):
+            part = np.partition(cu[r], k, axis=1)
+            sigma[r], top[i] = part[:, k], part[:, k:].max()
         np.sqrt(sigma, out=sigma)
         floor = spec.distance_floor
         if floor is None:
-            floor = 1e-12 * max(np.sqrt(cu.max()), 1.0)
+            floor = 1e-12 * max(np.sqrt(top.max()), 1.0)
         sigma = np.maximum(sigma, floor)
     for r in blocks:
-        scale = spec.sigma**2 if sigma is None else sigma[r, None] * sigma[None, :]
-        flat = np.divide(np.negative(cu[r], out=cu[r]), scale, out=cu[r]).reshape(-1)
+        lo = r.start
+        # d / -s is -d / s bit for bit
+        if sigma is None:
+            blk = cu[r, lo:] / -spec.sigma**2
+        else:
+            blk = np.multiply.outer(-sigma[r], sigma[lo:])
+            np.divide(cu[r, lo:], blk, out=blk)
+        w = len(blk)
+        flat = blk.reshape(-1)
         # exp is exactly +0.0 below -745.13; skipping those entries keeps
         # exp off its slow underflow path
         kept = np.flatnonzero(~(flat < _EXP_ZERO))
@@ -229,14 +255,9 @@ def _heat_costs(cu: np.ndarray, spec: HeatKernelSpec) -> np.ndarray:
         np.exp(e, out=e)
         flat.fill(0.0)
         flat[kept] = e
+        cu[r, lo:] = blk
+        cu[lo + w:, r] = blk[:, w:].T
     np.fill_diagonal(cu, 0.0)
-    for i, a in enumerate(blocks):
-        for b in blocks[i:]:
-            # 0.5 (c_ij + c_ji), written to both blocks
-            s = cu[a, b] + cu[b, a].T
-            s *= 0.5
-            cu[a, b] = s
-            cu[b, a] = s.T
     return cu
 
 

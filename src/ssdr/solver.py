@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .costs import HeatKernelSpec, _class_costs, _heat_costs, _labeled_neighbor_graphs, \
     _labeled_sq_dists, hadamard_power, heat_kernel_costs, lfda_costs, mmc_costs, \
-    pairwise_sq_dists, self_cost
+    pairwise_sq_dists
 from .dataset import Dataset, UNLABELED, _at_least, center
 
 BASES = ("dne", "mfa", "lfda", "fda", "mmc", "none")
@@ -256,23 +256,28 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec,
     return laplacian_scatter(X_l, cbet), laplacian_scatter(X_l, cwit)
 
 
-def _unlabel_costs(X: np.ndarray, spec: LearnerSpec) -> np.ndarray:
-    """Unlabel pair costs before any Hadamard power (unlabel "heat" or "self_pca")."""
+def _unlabel_costs(X: np.ndarray, spec: LearnerSpec) -> np.ndarray | None:
+    """Unlabel pair costs before any Hadamard power: the heat kernel's n x n
+    costs, or None for self_pca, whose scatter has a closed form."""
     if spec.unlabel == "heat":
         return heat_kernel_costs(X, spec.heat)
-    return self_cost(X.shape[1])
+    return None
 
 
-def _unlabel_scatters(X: np.ndarray, cu: np.ndarray, spec: LearnerSpec):
+def _unlabel_scatters(X: np.ndarray, cu: np.ndarray | None, spec: LearnerSpec):
     """L_u of the unlabel costs cu at spec.alpha, and the constraint B_u that
     base "none" takes from the unlabel term (None for the other bases)."""
-    if spec.unlabel == "heat" and spec.alpha != 1:
+    if spec.unlabel == "self_pca":
+        # the scatter of self_cost(n), whose rows each sum to -1/2:
+        # -(1/2) X X^T + s s^T / (2n) with s = X 1, and no n x n matrix
+        s = X.sum(axis=1)
+        L_u = np.outer(s, s) / (2 * X.shape[1]) - 0.5 * (X @ X.T)
+        return 0.5 * (L_u + L_u.T), np.eye(X.shape[0]) if spec.base == "none" else None
+    if spec.alpha != 1:
         cu = hadamard_power(cu, spec.alpha)
     L_u = laplacian_scatter(X, cu)
     if spec.base != "none":
         return L_u, None
-    if spec.unlabel == "self_pca":
-        return L_u, np.eye(X.shape[0])
     # classical locality-preserving constraint X D^u X^T
     B_u = (X * cu.sum(axis=1)) @ X.T
     return L_u, 0.5 * (B_u + B_u.T)

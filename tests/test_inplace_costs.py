@@ -115,6 +115,14 @@ def _points(name):
         return np.repeat(rng.standard_normal((2, 40)), 3, axis=1)
     if name == "non-contiguous":
         return rng.standard_normal((6, 3 * _ROW_BLOCK + 5))[::2, ::3]
+    if name == "more features":
+        return rng.standard_normal((2 * _ROW_BLOCK + 7, _ROW_BLOCK + 3))
+    if name == "features near points":
+        # as KPCA coordinates: d0 = n - 1, across several row blocks
+        return rng.standard_normal((3 * _ROW_BLOCK + 4, 3 * _ROW_BLOCK + 5))
+    if name == "strided features":
+        # a product of these strided views rounds g_ij and g_ji apart
+        return rng.standard_normal((400, 300))[::2, ::3]
     # a line whose scaled squared distances run from 0 to about -1000,
     # across the subnormal band of exp and its underflow to zero
     return np.linspace(0.0, 32.0, 3 * _ROW_BLOCK - 1)[None, :]
@@ -131,6 +139,15 @@ SPECS = (HeatKernelSpec("local", k=7), HeatKernelSpec("local", k=1),
 def test_pairwise_sq_dists_bitwise(name):
     X = _points(name)
     np.testing.assert_array_equal(pairwise_sq_dists(X), ref_pairwise_sq_dists(X))
+
+
+@pytest.mark.parametrize("name", POINTS + ("more features", "features near points",
+                                          "strided features"))
+def test_pairwise_sq_dists_exactly_symmetric(name):
+    # the heat kernel computes only the upper block triangle and mirrors it:
+    # bit for bit the averaged kernel only if d2_ij and d2_ji are one float
+    d2 = pairwise_sq_dists(_points(name))
+    assert np.array_equal(d2, d2.T)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.scaling}-k{s.k}-s{s.sigma}")
@@ -247,6 +264,26 @@ def test_fully_labeled_label_scatters_peak_memory(base, bound):
     tracemalloc.start()
     try:
         ssdr.solver._label_scatters(X, labels, LearnerSpec(base=base))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * n
+
+
+@pytest.mark.parametrize("base,bound", [("fda", 0.05), ("none", 0.05), ("lfda", 1.05),
+                                        ("dne", 1.05), ("mfa", 1.05), ("mmc", 1.05)])
+def test_self_pca_scatters_peak_memory(base, bound):
+    # the self_pca scatter is closed-form: only the ranking's gram (lfda, dne,
+    # mfa) and mmc's zero-padded costs are n x n
+    n = 1500
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((3, n))
+    labels = np.full(n, UNLABELED)
+    labels[rng.choice(n, 150, replace=False)] = 1 + np.arange(150) % 3
+    spec = LearnerSpec(base=base, unlabel="self_pca", gamma=1.0)
+    tracemalloc.start()
+    try:
+        ssdr.solver.build_scatters(X, labels, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

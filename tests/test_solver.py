@@ -468,6 +468,48 @@ class TestBuildScatters:
             fit(d, LearnerSpec(base="none", unlabel="heat", gamma=0.0))
 
 
+class TestSelfPcaScatter:
+    """self_pca's scatter in closed form: -(1/2) X X^T + s s^T / (2n), s = X 1."""
+
+    @pytest.mark.parametrize("n", [2, 5, 2 * ssdr.costs._ROW_BLOCK + 7])
+    @pytest.mark.parametrize("centered", [True, False], ids=["centered", "uncentered"])
+    @pytest.mark.parametrize("base", ["none", "lfda"])
+    def test_matches_the_dense_self_cost_scatter(self, n, centered, base):
+        rng = np.random.default_rng(n)
+        X = 3.0 + rng.standard_normal((4, n)) * [[1.0], [5.0], [0.2], [2.0]]
+        if centered:
+            X -= X.mean(axis=1, keepdims=True)
+        spec = LearnerSpec(base=base, unlabel="self_pca", gamma=1.0)
+        assert ssdr.solver._unlabel_costs(X, spec) is None
+        L_u, B_u = ssdr.solver._unlabel_scatters(X, None, spec)
+        want = laplacian_scatter(X, self_cost(n))
+        assert np.linalg.norm(L_u - want) <= 1e-12 * np.linalg.norm(want)
+        np.testing.assert_array_equal(L_u, L_u.T)
+        if base == "none":
+            np.testing.assert_array_equal(B_u, np.eye(4))
+        else:
+            assert B_u is None
+
+    def test_builds_no_cost_matrix(self, monkeypatch):
+        calls = []
+        for module in (ssdr.costs, ssdr.solver):
+            monkeypatch.setattr(module, "self_cost", calls.append, raising=False)
+        X = np.random.default_rng(26).standard_normal((3, 30))
+        build_scatters(X, np.full(30, UNLABELED),
+                       LearnerSpec(base="none", unlabel="self_pca", gamma=1.0))
+        assert calls == []
+
+    def test_pca_preset_finds_the_top_principal_axis(self):
+        rng = np.random.default_rng(27)
+        axes = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        X = 4.0 + axes @ (rng.standard_normal((3, 200)) * [[3.0], [1.0], [0.3]])
+        spec, _ = ssdr.learner_preset("pca", 1)
+        model = fit(Dataset(X=X, labels=np.full(200, UNLABELED), n_classes=1), spec)
+        top = np.linalg.svd(X - X.mean(axis=1, keepdims=True))[0][:, 0]
+        a = model.A[0] / np.linalg.norm(model.A[0])
+        assert abs(a @ top) >= 1.0 - 1e-10
+
+
 class TestFit:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
