@@ -12,9 +12,9 @@ builds every label cost on the labeled examples alone (m x m); only the
 unlabel heat costs are n x n, and mmc places its block in an n x n matrix to
 scatter it.  The neighbor graphs are boolean m x m arrays, ranked from the
 labeled block of the squared distances: ``_labeled_sq_dists`` gathers it
-from the n x n gram and turns only the block into distances, a
-cross-validation sweep builds it once and cuts it per fold, and a fit with
-heat costs cuts it from the distances that its heat kernel then consumes.
+from the n x n gram and turns only the block into distances, or, with heat
+costs, ``solver._unlabel_costs`` cuts it from the distances its heat kernel
+then consumes; a cross-validation sweep keeps it and cuts it per fold.
 The public ``neighbor_graphs`` places the graphs in boolean n x n arrays.
 
 Dense n x n costs are built in place, in blocks of ``_ROW_BLOCK`` rows: each

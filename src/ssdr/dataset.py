@@ -283,7 +283,7 @@ def split(dataset: Dataset, spec: SplitSpec, realization: int):
     rest = np.setdiff1d(np.arange(dataset.n), labeled_idx)
     rest = rng.permutation(rest)
     u = rest.size - spec.test if spec.unlabeled is None else spec.unlabeled
-    if u + spec.test > rest.size:
+    if u < 0 or u + spec.test > rest.size:
         raise DatasetError("labeled + unlabeled + test exceeds the dataset size")
     unlabeled_idx = np.sort(rest[:u])
     test_idx = np.sort(rest[u:u + spec.test])

@@ -5,17 +5,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
-from .costs import HeatKernelSpec, _labeled_sq_dists
+from .costs import HeatKernelSpec
 from .dataset import (Dataset, SplitSpec, UNLABELED, _at_least, generate_balance,
                       generate_multimodal_toy, load_csv, split, TOY_KINDS)
 from .knn import KnnIndex, knn_classify
 from .kpca import KernelSpec, KpcaMap, _kpca_inputs, _linear_spec, kpca_transform
-from .solver import (LearnerSpec, _check_dim, _label_scatters, _prepare, _solve,
-                     _unlabel_costs, _unlabel_scatters, embed)
+from .solver import (LearnerSpec, _RANKING_BASES, _check_dim, _has_unlabel, _join,
+                     _label_scatters, _prepare, _solve, _unlabel_costs, _unlabel_scatters,
+                     embed)
 
 # Named learner presets.  ``tunes`` lists which of (gamma, alpha) cross
 # validation may adjust; the others stay at the preset value.
@@ -122,13 +122,14 @@ def _grid(spec: LearnerSpec, tunes: tuple, gamma_grid, alpha_grid) -> list:
     return [(g, a) for g in gammas for a in alphas]
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Inputs:
     """What every learner of one realization fits on: the centered (and, when
     rank deficient, PCA-projected) training inputs ``X`` with their ``mean``
     and ``basis``, the KPCA map (None without a kernel), the learners'
     inputs of the training and evaluation points (their KPCA coordinates),
-    and the indices ``labeled`` of the training set's labeled points."""
+    the indices ``labeled`` of the training set's labeled points and their
+    ranking ``block``, kept from the first learner that ranks neighbors."""
     X: np.ndarray
     mean: np.ndarray
     basis: np.ndarray | None
@@ -136,18 +137,7 @@ class _Inputs:
     train: np.ndarray
     eval: np.ndarray | None
     labeled: np.ndarray
-
-    @cached_property
-    def _ranking_block(self) -> np.ndarray:
-        """The labeled block of ``pairwise_sq_dists(X)``, built at the first
-        neighbor ranking of the realization and kept for the others."""
-        return _labeled_sq_dists(self.X, self.labeled)
-
-    def sq_dists(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """``_labeled_sq_dists(X, idx)`` for these inputs ``X`` and a subset
-        ``idx`` of ``labeled`` (a fold's labels), cut from the kept block."""
-        pos = np.searchsorted(self.labeled, idx)
-        return self._ranking_block[np.ix_(pos, pos)]
+    block: np.ndarray | None = None
 
 
 def _mapped(kmap: KpcaMap | None, X: np.ndarray) -> np.ndarray:
@@ -172,13 +162,13 @@ def _shared_inputs(train: Dataset, kernel: KernelSpec | None, X_eval=None):
 def _scorer(inputs, spec: LearnerSpec, grid, eval_k: int):
     """Run once, on a realization's ``_shared_inputs`` (or the error they
     failed with), what one learner's folds and candidates of ``grid`` share:
-    the dimension check and (L_u, B_u) per alpha from one heat kernel (its
-    n x n costs freed on return).  A fold's neighbor ranking reads its
-    sub-block of the labeled distances that the inputs keep for every
-    learner of the realization.  ``score(labels, points, X_eval, truth)``
-    yields, per (gamma, alpha) in ``points``, the k-NN accuracy on the raw
-    points ``X_eval`` (None: the shared evaluation points) of its fit on
-    ``labels``, or its first failed step's error."""
+    the dimension check, ``build_scatters``' unlabel stage (the ranking
+    block, which the inputs keep, and the heat costs, freed on return) and
+    (L_u, B_u) per alpha.  A fold ranks from its sub-block of the block.
+    ``score(labels, points, X_eval, truth)`` yields, per (gamma, alpha) in
+    ``points``, the k-NN accuracy on the raw points ``X_eval`` (None: the
+    shared evaluation points) of its fit on ``labels``, or its first failed
+    step's error."""
     try:
         if _ok(inputs).kmap is not None:
             spec = _linear_spec(spec, inputs.kmap)
@@ -187,21 +177,24 @@ def _scorer(inputs, spec: LearnerSpec, grid, eval_k: int):
         return lambda labels, points, X_eval, truth, exc=exc: [exc] * len(points)
     X = inputs.X
     cands = {p: replace(spec, gamma=p[0], alpha=int(p[1])) for p in grid}
-    alphas = {c.alpha for c in cands.values() if c.gamma > 0 and spec.unlabel != "none"}
-    cu = _attempt(_unlabel_costs, X, spec) if alphas else None
-    unlabel = {a: cu if isinstance(cu, Exception) else
-               _attempt(_unlabel_scatters, X, cu, replace(spec, alpha=a)) for a in alphas}
+    # the candidate of the largest gamma has an unlabel term if any candidate has
+    block, cu = _unlabel_costs(X, inputs.labeled if inputs.block is None else None,
+                               max(cands.values(), key=lambda c: c.gamma))
+    inputs.block = inputs.block if block is None else block
+    unlabel = {a: _attempt(_unlabel_scatters, X, cu, replace(spec, alpha=a))
+               for a in {c.alpha for c in cands.values() if _has_unlabel(c)}}
 
     def solve(label, cand):
-        L_l, B = _ok(label)
-        has_u = spec.unlabel != "none" and cand.gamma > 0    # as in build_scatters
-        L_u, B_u = _ok(unlabel[cand.alpha]) if has_u else (None, None)
-        return _solve(L_l, L_u, B_u if B is None else B, cand, inputs.mean, inputs.basis)
+        label = _ok(label)
+        u = _ok(unlabel[cand.alpha]) if _has_unlabel(cand) else (None, None)
+        return _solve(*_join(label, u), cand, inputs.mean, inputs.basis)
 
     def score(labels, points, X_eval, truth):
-        label = _attempt(_label_scatters, X, labels, spec, inputs.sq_dists)
-        eval_inputs = inputs.eval if X_eval is None else _mapped(inputs.kmap, X_eval)
         lab = np.flatnonzero(labels != UNLABELED)
+        pos = np.searchsorted(inputs.labeled, lab)
+        d2 = inputs.block[np.ix_(pos, pos)] if spec.base in _RANKING_BASES else None
+        label = _attempt(_label_scatters, X, labels, spec, d2)
+        eval_inputs = inputs.eval if X_eval is None else _mapped(inputs.kmap, X_eval)
         for model in (_attempt(solve, label, cands[p]) for p in points):
             if isinstance(model, Exception):
                 yield model

@@ -7,6 +7,7 @@ import numpy as np
 
 from .costs import _check_threshold, _cross_sq_dists, pairwise_sq_dists
 from .dataset import Dataset, UNLABELED
+from .solver import _input_columns
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,7 @@ class KnnIndex:
                              "points; expected one label per point")
         if not 1 <= self.k <= self.points.shape[1]:
             raise ValueError("k must satisfy 1 <= k <= m")
+        _input_columns(self.points, self.points.shape[0])   # every point finite
 
 
 def _vote(near: np.ndarray) -> np.ndarray:
@@ -40,9 +42,7 @@ def knn_classify(index: KnnIndex, z: np.ndarray) -> int | np.ndarray:
 
     Distance ties are broken toward the smaller stored index.
     """
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    Q = z[:, None] if single else z
+    Q, single = _input_columns(z, index.points.shape[0])
     d2 = _cross_sq_dists(Q, index.points)
     if index.k == 1:
         # argmin returns the first minimum: ties go to the smaller index

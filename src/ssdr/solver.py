@@ -15,11 +15,11 @@ import numpy as np
 import scipy.linalg
 
 from .costs import HeatKernelSpec, _class_costs, _heat_costs, _labeled_neighbor_graphs, \
-    _labeled_sq_dists, hadamard_power, heat_kernel_costs, lfda_costs, mmc_costs, \
-    pairwise_sq_dists
+    _labeled_sq_dists, hadamard_power, lfda_costs, mmc_costs, pairwise_sq_dists
 from .dataset import Dataset, UNLABELED, _at_least, center
 
 BASES = ("dne", "mfa", "lfda", "fda", "mmc", "none")
+_RANKING_BASES = ("dne", "mfa", "lfda")   # the bases that rank neighbors by distance
 UNLABEL_MODES = ("heat", "self_pca", "none")
 WEIGHTING_MODES = ("T1_identity", "T2_unit_rows", "T3_sqrt_lambda", "T4_combined")
 
@@ -50,7 +50,7 @@ class LearnerSpec:
             # NaN fails too: no comparison holds for NaN
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
-        if self.base == "none" and (self.unlabel == "none" or self.gamma <= 0):
+        if self.base == "none" and not _has_unlabel(self):
             raise ValueError("base 'none' requires an unlabel cost with gamma > 0")
         _at_least(self, integer=True, dim=1, k=1, alpha=1)
         _at_least(self, epsilon=0)
@@ -202,20 +202,18 @@ def _check_dim(dim: int, X: np.ndarray) -> None:
         raise ValueError(f"target dimension {dim} exceeds the data rank {X.shape[0]}")
 
 
-def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec,
-                    sq_dists=_labeled_sq_dists):
+def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec, d2=None):
     """L_l of the label costs and the constraint B of the base.
 
     A label cost is zero on every pair with an unlabeled end, so
     X (D - C) X^T = X_l (D_l - C_l) X_l^T over the m labeled columns X_l and
     the m x m labeled block C_l: fda, lfda, dne and mfa build only that
     block; mmc builds its costs on that block too, but scatters them from an
-    n x n matrix.  The neighbor ranking of dne, mfa and lfda reads
-    ``sq_dists(X, labeled)``, the labeled block of ``pairwise_sq_dists(X)``
-    (``build_scatters`` passes one that cuts it from the distances of its
-    heat kernel, a sweep one that cuts it from a block it keeps), and frees
-    it before the costs are built.  B is None only for base "none", whose
-    constraint the unlabel term sets.
+    n x n matrix.  The neighbor ranking of dne, mfa and lfda reads ``d2``,
+    the m x m block of ``pairwise_sq_dists(X)`` over the labeled points that
+    ``_unlabel_costs`` returns (None: built here), and frees it before the
+    costs are built unless the caller keeps it.  B is None only for base
+    "none", whose constraint the unlabel term sets.
     """
     d0 = X.shape[0]
     if spec.base == "none":
@@ -245,7 +243,9 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec,
         cb, cw = _class_costs(lab, class_counts)
         return laplacian_scatter(X_l, cb), laplacian_scatter(X_l, cw)
     k = spec.k if spec.k is not None else resolve_k(class_counts[class_counts > 0])
-    ci, ce = _labeled_neighbor_graphs(sq_dists(X, labeled), lab, k)
+    d2 = _labeled_sq_dists(X, labeled) if d2 is None else d2
+    ci, ce = _labeled_neighbor_graphs(d2, lab, k)
+    del d2
     if spec.base == "dne":
         # C^l = C^I - C^E
         return laplacian_scatter(X_l, np.subtract(ci, ce, dtype=float)), np.eye(d0)
@@ -256,12 +256,22 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec,
     return laplacian_scatter(X_l, cbet), laplacian_scatter(X_l, cwit)
 
 
-def _unlabel_costs(X: np.ndarray, spec: LearnerSpec) -> np.ndarray | None:
-    """Unlabel pair costs before any Hadamard power: the heat kernel's n x n
-    costs, or None for self_pca, whose scatter has a closed form."""
-    if spec.unlabel == "heat":
-        return heat_kernel_costs(X, spec.heat)
-    return None
+def _has_unlabel(spec: LearnerSpec) -> bool:
+    """Whether the learner has an unlabel term: an unlabel cost with gamma > 0."""
+    return spec.unlabel != "none" and spec.gamma > 0
+
+
+def _unlabel_costs(X: np.ndarray, labeled: np.ndarray | None, spec: LearnerSpec) -> list:
+    """``[block, cu]`` from at most one n x n distance matrix: the block of
+    ``pairwise_sq_dists(X)`` over the sorted indices ``labeled`` for a base
+    that ranks (else, or with ``labeled`` None, None), cut before the heat
+    kernel turns the distances into ``cu``, the heat costs of a learner with
+    a heat unlabel term (else None).  A list: a caller can pop each piece."""
+    ranks = labeled is not None and spec.base in _RANKING_BASES
+    if not (_has_unlabel(spec) and spec.unlabel == "heat"):
+        return [_labeled_sq_dists(X, labeled) if ranks else None, None]
+    d2 = pairwise_sq_dists(X)
+    return [d2[np.ix_(labeled, labeled)] if ranks else None, _heat_costs(d2, spec.heat)]
 
 
 def _unlabel_scatters(X: np.ndarray, cu: np.ndarray | None, spec: LearnerSpec):
@@ -283,6 +293,12 @@ def _unlabel_scatters(X: np.ndarray, cu: np.ndarray | None, spec: LearnerSpec):
     return L_u, 0.5 * (B_u + B_u.T)
 
 
+def _join(label, unlabel):
+    """(L_l, L_u, B) from (L_l, B) and (L_u, B_u): base "none" takes B_u."""
+    (L_l, B), (L_u, B_u) = label, unlabel
+    return L_l, L_u, B_u if B is None else B
+
+
 def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     """Label scatter L_l, unlabel scatter L_u and constraint B of a learner.
 
@@ -290,27 +306,14 @@ def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     objective scatter of C^l + gamma C^u is L_l + gamma L_u.  L_l is zero
     for base "none"; L_u is None when the learner has no unlabel term
     (unlabel "none" or gamma = 0).  B is the base's constraint; only base
-    "none" takes it from the unlabel term (X D^u X^T for heat costs).
+    "none" takes it from the unlabel term (X D^u X^T for heat costs).  The
+    unlabel costs are scattered and freed before the label costs are built.
     """
-    has_u = spec.unlabel != "none" and spec.gamma > 0
-    if has_u and spec.unlabel == "heat" and spec.base in ("dne", "mfa", "lfda"):
-        # one n x n distance matrix: the ranking cuts its labeled block, and
-        # the heat kernel then turns the matrix into its costs in place
-        d2 = pairwise_sq_dists(X)
-
-        def block(_, idx):
-            return d2 if idx.size == d2.shape[0] else d2[np.ix_(idx, idx)]
-        L_l, B = _label_scatters(X, labels, spec, block)
-        cu = _heat_costs(d2, spec.heat)
-    else:
-        # the label costs are freed before the unlabel costs are built
-        L_l, B = _label_scatters(X, labels, spec)
-        cu = _unlabel_costs(X, spec) if has_u else None
-    L_u = None
-    if has_u:
-        L_u, B_u = _unlabel_scatters(X, cu, spec)
-        B = B_u if B is None else B
-    return L_l, L_u, B
+    # each piece is popped into the step that frees it: the heat costs (last)
+    # into their scatters, then the ranking block into the ranking
+    stage = _unlabel_costs(X, np.flatnonzero(labels != UNLABELED), spec)
+    unlabel = _unlabel_scatters(X, stage.pop(), spec) if _has_unlabel(spec) else (None, None)
+    return _join(_label_scatters(X, labels, spec, stage.pop(0)), unlabel)
 
 
 def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis) -> EmbeddingModel:
@@ -352,8 +355,8 @@ def _input_columns(x, dim: int):
     cols = x[:, None] if single else x
     if cols.shape[0] != dim:
         raise ValueError(f"expected inputs of dimension {dim}, got {cols.shape[0]}")
-    bad = ~np.isfinite(cols).all(axis=0)
-    if bad.any():
+    if not np.isfinite(cols).all():
+        bad = ~np.isfinite(cols).all(axis=0)
         raise ValueError(f"input column {int(np.argmax(bad))} has a non-finite value")
     return cols, single
 
@@ -426,8 +429,10 @@ def load_model(path) -> EmbeddingModel:
         if not (math.isfinite(eps) and math.isfinite(gamma)):
             raise ValueError(f"{path}: epsilon {eps} and gamma {gamma} must be finite")
         mean, basis, A, lam = _read_payload(fh, path, (d0, d0 * r, dim * a_cols, dim))
-    if not np.isfinite(lam).all():
-        raise ValueError(f"{path}: eigenvalues must be finite, got {lam}")
+    for name, values in (("train_mean", mean), ("pre_pca", basis), ("A", A),
+                         ("eigenvalues", lam)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: {name} must be finite")
     basis = basis.reshape(d0, r) if r else None
     A = A.reshape(dim, a_cols)
     return EmbeddingModel(A=A, eigenvalues=lam, train_mean=mean, pre_pca=basis,

@@ -7,6 +7,7 @@ import pytest
 from ssdr import (Dataset, DatasetError, SplitSpec, UNLABELED, center,
                   generate_balance, generate_multimodal_toy, load_csv,
                   save_csv, split)
+from ssdr.harness import config_from_dict, load_dataset
 
 
 def write(path, text):
@@ -211,6 +212,21 @@ class TestSplit:
         d = self.make()
         with pytest.raises(DatasetError):
             split(d, SplitSpec(labeled=5, unlabeled=10, test=10), 0)
+
+    def test_test_count_beyond_the_rest_errors(self):
+        # 15 points, 3 labeled: a test set of 20 used to shrink to 8 test
+        # and 4 unlabeled points
+        d = generate_multimodal_toy("ssl-only", 5, 0.5, 0)
+        with pytest.raises(DatasetError, match="exceeds the dataset size"):
+            split(d, SplitSpec(labeled=3, test=20), 0)
+        lab, unl, test = split(d, SplitSpec(labeled=3, test=12), 0)
+        assert (lab.size, unl.size, test.size) == (3, 0, 12)
+
+    def test_config_test_count_beyond_the_rest_errors(self):
+        cfg = config_from_dict({"dataset": "ssl-only", "n_per_cluster": "5",
+                                "labeled": "3", "test": "20"})
+        with pytest.raises(DatasetError, match="exceeds the dataset size"):
+            split(load_dataset(cfg), cfg.split, 0)
 
     def test_realization_bounds(self):
         d = self.make()

@@ -209,6 +209,20 @@ class TestSweepMatchesFitPerCandidate:
         assert got == expect and all(len(s) == 2 for s in got)
         assert warned == expect_warned and len(warned) == len(grid)
 
+    def test_failed_alpha_fails_alone(self):
+        # a tiny global heat scale leaves only underflowed costs: at alpha 2
+        # the Hadamard power finds an all-zero matrix and fails every fold,
+        # while the alpha-1 candidates score
+        train = self.train()
+        spec, _ = learner_preset("ss-lfda", dim=1, heat=HeatKernelSpec("global", sigma=1e-3))
+        grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
+        expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 4))
+        got, warned = recorded(lambda: _sweep_scores(
+            train, _scorer(_shared_inputs(train, None), spec, grid, 1), grid, 4, 0, []))
+        assert got == expect and warned == expect_warned
+        assert [bool(s) for s in got] == [True, False] * 2
+        assert len(warned) == 2 * 4 and "all-zero cost matrix" in warned[0]
+
     def test_failed_step_warns_once_per_candidate_and_fold(self):
         train = self.train()
         spec, _ = learner_preset("ss-lfda", dim=3)   # the data has rank 2
@@ -236,7 +250,7 @@ class TestSweepBuildCounts:
         data = generate_multimodal_toy("three-cluster", 30, 0.5, 0)
         lab, _, _ = split(data, SplitSpec(labeled=20, seed=1, per_class_labels=True), 0)
         train = data.with_labels_hidden(lab)
-        heat = self.count(monkeypatch, ssdr.solver, "heat_kernel_costs")
+        heat = self.count(monkeypatch, ssdr.solver, "_heat_costs")
         power = self.count(monkeypatch, ssdr.solver, "hadamard_power")
         label = self.count(monkeypatch, ssdr.solver, "lfda_costs")
         kpca = self.count(monkeypatch, ssdr.kpca, "kpca_fit")
@@ -248,7 +262,7 @@ class TestSweepBuildCounts:
 
     @pytest.mark.parametrize("kernel", [None, KernelSpec("gaussian", sigma=2.0)])
     def test_final_fit_reuses_the_sweep(self, monkeypatch, kernel):
-        heat = self.count(monkeypatch, ssdr.solver, "heat_kernel_costs")
+        heat = self.count(monkeypatch, ssdr.solver, "_heat_costs")
         kpca = self.count(monkeypatch, ssdr.kpca, "kpca_fit")
         # fit is counted wherever it is bound by name (the harness no longer is)
         fits = [self.count(monkeypatch, module, "fit")
@@ -265,16 +279,16 @@ class TestSweepBuildCounts:
 
     @pytest.mark.parametrize("kernel", [None, KernelSpec("gaussian", sigma=2.0)])
     def test_distances_built_once_per_sweep(self, monkeypatch, kernel):
-        # one n x n gram for the heat kernel's distances and one for the
-        # labeled block that every fold's ranking cuts its own from; every
-        # gram is turned into distances by _dists_from_gram, once
+        # one n x n gram: the labeled block that every fold's ranking cuts
+        # its own from is cut from the distances the heat kernel then
+        # consumes; every gram is turned into distances by _dists_from_gram
         data = generate_multimodal_toy("three-cluster", 30, 0.5, 0)
         lab, _, _ = split(data, SplitSpec(labeled=20, seed=1, per_class_labels=True), 0)
         dists = self.count(monkeypatch, ssdr.costs, "_dists_from_gram")
         spec, tunes = learner_preset("ss-lfda", dim=1)
         cross_validate(data.with_labels_hidden(lab), spec, tunes, (0.1, 1.0, 10.0),
                        (1, 2, 4, 8), folds=5, kernel=kernel)
-        assert len(dists) <= 2
+        assert len(dists) == 1
 
     def test_distances_built_once_per_realization(self, monkeypatch):
         # the final fit and a second ranking learner reuse the sweep's block
@@ -284,7 +298,7 @@ class TestSweepBuildCounts:
                                          per_class_labels=True),
                          gamma_grid=(0.1, 1.0), alpha_grid=(1, 2))
         assert all(len(r.accuracies) == 1 for r in run_benchmark(cfg))
-        assert len(dists) <= 2
+        assert len(dists) == 1
 
 
 class TestSweepRanking:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ssdr.solver
-from ssdr import (HeatKernelSpec, KernelSpec, LearnerSpec, UNLABELED,
+from ssdr import (BASES, HeatKernelSpec, KernelSpec, LearnerSpec, UNLABELED,
                   hadamard_power, heat_kernel_costs, kernel_values,
                   laplacian_scatter, lfda_costs, mmc_costs, neighbor_graphs,
                   pairwise_sq_dists)
@@ -270,6 +270,24 @@ def test_fully_labeled_label_scatters_peak_memory(base, bound):
     assert peak <= bound * 8 * n * n
 
 
+@pytest.mark.parametrize("base,bound", [("dne", 1.5), ("mfa", 1.5), ("lfda", 2.75)])
+def test_fully_labeled_build_scatters_frees_the_ranking_block(base, bound):
+    # build_scatters hands the n x n ranking block over to the ranking, which
+    # frees it before the label costs: the peak of _label_scatters alone
+    n = 1500
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((3, n))
+    labels = 1 + np.arange(n) % 3
+    tracemalloc.start()
+    try:
+        ssdr.solver.build_scatters(X, labels, LearnerSpec(base=base, unlabel="none",
+                                                          gamma=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * n
+
+
 @pytest.mark.parametrize("base,bound", [("fda", 0.05), ("none", 0.05), ("lfda", 1.05),
                                         ("dne", 1.05), ("mfa", 1.05), ("mmc", 1.05)])
 def test_self_pca_scatters_peak_memory(base, bound):
@@ -288,6 +306,39 @@ def test_self_pca_scatters_peak_memory(base, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * n * n
+
+
+# peak of build_scatters with heat costs, in 8 n^2 bytes at n = 1500: the
+# one distance matrix turned into the heat costs in place, a second n x n for
+# the Hadamard power at alpha 2, and the label costs built after the heat
+# costs are freed.  Fully labeled dne and mfa hold their n x n ranking block,
+# cut before the heat kernel, through the Hadamard power
+HEAT_PEAKS = {
+    "150 labels": {base: (1.215, 2.025) for base in BASES},
+    "all labeled": {"lfda": (3.53, 3.53), "dne": (2.28, 3.05), "mfa": (2.28, 3.05),
+                    "mmc": (2.27, 2.27), "fda": (2.27, 2.27), "none": (1.215, 2.025)},
+}
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("labeled", list(HEAT_PEAKS))
+def test_heat_scatters_peak_memory(labeled, base, alpha):
+    n = 1500
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((3, n))
+    labels = 1 + np.arange(n) % 3
+    if labeled == "150 labels":
+        labels = np.full(n, UNLABELED)
+        labels[rng.choice(n, 150, replace=False)] = 1 + np.arange(150) % 3
+    spec = LearnerSpec(base=base, unlabel="heat", gamma=1.0, alpha=alpha)
+    tracemalloc.start()
+    try:
+        ssdr.solver.build_scatters(X, labels, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= HEAT_PEAKS[labeled][base][alpha - 1] * 8 * n * n
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, _ROW_BLOCK + 3, 2 * _ROW_BLOCK + 40, 200])

@@ -110,6 +110,31 @@ class TestKnnClassify:
             KnnIndex(points=np.zeros((2, 3)), labels=np.array(labels), k=1)
 
 
+    def test_non_finite_index_point_rejected(self):
+        # argmin picks NaN: the NaN point won every query
+        with pytest.raises(ValueError, match="input column 1 has a non-finite"):
+            KnnIndex(points=np.array([[0.0, np.nan, 1.0]]), labels=np.array([1, 2, 1]))
+
+    @pytest.mark.parametrize("z", [np.nan, [np.inf], [[0.9, np.nan]]],
+                             ids=["scalar", "vector", "batch"])
+    def test_non_finite_query_rejected(self, z):
+        # a NaN query took the label of index 0
+        index = KnnIndex(points=np.array([[0.0, 2.0, 1.0]]), labels=np.array([1, 2, 1]))
+        with pytest.raises(ValueError, match="has a non-finite value"):
+            knn_classify(index, np.array(z) if np.ndim(z) else np.array([z]))
+
+    @pytest.mark.parametrize("z", [np.zeros(3), np.zeros((3, 4))], ids=["single", "batch"])
+    def test_query_dimension_must_match_index(self, z):
+        index = KnnIndex(points=np.zeros((2, 3)), labels=np.array([1, 2, 1]))
+        with pytest.raises(ValueError, match="expected inputs of dimension 2, got 3"):
+            knn_classify(index, z)
+
+    def test_single_query_returns_an_int(self):
+        index = KnnIndex(points=np.array([[0.0, 2.0, 1.0]]), labels=np.array([1, 2, 1]))
+        assert knn_classify(index, np.array([1.9])) == 2
+        assert isinstance(knn_classify(index, np.array([1.9])), int)
+
+
 class TestGoodNeighborsScore:
     def test_two_same_class_points(self):
         d = Dataset(X=np.array([[0.0, 1.0]]), labels=np.array([1, 1]),

@@ -435,7 +435,8 @@ class TestBuildScatters:
             labels[rng.choice(n, 90, replace=False)] = UNLABELED
         spec = LearnerSpec(base=base, unlabel="heat", gamma=0.7, alpha=2, k=3)
         L_l, B = ssdr.solver._label_scatters(X, labels, spec)
-        L_u, _ = ssdr.solver._unlabel_scatters(X, ssdr.solver._unlabel_costs(X, spec), spec)
+        L_u, _ = ssdr.solver._unlabel_scatters(X, ssdr.solver._unlabel_costs(X, None, spec)[1],
+                                                 spec)
         grams = []
         original = ssdr.costs._dists_from_gram
         monkeypatch.setattr(ssdr.costs, "_dists_from_gram",
@@ -480,7 +481,7 @@ class TestSelfPcaScatter:
         if centered:
             X -= X.mean(axis=1, keepdims=True)
         spec = LearnerSpec(base=base, unlabel="self_pca", gamma=1.0)
-        assert ssdr.solver._unlabel_costs(X, spec) is None
+        assert ssdr.solver._unlabel_costs(X, None, spec) == [None, None]
         L_u, B_u = ssdr.solver._unlabel_scatters(X, None, spec)
         want = laplacian_scatter(X, self_cost(n))
         assert np.linalg.norm(L_u - want) <= 1e-12 * np.linalg.norm(want)
@@ -831,6 +832,18 @@ class TestModelSerialization:
                     LearnerSpec(base="lfda", unlabel="none", gamma=0.0, dim=2))
         save_model(replace(model, **{field: value}), tmp_path / "bad.bin")
         with pytest.raises(ValueError, match=rf"bad\.bin: .*{field}.* must be finite"):
+            load_model(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("field", ["train_mean", "pre_pca", "A"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_arrays_name_file_and_array(self, tmp_path, field, value):
+        # a NaN in A loaded, and embed then returned NaN for every point
+        model = EmbeddingModel(A=np.ones((2, 3)), eigenvalues=np.array([1.0, 2.0]),
+                               train_mean=np.zeros(4), pre_pca=np.eye(4)[:, :3])
+        bad = getattr(model, field).copy()
+        bad[-1, ...] = value
+        save_model(replace(model, **{field: bad}), tmp_path / "bad.bin")
+        with pytest.raises(ValueError, match=rf"bad\.bin: {field} must be finite"):
             load_model(tmp_path / "bad.bin")
 
     def test_bad_magic(self, tmp_path):
