@@ -13,7 +13,7 @@ unlabel heat costs are n x n, and mmc places its block in an n x n matrix to
 scatter it.  The neighbor graphs are boolean m x m arrays, ranked from the
 labeled block of the squared distances: ``_labeled_sq_dists`` gathers it
 from the n x n gram and turns only the block into distances, or, with heat
-costs, ``solver._unlabel_costs`` cuts it from the distances its heat kernel
+costs, ``solver._unlabel_stage`` cuts it from the distances its heat kernel
 then consumes; a cross-validation sweep keeps it and cuts it per fold.
 The public ``neighbor_graphs`` places the graphs in boolean n x n arrays.
 

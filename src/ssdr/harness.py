@@ -13,9 +13,8 @@ from .dataset import (Dataset, SplitSpec, UNLABELED, _at_least, generate_balance
                       generate_multimodal_toy, load_csv, split, TOY_KINDS)
 from .knn import KnnIndex, knn_classify
 from .kpca import KernelSpec, KpcaMap, _kpca_inputs, _linear_spec, kpca_transform
-from .solver import (LearnerSpec, _RANKING_BASES, _check_dim, _has_unlabel, _join,
-                     _label_scatters, _prepare, _solve, _unlabel_costs, _unlabel_scatters,
-                     embed)
+from .solver import (LearnerSpec, _check_dim, _has_unlabel, _join, _label_scatters,
+                     _prepare, _solve, _unlabel_scatters, _unlabel_stage, embed)
 
 # Named learner presets.  ``tunes`` lists which of (gamma, alpha) cross
 # validation may adjust; the others stay at the preset value.
@@ -164,7 +163,7 @@ def _scorer(inputs, spec: LearnerSpec, grid, eval_k: int):
     failed with), what one learner's folds and candidates of ``grid`` share:
     the dimension check, ``build_scatters``' unlabel stage (the ranking
     block, which the inputs keep, and the heat costs, freed on return) and
-    (L_u, B_u) per alpha.  A fold ranks from its sub-block of the block.
+    (L_u, B_u) per alpha.  A fold's ranking cuts its sub-block and frees it.
     ``score(labels, points, X_eval, truth)`` yields, per (gamma, alpha) in
     ``points``, the k-NN accuracy on the raw points ``X_eval`` (None: the
     shared evaluation points) of its fit on ``labels``, or its first failed
@@ -178,7 +177,7 @@ def _scorer(inputs, spec: LearnerSpec, grid, eval_k: int):
     X = inputs.X
     cands = {p: replace(spec, gamma=p[0], alpha=int(p[1])) for p in grid}
     # the candidate of the largest gamma has an unlabel term if any candidate has
-    block, cu = _unlabel_costs(X, inputs.labeled if inputs.block is None else None,
+    cu, block = _unlabel_stage(X, inputs.labeled if inputs.block is None else None,
                                max(cands.values(), key=lambda c: c.gamma))
     inputs.block = inputs.block if block is None else block
     unlabel = {a: _attempt(_unlabel_scatters, X, cu, replace(spec, alpha=a))
@@ -192,8 +191,8 @@ def _scorer(inputs, spec: LearnerSpec, grid, eval_k: int):
     def score(labels, points, X_eval, truth):
         lab = np.flatnonzero(labels != UNLABELED)
         pos = np.searchsorted(inputs.labeled, lab)
-        d2 = inputs.block[np.ix_(pos, pos)] if spec.base in _RANKING_BASES else None
-        label = _attempt(_label_scatters, X, labels, spec, d2)
+        label = _attempt(_label_scatters, X, labels, spec,
+                         lambda: inputs.block[np.ix_(pos, pos)])
         eval_inputs = inputs.eval if X_eval is None else _mapped(inputs.kmap, X_eval)
         for model in (_attempt(solve, label, cands[p]) for p in points):
             if isinstance(model, Exception):

@@ -19,7 +19,6 @@ from .costs import HeatKernelSpec, _class_costs, _heat_costs, _labeled_neighbor_
 from .dataset import Dataset, UNLABELED, _at_least, center
 
 BASES = ("dne", "mfa", "lfda", "fda", "mmc", "none")
-_RANKING_BASES = ("dne", "mfa", "lfda")   # the bases that rank neighbors by distance
 UNLABEL_MODES = ("heat", "self_pca", "none")
 WEIGHTING_MODES = ("T1_identity", "T2_unit_rows", "T3_sqrt_lambda", "T4_combined")
 
@@ -202,17 +201,18 @@ def _check_dim(dim: int, X: np.ndarray) -> None:
         raise ValueError(f"target dimension {dim} exceeds the data rank {X.shape[0]}")
 
 
-def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec, d2=None):
+def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec, take_block=None):
     """L_l of the label costs and the constraint B of the base.
 
     A label cost is zero on every pair with an unlabeled end, so
     X (D - C) X^T = X_l (D_l - C_l) X_l^T over the m labeled columns X_l and
     the m x m labeled block C_l: fda, lfda, dne and mfa build only that
     block; mmc builds its costs on that block too, but scatters them from an
-    n x n matrix.  The neighbor ranking of dne, mfa and lfda reads ``d2``,
-    the m x m block of ``pairwise_sq_dists(X)`` over the labeled points that
-    ``_unlabel_costs`` returns (None: built here), and frees it before the
-    costs are built unless the caller keeps it.  B is None only for base
+    n x n matrix.  The neighbor ranking of dne, mfa and lfda reads the m x m
+    block of ``pairwise_sq_dists(X)`` over the labeled points, built here or
+    taken from ``take_block()`` (``build_scatters`` pops the one that
+    ``_unlabel_stage`` cut, a sweep cuts a fold's from the block it keeps),
+    and frees it before the costs are built.  B is None only for base
     "none", whose constraint the unlabel term sets.
     """
     d0 = X.shape[0]
@@ -243,9 +243,8 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec, d2=Non
         cb, cw = _class_costs(lab, class_counts)
         return laplacian_scatter(X_l, cb), laplacian_scatter(X_l, cw)
     k = spec.k if spec.k is not None else resolve_k(class_counts[class_counts > 0])
-    d2 = _labeled_sq_dists(X, labeled) if d2 is None else d2
-    ci, ce = _labeled_neighbor_graphs(d2, lab, k)
-    del d2
+    ci, ce = _labeled_neighbor_graphs(
+        _labeled_sq_dists(X, labeled) if take_block is None else take_block(), lab, k)
     if spec.base == "dne":
         # C^l = C^I - C^E
         return laplacian_scatter(X_l, np.subtract(ci, ce, dtype=float)), np.eye(d0)
@@ -261,17 +260,19 @@ def _has_unlabel(spec: LearnerSpec) -> bool:
     return spec.unlabel != "none" and spec.gamma > 0
 
 
-def _unlabel_costs(X: np.ndarray, labeled: np.ndarray | None, spec: LearnerSpec) -> list:
-    """``[block, cu]`` from at most one n x n distance matrix: the block of
+def _unlabel_stage(X: np.ndarray, labeled: np.ndarray | None, spec: LearnerSpec) -> list:
+    """``[cu, block]`` from at most one n x n distance matrix: the heat costs
+    ``cu`` of a learner with a heat unlabel term (else None), and the block of
     ``pairwise_sq_dists(X)`` over the sorted indices ``labeled`` for a base
     that ranks (else, or with ``labeled`` None, None), cut before the heat
-    kernel turns the distances into ``cu``, the heat costs of a learner with
-    a heat unlabel term (else None).  A list: a caller can pop each piece."""
-    ranks = labeled is not None and spec.base in _RANKING_BASES
+    kernel turns the distances into ``cu``.  A list: a caller can pop each
+    piece, so that the step that pops it frees it."""
+    ranks = labeled is not None and spec.base in ("dne", "mfa", "lfda")
     if not (_has_unlabel(spec) and spec.unlabel == "heat"):
-        return [_labeled_sq_dists(X, labeled) if ranks else None, None]
+        return [None, _labeled_sq_dists(X, labeled) if ranks else None]
     d2 = pairwise_sq_dists(X)
-    return [d2[np.ix_(labeled, labeled)] if ranks else None, _heat_costs(d2, spec.heat)]
+    block = d2[np.ix_(labeled, labeled)] if ranks else None
+    return [_heat_costs(d2, spec.heat), block]
 
 
 def _unlabel_scatters(X: np.ndarray, cu: np.ndarray | None, spec: LearnerSpec):
@@ -309,11 +310,11 @@ def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     "none" takes it from the unlabel term (X D^u X^T for heat costs).  The
     unlabel costs are scattered and freed before the label costs are built.
     """
-    # each piece is popped into the step that frees it: the heat costs (last)
-    # into their scatters, then the ranking block into the ranking
-    stage = _unlabel_costs(X, np.flatnonzero(labels != UNLABELED), spec)
-    unlabel = _unlabel_scatters(X, stage.pop(), spec) if _has_unlabel(spec) else (None, None)
-    return _join(_label_scatters(X, labels, spec, stage.pop(0)), unlabel)
+    # each piece is popped by the step that frees it: the heat costs (first)
+    # into their scatters, then the ranking block (last) by the ranking itself
+    stage = _unlabel_stage(X, np.flatnonzero(labels != UNLABELED), spec)
+    unlabel = _unlabel_scatters(X, stage.pop(0), spec) if _has_unlabel(spec) else (None, None)
+    return _join(_label_scatters(X, labels, spec, stage.pop), unlabel)
 
 
 def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis) -> EmbeddingModel:

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import ssdr.solver
-from ssdr import (BASES, HeatKernelSpec, KernelSpec, LearnerSpec, UNLABELED,
+from ssdr import (BASES, Dataset, HeatKernelSpec, KernelSpec, LearnerSpec, UNLABELED,
                   hadamard_power, heat_kernel_costs, kernel_values,
                   laplacian_scatter, lfda_costs, mmc_costs, neighbor_graphs,
                   pairwise_sq_dists)
 from ssdr.costs import _ROW_BLOCK, _class_costs, _cross_sq_dists, _labeled_sq_dists
+from ssdr.harness import _scorer, _shared_inputs
 
 
 def ref_pairwise_sq_dists(X):
@@ -285,6 +286,26 @@ def test_fully_labeled_build_scatters_frees_the_ranking_block(base, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= bound * 8 * n * n
+
+
+@pytest.mark.parametrize("base,bound", [("dne", 1.5), ("mfa", 1.5), ("lfda", 2.75)])
+def test_fully_labeled_sweep_fit_frees_its_sub_block(base, bound):
+    # a sweep's fit on every label cuts an n x n sub-block from the block the
+    # realization keeps, and the ranking frees it: past the kept block, the
+    # peak of _label_scatters alone, through the solve, embedding and k-NN
+    n = 1500
+    rng = np.random.default_rng(7)
+    train = Dataset(rng.standard_normal((3, n)), 1 + np.arange(n) % 3, 3)
+    spec = LearnerSpec(base=base, unlabel="none", gamma=0.0, dim=1)
+    score = _scorer(_shared_inputs(train, None, train.X[:, :5]), spec, [(0.0, 1)], 1)
+    tracemalloc.start()
+    try:
+        [acc] = score(train.labels, [(0.0, 1)], None, train.labels[:5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(acc, float)
     assert peak <= bound * 8 * n * n
 
 

@@ -435,7 +435,7 @@ class TestBuildScatters:
             labels[rng.choice(n, 90, replace=False)] = UNLABELED
         spec = LearnerSpec(base=base, unlabel="heat", gamma=0.7, alpha=2, k=3)
         L_l, B = ssdr.solver._label_scatters(X, labels, spec)
-        L_u, _ = ssdr.solver._unlabel_scatters(X, ssdr.solver._unlabel_costs(X, None, spec)[1],
+        L_u, _ = ssdr.solver._unlabel_scatters(X, ssdr.solver._unlabel_stage(X, None, spec)[0],
                                                  spec)
         grams = []
         original = ssdr.costs._dists_from_gram
@@ -481,7 +481,7 @@ class TestSelfPcaScatter:
         if centered:
             X -= X.mean(axis=1, keepdims=True)
         spec = LearnerSpec(base=base, unlabel="self_pca", gamma=1.0)
-        assert ssdr.solver._unlabel_costs(X, None, spec) == [None, None]
+        assert ssdr.solver._unlabel_stage(X, None, spec) == [None, None]
         L_u, B_u = ssdr.solver._unlabel_scatters(X, None, spec)
         want = laplacian_scatter(X, self_cost(n))
         assert np.linalg.norm(L_u - want) <= 1e-12 * np.linalg.norm(want)
