@@ -85,15 +85,15 @@ def _cmd_classify(args) -> int:
     index = KnnIndex(points=project(train.X)[:, lab],
                      labels=train.labels[lab], k=min(args.k, lab.size))
     pred = knn_classify(index, project(data.X))
-    names = train.label_names or tuple(str(k) for k in range(1, train.n_classes + 1))
-    lines = [names[p - 1] for p in np.atleast_1d(pred)]
+    lines = [train.label_names[p - 1] for p in np.atleast_1d(pred)]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
         print("\n".join(lines))
     if data.labeled_mask.all():
-        acc = float((np.atleast_1d(pred) == data.labels).mean())
+        # each CSV numbers its own labels: compare the names
+        acc = float((np.array(lines) == np.array(data.label_names)[data.labels - 1]).mean())
         print(f"accuracy {acc:.6f}", file=sys.stderr)
     return 0
 

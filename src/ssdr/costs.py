@@ -10,11 +10,14 @@ same-class entries by the neighbor graph C^I.
 solves with.  A label cost is zero outside the labeled block, so the solver
 builds every label cost on the labeled examples alone (m x m); only the
 unlabel heat costs are n x n, and mmc places its block in an n x n matrix to
-scatter it.  The neighbor graphs are boolean m x m arrays, ranked from the
-labeled block of the squared distances: ``_labeled_sq_dists`` gathers it
-from the n x n gram and turns only the block into distances, or, with heat
-costs, ``solver._unlabel_stage`` cuts it from the distances its heat kernel
-then consumes; a cross-validation sweep keeps it and cuts it per fold.
+scatter it.  ``solver._unlabel_stage`` builds the heat costs once for every
+learner of a fit or a benchmark realization, scatters them per Hadamard
+power and frees them: no caller receives them.  The neighbor graphs are
+boolean m x m arrays, ranked from the labeled block of the squared
+distances, which the same stage builds once: ``_labeled_sq_dists`` gathers
+it from the n x n gram and turns only the block into distances, or, with
+heat costs, the stage cuts it from the distances its heat kernel then
+consumes; a cross-validation sweep cuts each fold's sub-block from it.
 The public ``neighbor_graphs`` places the graphs in boolean n x n arrays.
 
 Dense n x n costs are built in place, in blocks of ``_ROW_BLOCK`` rows: each

@@ -3,6 +3,7 @@ weights, the repeated-split protocol and TSV reporting."""
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -13,8 +14,8 @@ from .dataset import (Dataset, SplitSpec, UNLABELED, _at_least, generate_balance
                       generate_multimodal_toy, load_csv, split, TOY_KINDS)
 from .knn import KnnIndex, knn_classify
 from .kpca import KernelSpec, KpcaMap, _kpca_inputs, _linear_spec, kpca_transform
-from .solver import (LearnerSpec, _check_dim, _has_unlabel, _join, _label_scatters,
-                     _prepare, _solve, _unlabel_scatters, _unlabel_stage, embed)
+from .solver import (LearnerSpec, _attempt, _check_dim, _join, _label_scatters, _ok,
+                     _prepare, _solve, _term, _unlabel_stage, embed)
 
 # Named learner presets.  ``tunes`` lists which of (gamma, alpha) cross
 # validation may adjust; the others stay at the preset value.
@@ -76,6 +77,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
             if not all(least <= v < math.inf for v in grid):
                 raise ValueError(f"{name} values must be >= {least} and finite: {grid}")
+        if not all(isinstance(a, numbers.Integral) for a in self.alpha_grid):
+            raise ValueError(f"alpha_grid values must be integers: {self.alpha_grid}")
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
@@ -98,37 +101,25 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int):
     return assign
 
 
-def _attempt(build, *args):
-    """build(*args), or the error it raised, kept for the candidates that need it."""
-    try:
-        return build(*args)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        return exc
-
-
-def _ok(stage):
-    """A stage's result; raises the error it failed with."""
-    if isinstance(stage, Exception):
-        raise stage
-    return stage
-
-
-def _grid(spec: LearnerSpec, tunes: tuple, gamma_grid, alpha_grid) -> list:
+def _grid(spec: LearnerSpec, tunes: tuple, gamma_grid, alpha_grid) -> dict:
+    """The learner's candidates: its spec at each (gamma, alpha) that cross
+    validation tries, keyed by the pair."""
     gammas = tuple(gamma_grid) if "gamma" in tunes else (spec.gamma,)
     alphas = tuple(alpha_grid) if "alpha" in tunes else (spec.alpha,)
     if not gammas or not alphas:
         raise ValueError("tuning grids must be non-empty")
-    return [(g, a) for g in gammas for a in alphas]
+    return {(g, a): replace(spec, gamma=g, alpha=a) for g in gammas for a in alphas}
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Inputs:
     """What every learner of one realization fits on: the centered (and, when
     rank deficient, PCA-projected) training inputs ``X`` with their ``mean``
     and ``basis``, the KPCA map (None without a kernel), the learners'
     inputs of the training and evaluation points (their KPCA coordinates),
-    the indices ``labeled`` of the training set's labeled points and their
-    ranking ``block``, kept from the first learner that ranks neighbors."""
+    the indices ``labeled`` of the training set's labeled points, and the
+    unlabel stage of every learner's candidates: the scatters of each
+    unlabel term and the labeled points' ranking ``block``."""
     X: np.ndarray
     mean: np.ndarray
     basis: np.ndarray | None
@@ -136,7 +127,8 @@ class _Inputs:
     train: np.ndarray
     eval: np.ndarray | None
     labeled: np.ndarray
-    block: np.ndarray | None = None
+    unlabel: dict
+    block: np.ndarray | None
 
 
 def _mapped(kmap: KpcaMap | None, X: np.ndarray) -> np.ndarray:
@@ -144,57 +136,50 @@ def _mapped(kmap: KpcaMap | None, X: np.ndarray) -> np.ndarray:
     return X if kmap is None else kpca_transform(kmap, X)
 
 
-def _shared_inputs(train: Dataset, kernel: KernelSpec | None, X_eval=None):
-    """The ``_Inputs`` of a training set and its evaluation points ``X_eval``,
-    or the error of the first failed step, which then fails every learner."""
+def _shared_inputs(train: Dataset, kernel: KernelSpec | None, specs: list, X_eval=None):
+    """The ``_Inputs`` of a training set, its evaluation points ``X_eval`` and
+    the candidate ``specs`` of every learner that fits on them, or the error
+    of the first failed step, which then fails every learner."""
     try:
         kmap, (X, mean, basis) = (None, _prepare(train)) if kernel is None \
             else _kpca_inputs(train.X, kernel)
         inputs = _mapped(kmap, train.X)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return exc
+    labeled = np.flatnonzero(train.labeled_mask)
     return _Inputs(X, mean, basis, kmap, inputs,
                    None if X_eval is None else _mapped(kmap, X_eval),
-                   np.flatnonzero(train.labeled_mask))
+                   labeled, *_unlabel_stage(X, labeled, specs))
 
 
-def _scorer(inputs, spec: LearnerSpec, grid, eval_k: int):
-    """Run once, on a realization's ``_shared_inputs`` (or the error they
-    failed with), what one learner's folds and candidates of ``grid`` share:
-    the dimension check, ``build_scatters``' unlabel stage (the ranking
-    block, which the inputs keep, and the heat costs, freed on return) and
-    (L_u, B_u) per alpha.  A fold's ranking cuts its sub-block and frees it.
-    ``score(labels, points, X_eval, truth)`` yields, per (gamma, alpha) in
-    ``points``, the k-NN accuracy on the raw points ``X_eval`` (None: the
-    shared evaluation points) of its fit on ``labels``, or its first failed
-    step's error."""
+def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
+    """The scorer of one learner's candidates ``grid`` (a ``_grid``) on a
+    realization's ``_shared_inputs`` (or the error they failed with).  The
+    dimension is checked once; each candidate takes its unlabel scatters from
+    the inputs, and a fold's ranking cuts its sub-block of their block and
+    frees it.  ``score(labels, points, X_eval, truth)`` yields, per (gamma,
+    alpha) in ``points``, the k-NN accuracy on the raw points ``X_eval``
+    (None: the shared evaluation points) of its fit on ``labels``, or its
+    first failed step's error."""
     try:
         if _ok(inputs).kmap is not None:
             spec = _linear_spec(spec, inputs.kmap)
+            grid = {p: _linear_spec(c, inputs.kmap) for p, c in grid.items()}
         _check_dim(spec.dim, inputs.X)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return lambda labels, points, X_eval, truth, exc=exc: [exc] * len(points)
-    X = inputs.X
-    cands = {p: replace(spec, gamma=p[0], alpha=int(p[1])) for p in grid}
-    # the candidate of the largest gamma has an unlabel term if any candidate has
-    cu, block = _unlabel_stage(X, inputs.labeled if inputs.block is None else None,
-                               max(cands.values(), key=lambda c: c.gamma))
-    inputs.block = inputs.block if block is None else block
-    unlabel = {a: _attempt(_unlabel_scatters, X, cu, replace(spec, alpha=a))
-               for a in {c.alpha for c in cands.values() if _has_unlabel(c)}}
 
     def solve(label, cand):
-        label = _ok(label)
-        u = _ok(unlabel[cand.alpha]) if _has_unlabel(cand) else (None, None)
-        return _solve(*_join(label, u), cand, inputs.mean, inputs.basis)
+        return _solve(*_join(_ok(label), _ok(inputs.unlabel[_term(cand)])), cand,
+                      inputs.mean, inputs.basis)
 
     def score(labels, points, X_eval, truth):
         lab = np.flatnonzero(labels != UNLABELED)
         pos = np.searchsorted(inputs.labeled, lab)
-        label = _attempt(_label_scatters, X, labels, spec,
+        label = _attempt(_label_scatters, inputs.X, labels, spec,
                          lambda: inputs.block[np.ix_(pos, pos)])
         eval_inputs = inputs.eval if X_eval is None else _mapped(inputs.kmap, X_eval)
-        for model in (_attempt(solve, label, cands[p]) for p in points):
+        for model in (_attempt(solve, label, grid[p]) for p in points):
             if isinstance(model, Exception):
                 yield model
                 continue
@@ -237,23 +222,27 @@ def _sweep_scores(train: Dataset, score, grid, folds: int, seed: int,
 
 def cross_validate(train: Dataset, spec: LearnerSpec, tunes: tuple,
                    gamma_grid, alpha_grid, folds: int, eval_k: int = 1,
-                   seed: int = 0, kernel: KernelSpec | None = None, *, _score=None):
+                   seed: int = 0, kernel: KernelSpec | None = None):
     """Pick (gamma, alpha) by held-out labeled-fold 1-NN accuracy.
 
     Folds are stratified over the labeled examples; the unlabeled examples
     stay in every training fold.  With a ``kernel`` the learner runs on the
     KPCA coordinates of the training inputs.  Ties go to the smaller gamma,
-    then the smaller alpha.  ``_score`` is a prebuilt ``_scorer`` of these
-    arguments.
+    then the smaller alpha.
     """
     grid = _grid(spec, tunes, gamma_grid, alpha_grid)
     if len(grid) == 1:
-        return grid[0]
+        return next(iter(grid))
+    inputs = _shared_inputs(train, kernel, list(grid.values()))
+    return _choose(train, grid, _scorer(inputs, spec, grid, eval_k), folds, seed)
+
+
+def _choose(train: Dataset, grid: dict, score, folds: int, seed: int):
+    """The (gamma, alpha) of ``grid`` that ``cross_validate`` picks, by the
+    fold scores of ``score``, a ``_scorer`` of the candidates ``grid``."""
     folds = max(2, min(folds, train.labeled_count))
     failures = []
-    if _score is None:
-        _score = _scorer(_shared_inputs(train, kernel), spec, grid, eval_k)
-    scores = _sweep_scores(train, _score, grid, folds, seed, failures)
+    scores = _sweep_scores(train, score, grid, folds, seed, failures)
     best = min(((-float(np.mean(s)), g, a) for (g, a), s in zip(grid, scores) if s),
                default=None)
     if best is None:
@@ -281,9 +270,10 @@ class LearnerResult:
 
 
 def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> list:
-    """Per (spec, tunes) in ``learners``, its accuracy on realization r or the
-    message of its failure.  The split, KPCA map, centering and PCA and the
-    evaluation points' inputs are built once and shared by every learner; the
+    """Per (spec, grid) in ``learners``, its accuracy on realization r or the
+    message of its failure.  The split, KPCA map, centering and PCA, the
+    evaluation points' inputs and the unlabel stage of every learner's
+    candidates are built once and shared by every learner; the label
     scatters and solves stay per learner.  All of it is freed on return."""
     try:
         lab_idx, unl_idx, test_idx = split(data, config.split, r)
@@ -291,23 +281,23 @@ def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> l
         train = data.subset(train_idx).with_labels_hidden(
             np.flatnonzero(np.isin(train_idx, lab_idx)))
         eval_idx = unl_idx if test_idx.size == 0 else test_idx
-        inputs = _shared_inputs(train, config.kernel, data.X[:, eval_idx])
+        inputs = _shared_inputs(train, config.kernel,
+                                [c for _, grid in learners for c in grid.values()],
+                                data.X[:, eval_idx])
     except (ValueError, np.linalg.LinAlgError) as exc:
         return [f"realization {r}: {exc}"] * len(learners)
 
-    def accuracy(spec, tunes):
-        grid = _grid(spec, tunes, config.gamma_grid, config.alpha_grid)
+    def accuracy(spec, grid):
         score = _scorer(inputs, spec, grid, config.eval_k)
-        chosen = cross_validate(train, spec, tunes, config.gamma_grid,
-                                config.alpha_grid, config.folds, config.eval_k,
-                                seed=config.split.seed + r, _score=score)
+        chosen = next(iter(grid)) if len(grid) == 1 else _choose(
+            train, grid, score, config.folds, config.split.seed + r)
         [acc] = score(train.labels, [chosen], None, data.labels[eval_idx])
         return _ok(acc)
 
     outcomes = []
-    for spec, tunes in learners:
+    for spec, grid in learners:
         try:
-            outcomes.append(accuracy(spec, tunes))
+            outcomes.append(accuracy(spec, grid))
         except (ValueError, np.linalg.LinAlgError) as exc:
             outcomes.append(f"realization {r}: {exc}")
     return outcomes
@@ -315,7 +305,9 @@ def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> l
 
 def _run_learners(data: Dataset, config: ExperimentConfig, names) -> list[LearnerResult]:
     """Every realization once, each learner of ``names`` fitted on it in turn."""
-    learners = [learner_preset(name, config.dim, config.heat) for name in names]
+    learners = [(spec, _grid(spec, tunes, config.gamma_grid, config.alpha_grid))
+                for spec, tunes in (learner_preset(name, config.dim, config.heat)
+                                    for name in names)]
     runs = [_realization(data, config, r, learners)
             for r in range(config.split.realizations)]
     results = []
@@ -350,8 +342,10 @@ def format_report(results: list[LearnerResult]) -> str:
 # flat key = value config files
 
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file; '#' starts a comment."""
+    """Read a flat ``key = value`` config file; '#' starts a comment.  A key
+    may appear once; ``overrides`` replace the file's values."""
     raw: dict[str, str] = {}
+    first = {}   # the line of each key
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -359,8 +353,11 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
+            first[key] = lineno
+            raw[key] = value
     raw.update(overrides or {})
     return config_from_dict(raw)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import _check_threshold, _cross_sq_dists, pairwise_sq_dists
-from .dataset import Dataset, UNLABELED
+from .dataset import Dataset, UNLABELED, _at_least
 from .solver import _input_columns
 
 
@@ -22,7 +22,8 @@ class KnnIndex:
         if np.shape(self.labels) != (self.points.shape[1],):
             raise ValueError(f"{np.size(self.labels)} labels for {self.points.shape[1]} "
                              "points; expected one label per point")
-        if not 1 <= self.k <= self.points.shape[1]:
+        _at_least(self, integer=True, k=1)
+        if self.k > self.points.shape[1]:
             raise ValueError("k must satisfy 1 <= k <= m")
         _input_columns(self.points, self.points.shape[0])   # every point finite
 

@@ -49,7 +49,7 @@ class LearnerSpec:
             # NaN fails too: no comparison holds for NaN
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
-        if self.base == "none" and not _has_unlabel(self):
+        if self.base == "none" and _term(self) is None:
             raise ValueError("base 'none' requires an unlabel cost with gamma > 0")
         _at_least(self, integer=True, dim=1, k=1, alpha=1)
         _at_least(self, epsilon=0)
@@ -255,39 +255,66 @@ def _label_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec, take_b
     return laplacian_scatter(X_l, cbet), laplacian_scatter(X_l, cwit)
 
 
-def _has_unlabel(spec: LearnerSpec) -> bool:
-    """Whether the learner has an unlabel term: an unlabel cost with gamma > 0."""
-    return spec.unlabel != "none" and spec.gamma > 0
+def _attempt(build, *args):
+    """build(*args), or the error it raised, kept for the steps that need it."""
+    try:
+        return build(*args)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return exc
 
 
-def _unlabel_stage(X: np.ndarray, labeled: np.ndarray | None, spec: LearnerSpec) -> list:
-    """``[cu, block]`` from at most one n x n distance matrix: the heat costs
-    ``cu`` of a learner with a heat unlabel term (else None), and the block of
-    ``pairwise_sq_dists(X)`` over the sorted indices ``labeled`` for a base
-    that ranks (else, or with ``labeled`` None, None), cut before the heat
-    kernel turns the distances into ``cu``.  A list: a caller can pop each
-    piece, so that the step that pops it frees it."""
-    ranks = labeled is not None and spec.base in ("dne", "mfa", "lfda")
-    if not (_has_unlabel(spec) and spec.unlabel == "heat"):
-        return [None, _labeled_sq_dists(X, labeled) if ranks else None]
-    d2 = pairwise_sq_dists(X)
-    block = d2[np.ix_(labeled, labeled)] if ranks else None
-    return [_heat_costs(d2, spec.heat), block]
+def _ok(stage):
+    """A stage's result; raises the error it failed with."""
+    if isinstance(stage, Exception):
+        raise stage
+    return stage
 
 
-def _unlabel_scatters(X: np.ndarray, cu: np.ndarray | None, spec: LearnerSpec):
-    """L_u of the unlabel costs cu at spec.alpha, and the constraint B_u that
-    base "none" takes from the unlabel term (None for the other bases)."""
-    if spec.unlabel == "self_pca":
+def _term(spec: LearnerSpec):
+    """The learner's unlabel term ``(unlabel, alpha, base == "none")``, or None
+    without one (unlabel "none" or gamma = 0).  Learners of one term share its
+    scatters; only base "none" takes the constraint B_u from them."""
+    if spec.unlabel == "none" or not spec.gamma > 0:
+        return None
+    return spec.unlabel, spec.alpha, spec.base == "none"
+
+
+def _unlabel_stage(X: np.ndarray, labeled: np.ndarray, specs: list):
+    """``(terms, block)`` of the learners ``specs``, which share one
+    ``HeatKernelSpec``, from at most one n x n distance matrix.  ``terms``
+    maps each ``_term`` of ``specs`` to its ``_unlabel_scatters`` or to the
+    error they raised, and None to (None, None).  ``block`` is the ranking
+    block of ``pairwise_sq_dists(X)`` over the sorted indices ``labeled`` if
+    a spec ranks (dne, mfa, lfda), cut before the heat kernel turns the
+    distances into costs; the costs are freed on return."""
+    terms = dict.fromkeys(map(_term, specs))
+    ranks = any(s.base in ("dne", "mfa", "lfda") for s in specs)
+    cu = None
+    if any(t and t[0] == "heat" for t in terms):
+        d2 = pairwise_sq_dists(X)
+        block = d2[np.ix_(labeled, labeled)] if ranks else None
+        cu = _heat_costs(d2, specs[0].heat)
+    else:
+        block = _labeled_sq_dists(X, labeled) if ranks else None
+    return {t: (None, None) if t is None else _attempt(_unlabel_scatters, X, cu, t)
+            for t in terms}, block
+
+
+def _unlabel_scatters(X: np.ndarray, cu: np.ndarray | None, term: tuple):
+    """L_u of the unlabel term ``(unlabel, alpha, none)``, from the heat costs
+    cu for a heat term, and the constraint B_u that base "none" takes from
+    it (None for the other bases)."""
+    unlabel, alpha, none = term
+    if unlabel == "self_pca":
         # the scatter of self_cost(n), whose rows each sum to -1/2:
         # -(1/2) X X^T + s s^T / (2n) with s = X 1, and no n x n matrix
         s = X.sum(axis=1)
         L_u = np.outer(s, s) / (2 * X.shape[1]) - 0.5 * (X @ X.T)
-        return 0.5 * (L_u + L_u.T), np.eye(X.shape[0]) if spec.base == "none" else None
-    if spec.alpha != 1:
-        cu = hadamard_power(cu, spec.alpha)
+        return 0.5 * (L_u + L_u.T), np.eye(X.shape[0]) if none else None
+    if alpha != 1:
+        cu = hadamard_power(cu, alpha)
     L_u = laplacian_scatter(X, cu)
-    if spec.base != "none":
+    if not none:
         return L_u, None
     # classical locality-preserving constraint X D^u X^T
     B_u = (X * cu.sum(axis=1)) @ X.T
@@ -310,11 +337,11 @@ def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     "none" takes it from the unlabel term (X D^u X^T for heat costs).  The
     unlabel costs are scattered and freed before the label costs are built.
     """
-    # each piece is popped by the step that frees it: the heat costs (first)
-    # into their scatters, then the ranking block (last) by the ranking itself
-    stage = _unlabel_stage(X, np.flatnonzero(labels != UNLABELED), spec)
-    unlabel = _unlabel_scatters(X, stage.pop(0), spec) if _has_unlabel(spec) else (None, None)
-    return _join(_label_scatters(X, labels, spec, stage.pop), unlabel)
+    # the ranking block in a list, which the ranking pops: it frees the block
+    # before the label costs, where a local or an argument would keep it
+    terms, *block = _unlabel_stage(X, np.flatnonzero(labels != UNLABELED), [spec])
+    unlabel = _ok(terms[_term(spec)])
+    return _join(_label_scatters(X, labels, spec, block.pop), unlabel)
 
 
 def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis) -> EmbeddingModel:

@@ -154,6 +154,13 @@ def reference_scores(train, spec, grid, folds, eval_k=1, seed=0, kernel=None):
     return scores
 
 
+def sweep(train, spec, grid, folds, eval_k=1, kernel=None):
+    """_sweep_scores of the candidates of ``grid`` through one _scorer."""
+    cands = {p: replace(spec, gamma=p[0], alpha=p[1]) for p in grid}
+    score = _scorer(_shared_inputs(train, kernel, list(cands.values())), spec, cands, eval_k)
+    return _sweep_scores(train, score, grid, folds, 0, [])
+
+
 def recorded(run):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -185,8 +192,7 @@ class TestSweepMatchesFitPerCandidate:
         spec, _ = learner_preset(name, dim=1)
         expect, _ = recorded(lambda: reference_scores(train, spec, grid, folds=4, eval_k=3,
                                                       kernel=kernel))
-        got, warned = recorded(lambda: _sweep_scores(
-            train, _scorer(_shared_inputs(train, kernel), spec, grid, 3), grid, 4, 0, []))
+        got, warned = recorded(lambda: sweep(train, spec, grid, 4, 3, kernel))
         assert got == expect and not warned
         gammas = tuple(dict.fromkeys(g for g, _ in grid))
         alphas = tuple(dict.fromkeys(a for _, a in grid))
@@ -204,8 +210,7 @@ class TestSweepMatchesFitPerCandidate:
         spec, _ = learner_preset("ss-lfda", dim=1)
         grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
         expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 4))
-        got, warned = recorded(lambda: _sweep_scores(
-            train, _scorer(_shared_inputs(train, None), spec, grid, 1), grid, 4, 0, []))
+        got, warned = recorded(lambda: sweep(train, spec, grid, 4))
         assert got == expect and all(len(s) == 2 for s in got)
         assert warned == expect_warned and len(warned) == len(grid)
 
@@ -217,8 +222,7 @@ class TestSweepMatchesFitPerCandidate:
         spec, _ = learner_preset("ss-lfda", dim=1, heat=HeatKernelSpec("global", sigma=1e-3))
         grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
         expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 4))
-        got, warned = recorded(lambda: _sweep_scores(
-            train, _scorer(_shared_inputs(train, None), spec, grid, 1), grid, 4, 0, []))
+        got, warned = recorded(lambda: sweep(train, spec, grid, 4))
         assert got == expect and warned == expect_warned
         assert [bool(s) for s in got] == [True, False] * 2
         assert len(warned) == 2 * 4 and "all-zero cost matrix" in warned[0]
@@ -228,11 +232,19 @@ class TestSweepMatchesFitPerCandidate:
         spec, _ = learner_preset("ss-lfda", dim=3)   # the data has rank 2
         grid = [(g, a) for g in (0.1, 1.0) for a in (1, 2)]
         expect, expect_warned = recorded(lambda: reference_scores(train, spec, grid, 3))
-        got, warned = recorded(lambda: _sweep_scores(
-            train, _scorer(_shared_inputs(train, None), spec, grid, 1), grid, 3, 0, []))
+        got, warned = recorded(lambda: sweep(train, spec, grid, 3))
         assert got == expect == [[]] * len(grid)
         assert warned == expect_warned and len(warned) == 3 * len(grid)
         assert "exceeds the data rank" in warned[0]
+
+
+KERNELS = [None, KernelSpec("gaussian", sigma=2.0)]
+
+# learner orders whose learners share a realization's unlabel stage: a
+# ranking learner before a heat learner, two heat learners, every preset
+LEARNER_ORDERS = [("ss-lfda", "dne"), ("lfda", "ss-lfda"), ("ss-lfda", "ss-dne"),
+                  LEARNER_NAMES]
+ORDER_IDS = ["ss-lfda,dne", "lfda,ss-lfda", "ss-lfda,ss-dne", "every preset"]
 
 
 class TestSweepBuildCounts:
@@ -290,15 +302,23 @@ class TestSweepBuildCounts:
                        (1, 2, 4, 8), folds=5, kernel=kernel)
         assert len(dists) == 1
 
-    def test_distances_built_once_per_realization(self, monkeypatch):
-        # the final fit and a second ranking learner reuse the sweep's block
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("learners", LEARNER_ORDERS, ids=ORDER_IDS)
+    def test_distances_and_heat_built_once_per_realization(self, monkeypatch, learners,
+                                                          kernel):
+        # every learner, its sweep and its final fit take the ranking block and
+        # the unlabel scatters from one unlabel stage per realization
         dists = self.count(monkeypatch, ssdr.costs, "_dists_from_gram")
-        cfg = toy_config(dataset="three-cluster", folds=5, learners=("ss-lfda", "dne"),
-                         split=SplitSpec(labeled=20, seed=1, realizations=1,
+        heat = self.count(monkeypatch, ssdr.solver, "_heat_costs")
+        cfg = toy_config(dataset="three-cluster", folds=5, learners=learners, kernel=kernel,
+                         split=SplitSpec(labeled=20, seed=1, realizations=2,
                                          per_class_labels=True),
                          gamma_grid=(0.1, 1.0), alpha_grid=(1, 2))
-        assert all(len(r.accuracies) == 1 for r in run_benchmark(cfg))
-        assert len(dists) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = run_benchmark(cfg)
+        assert all(len(r.accuracies) == 2 for r in results)
+        assert len(dists) == len(heat) == 2
 
 
 class TestSweepRanking:
@@ -426,15 +446,13 @@ class TestRunLearnerMatchesSeparateFinalFit:
         assert "exceeds the data rank 2" in str(got.value)
 
 
-def shared_config(kernel):
-    return toy_config(dataset="three-cluster", kernel=kernel,
-                      learners=("ss-lfda", "lfda", "mmc", "pca"),
+def shared_config(kernel, learners=("ss-lfda", "lfda", "mmc", "pca")):
+    return toy_config(dataset="three-cluster", kernel=kernel, learners=learners,
                       split=SplitSpec(labeled=12, seed=4, realizations=2,
                                       per_class_labels=True),
                       gamma_grid=(0.1, 1.0, 10.0), alpha_grid=(1, 2))
 
 
-KERNELS = [None, KernelSpec("gaussian", sigma=2.0)]
 
 
 class TestSharedRealization:
@@ -442,8 +460,10 @@ class TestSharedRealization:
     evaluation inputs once for all learners; no result may change."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_same_report_as_one_learner_at_a_time(self, kernel):
-        cfg = shared_config(kernel)
+    @pytest.mark.parametrize("learners", [("ss-lfda", "lfda", "mmc", "pca")] + LEARNER_ORDERS,
+                             ids=["ss-lfda,lfda,mmc,pca"] + ORDER_IDS)
+    def test_same_report_as_one_learner_at_a_time(self, kernel, learners):
+        cfg = shared_config(kernel, learners)
         data = load_dataset(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -476,7 +496,7 @@ class TestSharedRealization:
         lab, _, _ = split(data, SplitSpec(labeled=60, seed=3), 0)
         train = data.with_labels_hidden(lab)
         svd = TestSweepBuildCounts.count(monkeypatch, np.linalg, "svd")
-        inputs = _shared_inputs(train, kernel)
+        inputs = _shared_inputs(train, kernel, [])
         assert svd == []
         coords = Dataset(X=inputs.kmap.train_coords(), labels=train.labels,
                          n_classes=train.n_classes)
@@ -666,6 +686,25 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="alpha_grid values must be >= 1"):
             ExperimentConfig(dataset="three-cluster", alpha_grid=(1, -2))
 
+    def test_non_integer_alpha_grid_errors(self):
+        # the sweep once truncated each alpha: (1.5, 2.7) tuned over (1, 2)
+        with pytest.raises(ValueError, match=r"alpha_grid values must be integers: \(1.5, 2.7\)"):
+            ExperimentConfig(dataset="three-cluster", alpha_grid=(1.5, 2.7))
+        data = generate_multimodal_toy("three-cluster", 10, 0.5, 0)
+        spec, tunes = learner_preset("ss-lfda", dim=1)
+        with pytest.raises(ValueError, match="alpha must be an integer, got 1.5"):
+            cross_validate(data.with_labels_hidden(np.arange(0, 30, 3)), spec, tunes,
+                           (1.0,), (1.5, 2.7), folds=2)
+
+    def test_repeated_key_errors(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text("dataset = ssl-only\nlabeled = 30\nseed = 3\n# again\n labeled=12\n")
+        with pytest.raises(ValueError, match=rf"^{p}:5: key 'labeled' repeats line 2$"):
+            parse_config(p)
+        p.write_text("dataset = ssl-only\nlabeled = 30\nseed = 3\n")
+        cfg = parse_config(p, overrides={"seed": "7"})
+        assert cfg.split.labeled == 30 and cfg.split.seed == 7
+
     @pytest.mark.parametrize("key, value, error", [
         ("folds", "five", "invalid literal for int"),
         ("gamma_grid", "", "could not convert string to float"),
@@ -735,6 +774,29 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert len(r.stdout.strip().split("\n")) == 100
         assert "accuracy" in r.stderr
+
+    def test_classify_accuracy_compares_label_names(self, tmp_path, capsys):
+        # each CSV numbers its labels from its own sorted names: B is 2 in the
+        # training file and 1 in the classified one
+        rng = np.random.default_rng(3)
+
+        def write(path, names):
+            rows = [f"{name},{10.0 * 'ABC'.index(name) + rng.normal(0, 0.3)},"
+                    f"{rng.normal(0, 0.3)}" for name in names]
+            path.write_text("label,x,y\n" + "\n".join(rows) + "\n")
+
+        train, data = tmp_path / "train.csv", tmp_path / "data.csv"
+        write(train, "ABC" * 6)
+        write(data, "BC")
+        model = tmp_path / "m.bin"
+        assert cli.main(["fit", "--data", str(train), "--base", "lfda", "--unlabel",
+                         "none", "--gamma", "0", "--dim", "1", "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert cli.main(["classify", "--train", str(train), "--data", str(data),
+                         "--model", str(model)]) == 0
+        out, err = capsys.readouterr()
+        assert out.split() == ["B", "C"]
+        assert "accuracy 1.000000" in err
 
     def test_classify_reads_the_model_files_once(self, tmp_path, monkeypatch):
         data_csv = tmp_path / "toy.csv"

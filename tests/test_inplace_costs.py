@@ -298,7 +298,8 @@ def test_fully_labeled_sweep_fit_frees_its_sub_block(base, bound):
     rng = np.random.default_rng(7)
     train = Dataset(rng.standard_normal((3, n)), 1 + np.arange(n) % 3, 3)
     spec = LearnerSpec(base=base, unlabel="none", gamma=0.0, dim=1)
-    score = _scorer(_shared_inputs(train, None, train.X[:, :5]), spec, [(0.0, 1)], 1)
+    score = _scorer(_shared_inputs(train, None, [spec], train.X[:, :5]), spec,
+                    {(0.0, 1): spec}, 1)
     tracemalloc.start()
     try:
         [acc] = score(train.labels, [(0.0, 1)], None, train.labels[:5])

@@ -3,9 +3,11 @@ comparison holds for NaN, so each check states what a valid value meets
 (``not value >= bound``) rather than what an invalid one does."""
 import math
 
+import numpy as np
 import pytest
 
-from ssdr import ExperimentConfig, HeatKernelSpec, KernelSpec, LearnerSpec, SplitSpec
+from ssdr import (ExperimentConfig, HeatKernelSpec, KernelSpec, KnnIndex, LearnerSpec,
+                  SplitSpec)
 from ssdr.harness import config_from_dict
 
 # (constructor, the other arguments it needs, the field under test)
@@ -74,6 +76,8 @@ BAD_VALUES = [
     (ExperimentConfig, {"dataset": "three-cluster"}, "toy_noise", math.nan),
     (ExperimentConfig, {"dataset": "three-cluster"}, "toy_noise", math.inf),
     (ExperimentConfig, {"dataset": "three-cluster"}, "data_seed", -1),
+    (KnnIndex, {"points": np.zeros((1, 3)), "labels": np.array([1, 1, 2])}, "k", 1.5),
+    (KnnIndex, {"points": np.zeros((1, 3)), "labels": np.array([1, 1, 2])}, "k", 0),
 ]
 
 
