@@ -459,10 +459,8 @@ class TestSharedRealization:
     """run_benchmark builds each realization's split, KPCA map, centering and
     evaluation inputs once for all learners; no result may change."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("learners", [("ss-lfda", "lfda", "mmc", "pca")] + LEARNER_ORDERS,
-                             ids=["ss-lfda,lfda,mmc,pca"] + ORDER_IDS)
-    def test_same_report_as_one_learner_at_a_time(self, kernel, learners):
+    @staticmethod
+    def check_same_report(kernel, learners):
         cfg = shared_config(kernel, learners)
         data = load_dataset(cfg)
         with warnings.catch_warnings():
@@ -474,6 +472,15 @@ class TestSharedRealization:
         assert results == alone
         assert [(r.accuracies, r.failures) for r in results] == expect
         assert all(len(r.accuracies) == 2 for r in results)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_same_report_as_one_learner_at_a_time(self, kernel):
+        self.check_same_report(kernel, ("ss-lfda", "lfda", "mmc", "pca"))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("learners", LEARNER_ORDERS, ids=ORDER_IDS)
+    def test_same_report_for_every_learner_order(self, kernel, learners):
+        self.check_same_report(kernel, learners)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_prepared_once_per_realization(self, monkeypatch, kernel):
