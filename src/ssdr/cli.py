@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .costs import HeatKernelSpec, export_edge_list, heat_kernel_costs
-from .dataset import (TOY_KINDS, generate_balance, generate_multimodal_toy,
+from .costs import HeatKernelSpec, _check_threshold, export_edge_list, heat_kernel_costs
+from .dataset import (TOY_KINDS, _at_least, generate_balance, generate_multimodal_toy,
                       load_csv, save_csv)
 from .harness import (_parse_heat, _parse_kernel, format_report, parse_config,
                       run_benchmark)
@@ -76,6 +76,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _at_least(args, integer=True, k=1)   # before any file is read
     train = load_csv(args.train, args.label_column, args.missing_label_token)
     data = _load(args)
     lab = np.flatnonzero(train.labeled_mask)
@@ -128,17 +129,20 @@ def _cmd_toy_gen(args) -> int:
 
 
 def _cmd_graph_export(args) -> int:
+    # every option is checked before the data is read and the kernel built
+    heat = _parse_heat(args.heat, args.heat_k)
+    _check_threshold(args.threshold)
     data = _load(args)
-    cu = heat_kernel_costs(data.X, _parse_heat(args.heat, args.heat_k))
+    cu = heat_kernel_costs(data.X, heat)
     export_edge_list(cu, args.threshold, args.out)
     print(f"edge list written to {args.out}")
     return 0
 
 
 def _cmd_good_neighbors(args) -> int:
+    kernel = _parse_kernel(args.kernel)   # before the data is read
     data = _load(args)
     mapping = None
-    kernel = _parse_kernel(args.kernel)
     if kernel is not None:
         kmap = kpca_fit(data.X, kernel)
         mapping = lambda X: kpca_transform(kmap, X)

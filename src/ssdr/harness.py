@@ -12,10 +12,10 @@ import numpy as np
 from .costs import HeatKernelSpec
 from .dataset import (Dataset, SplitSpec, UNLABELED, _at_least, generate_balance,
                       generate_multimodal_toy, load_csv, split, TOY_KINDS)
-from .knn import KnnIndex, knn_classify
+from .knn import _knn
 from .kpca import KernelSpec, KpcaMap, _kpca_inputs, _linear_spec, kpca_transform
-from .solver import (LearnerSpec, _attempt, _check_dim, _join, _label_scatters, _ok,
-                     _prepare, _solve, _term, _unlabel_stage, embed)
+from .solver import (LearnerSpec, _attempt, _check_dim, _embed, _join, _label_scatters,
+                     _ok, _prepare, _solve, _term, _unlabel_stage)
 
 # Named learner presets.  ``tunes`` lists which of (gamma, alpha) cross
 # validation may adjust; the others stay at the preset value.
@@ -69,6 +69,7 @@ class ExperimentConfig:
         _at_least(self, integer=True, folds=2, eval_k=1, dim=1, n_per_cluster=2,
                   data_seed=0)
         _at_least(self, toy_noise=0)
+        _at_least(self.split, labeled=1)   # the k-NN score needs labeled points
         if not self.learners:
             raise ValueError("learners must name at least one learner")
         for name, least in (("gamma_grid", 0), ("alpha_grid", 1)):
@@ -160,7 +161,9 @@ def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
     frees it.  ``score(labels, points, X_eval, truth)`` yields, per (gamma,
     alpha) in ``points``, the k-NN accuracy on the raw points ``X_eval``
     (None: the shared evaluation points) of its fit on ``labels``, or its
-    first failed step's error."""
+    first failed step's error.  The embeddings and the k-NN vote go through
+    the unchecked cores ``_embed`` and ``_knn``: every array they get is
+    built here from inputs checked where they entered."""
     try:
         if _ok(inputs).kmap is not None:
             spec = _linear_spec(spec, inputs.kmap)
@@ -176,6 +179,7 @@ def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
     def score(labels, points, X_eval, truth):
         lab = np.flatnonzero(labels != UNLABELED)
         pos = np.searchsorted(inputs.labeled, lab)
+        k = min(eval_k, lab.size)
         label = _attempt(_label_scatters, inputs.X, labels, spec,
                          lambda: inputs.block[np.ix_(pos, pos)])
         eval_inputs = inputs.eval if X_eval is None else _mapped(inputs.kmap, X_eval)
@@ -183,9 +187,9 @@ def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
             if isinstance(model, Exception):
                 yield model
                 continue
-            index = KnnIndex(points=embed(model, inputs.train)[:, lab], labels=labels[lab],
-                             k=min(eval_k, lab.size))
-            yield float((knn_classify(index, embed(model, eval_inputs)) == truth).mean())
+            pred = _knn(_embed(model, inputs.train)[:, lab], labels[lab], k,
+                        _embed(model, eval_inputs))
+            yield float((pred == truth).mean())
 
     return score
 

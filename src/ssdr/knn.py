@@ -1,4 +1,9 @@
-"""Exact nearest-neighbor classification and neighborhood diagnostics."""
+"""Exact nearest-neighbor classification and neighborhood diagnostics.
+
+``KnnIndex`` and ``knn_classify`` check their inputs; the private ``_knn``
+core they share takes arrays that are already valid, as the CV sweep builds
+them.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -41,17 +46,24 @@ def _vote(near: np.ndarray) -> np.ndarray:
 def knn_classify(index: KnnIndex, z: np.ndarray) -> int | np.ndarray:
     """Classify one embedded point or a (d, m) batch.
 
-    Distance ties are broken toward the smaller stored index.
+    Distance ties are broken toward the smaller stored index.  The queries
+    are checked here; ``_knn`` classifies them.
     """
     Q, single = _input_columns(z, index.points.shape[0])
-    d2 = _cross_sq_dists(Q, index.points)
-    if index.k == 1:
-        # argmin returns the first minimum: ties go to the smaller index
-        out = index.labels[d2.argmin(axis=1)]
-    else:
-        order = np.argsort(d2, axis=1, kind="stable")[:, : index.k]
-        out = _vote(index.labels[order])
+    out = _knn(index.points, index.labels, index.k, Q)
     return int(out[0]) if single else out.astype(int)
+
+
+def _knn(points: np.ndarray, labels: np.ndarray, k: int, queries: np.ndarray) -> np.ndarray:
+    """Labels of the (d, q) ``queries`` by :func:`knn_classify`'s rule over a
+    valid index ``(points, labels, k)``, unchecked: the CV sweep classifies
+    the embeddings it built with it."""
+    d2 = _cross_sq_dists(queries, points)
+    if k == 1:
+        # argmin returns the first minimum: ties go to the smaller index
+        return labels[d2.argmin(axis=1)]
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return _vote(labels[order])
 
 
 def good_neighbors_score(dataset: Dataset, mapping=None) -> float:

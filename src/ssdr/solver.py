@@ -3,9 +3,13 @@
 The projection is found by minimizing trace(A X (D - C) X^T A^T) subject to
 A B A^T = I: the rows of A are the generalized eigenvectors of
 (X(D-C)X^T, B + eps*I) for the d smallest eigenvalues.
+
+``embed`` checks its inputs and maps them with the unchecked core
+``_embed``; the CV sweep calls the core on arrays it built itself.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import warnings
@@ -91,18 +95,40 @@ def regularize(B: np.ndarray, epsilon: float) -> np.ndarray:
     return B + epsilon * np.eye(B.shape[0])
 
 
+# LAPACK's dsygvx and its workspace query: the driver that
+# ``scipy.linalg.eigh(L, B, subset_by_index=...)`` calls, without its
+# per-call dispatch and validation
+_SYGVX, _SYGVX_LWORK = scipy.linalg.get_lapack_funcs(("sygvx", "sygvx_lwork"))
+
+
+@functools.cache
+def _sygvx_lwork(d0: int) -> int:
+    """The workspace size that LAPACK reports for dsygvx at order d0."""
+    work, info = _SYGVX_LWORK(d0, uplo="L")
+    if info:
+        raise np.linalg.LinAlgError(f"dsygvx workspace query failed with info {info}")
+    return int(work)
+
+
 def solve_gev(L: np.ndarray, B_reg: np.ndarray, dim: int):
     """Bottom-d generalized eigenpairs of L a = lambda B_reg a.
 
     L is symmetric and B_reg symmetric positive definite.  One LAPACK call
-    factors B_reg, reduces the problem to a standard symmetric one and
-    computes only the ``dim`` bottom eigenpairs.  Rows of the returned A
+    (dsygvx, with the workspace it reports for the order d0) factors B_reg,
+    reduces the problem to a standard symmetric one and computes only the
+    ``dim`` bottom eigenpairs, bit for bit what ``scipy.linalg.eigh(L,
+    B_reg, subset_by_index=[0, dim - 1])`` returns.  Rows of the returned A
     satisfy A B_reg A^T = I; each row's first non-negligible component is
     made positive for reproducibility.
     """
     d0 = L.shape[0]
+    if L.shape != (d0, d0) or B_reg.shape != (d0, d0):
+        raise ValueError(f"L and B_reg must be square of one size, got {L.shape} "
+                         f"and {B_reg.shape}")
     if not 1 <= dim <= d0:
         raise ValueError(f"dim must be between 1 and the input dimension {d0}, got {dim}")
+    if not (np.isfinite(L).all() and np.isfinite(B_reg).all()):
+        raise ValueError("array must not contain infs or NaNs")
     if np.array_equal(B_reg, np.eye(d0)):
         # the full spectrum, as the Cholesky reduction by R = I computed it:
         # mmc's bottom eigenvalues are near zero and rounding picks its
@@ -110,20 +136,19 @@ def solve_gev(L: np.ndarray, B_reg: np.ndarray, dim: int):
         # is fixed, this folds into the subset solve below
         lam, V = scipy.linalg.eigh(L)
     else:
-        try:
-            lam, V = scipy.linalg.eigh(L, B_reg, subset_by_index=[0, dim - 1])
-        except scipy.linalg.LinAlgError as exc:
-            if "positive definite" not in str(exc):
-                raise
+        lam, V, _, _, info = _SYGVX(L, B_reg, itype=1, jobz="V", range="I", il=1,
+                                    iu=dim, uplo="L", lwork=_sygvx_lwork(d0))
+        if info > d0:
             raise np.linalg.LinAlgError(
                 "constraint matrix is not positive definite; increase the "
-                "regularizer epsilon") from exc
+                "regularizer epsilon")
+        if info:
+            raise np.linalg.LinAlgError(f"dsygvx failed with info {info}")
     A = V[:, :dim].T.copy()
     # sign convention: first component of non-trivial magnitude positive
-    for row in A:
-        nz = np.flatnonzero(np.abs(row) > 1e-12 * max(np.abs(row).max(), 1e-300))
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
+    mag = np.abs(A)
+    big = mag > 1e-12 * np.maximum(mag.max(axis=1), 1e-300)[:, None]
+    A[A[np.arange(dim), big.argmax(axis=1)] < 0] *= -1.0
     return A, lam[:dim]
 
 
@@ -282,11 +307,13 @@ def _term(spec: LearnerSpec):
 def _unlabel_stage(X: np.ndarray, labeled: np.ndarray, specs: list):
     """``(terms, block)`` of the learners ``specs``, which share one
     ``HeatKernelSpec``, from at most one n x n distance matrix.  ``terms``
-    maps each ``_term`` of ``specs`` to its ``_unlabel_scatters`` or to the
-    error they raised, and None to (None, None).  ``block`` is the ranking
-    block of ``pairwise_sq_dists(X)`` over the sorted indices ``labeled`` if
-    a spec ranks (dne, mfa, lfda), cut before the heat kernel turns the
-    distances into costs; the costs are freed on return."""
+    maps each ``_term`` of ``specs`` to its scatters ``(L_u, B_u)`` or to the
+    error their build raised, and None to (None, None).  Terms of one
+    ``(unlabel, alpha)`` share one ``_unlabel_scatters``; B_u is built when a
+    base-"none" term takes it, and is None for the other terms.  ``block``
+    is the ranking block of ``pairwise_sq_dists(X)`` over the sorted indices
+    ``labeled`` if a spec ranks (dne, mfa, lfda), cut before the heat kernel
+    turns the distances into costs; the costs are freed on return."""
     terms = dict.fromkeys(map(_term, specs))
     ranks = any(s.base in ("dne", "mfa", "lfda") for s in specs)
     cu = None
@@ -296,25 +323,33 @@ def _unlabel_stage(X: np.ndarray, labeled: np.ndarray, specs: list):
         cu = _heat_costs(d2, specs[0].heat)
     else:
         block = _labeled_sq_dists(X, labeled) if ranks else None
-    return {t: (None, None) if t is None else _attempt(_unlabel_scatters, X, cu, t)
-            for t in terms}, block
+    built = {}   # (unlabel, alpha): its _unlabel_scatters, or their error
+    for t in filter(None, terms):
+        cost = t[:2]
+        if cost not in built:
+            built[cost] = _attempt(_unlabel_scatters, X, cu, *cost, (*cost, True) in terms)
+        terms[t] = built[cost] if t[2] or isinstance(built[cost], Exception) \
+            else (built[cost][0], None)
+    if None in terms:
+        terms[None] = None, None
+    return terms, block
 
 
-def _unlabel_scatters(X: np.ndarray, cu: np.ndarray | None, term: tuple):
-    """L_u of the unlabel term ``(unlabel, alpha, none)``, from the heat costs
-    cu for a heat term, and the constraint B_u that base "none" takes from
-    it (None for the other bases)."""
-    unlabel, alpha, none = term
+def _unlabel_scatters(X: np.ndarray, cu: np.ndarray | None, unlabel: str, alpha: int,
+                      constraint: bool):
+    """L_u of the unlabel cost at alpha, from the heat costs cu for a heat
+    term, and with ``constraint`` the constraint B_u that base "none" takes
+    from it (else None)."""
     if unlabel == "self_pca":
         # the scatter of self_cost(n), whose rows each sum to -1/2:
         # -(1/2) X X^T + s s^T / (2n) with s = X 1, and no n x n matrix
         s = X.sum(axis=1)
         L_u = np.outer(s, s) / (2 * X.shape[1]) - 0.5 * (X @ X.T)
-        return 0.5 * (L_u + L_u.T), np.eye(X.shape[0]) if none else None
+        return 0.5 * (L_u + L_u.T), np.eye(X.shape[0]) if constraint else None
     if alpha != 1:
         cu = hadamard_power(cu, alpha)
     L_u = laplacian_scatter(X, cu)
-    if not none:
+    if not constraint:
         return L_u, None
     # classical locality-preserving constraint X D^u X^T
     B_u = (X * cu.sum(axis=1)) @ X.T
@@ -390,13 +425,20 @@ def _input_columns(x, dim: int):
 
 
 def embed(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
-    """Map an input vector (or a (d0, m) column matrix) to the subspace."""
+    """Map an input vector (or a (d0, m) column matrix) to the subspace.
+    The inputs are checked here; ``_embed`` maps them."""
     cols, single = _input_columns(x, model.input_dim)
+    z = _embed(model, cols)
+    return z[:, 0] if single else z
+
+
+def _embed(model: EmbeddingModel, cols: np.ndarray) -> np.ndarray:
+    """:func:`embed` of a finite float (d0, m) column matrix, unchecked: the
+    CV sweep maps the inputs it built with it."""
     cols = cols - model.train_mean[:, None]
     if model.pre_pca is not None:
         cols = model.pre_pca.T @ cols
-    z = model.A @ cols
-    return z[:, 0] if single else z
+    return model.A @ cols
 
 
 _MAGIC = b"SSDR"

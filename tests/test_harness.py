@@ -1,3 +1,4 @@
+import builtins
 import subprocess
 import sys
 import warnings
@@ -200,6 +201,26 @@ class TestSweepMatchesFitPerCandidate:
         tunes = ("gamma",) * (len(gammas) > 1) + ("alpha",) * (len(alphas) > 1)
         assert cross_validate(train, spec, tunes, gammas, alphas, folds=4,
                               eval_k=3, kernel=kernel) == best[1:]
+
+    @pytest.mark.parametrize("kernel", [None, KernelSpec("gaussian", sigma=2.0)],
+                             ids=["linear", "gaussian"])
+    @pytest.mark.parametrize("eval_k", [1, 3])
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
+    def test_unchecked_cores_score_as_the_public_path(self, kernel, eval_k, rank):
+        # each candidate embeds and votes through the private cores; its
+        # scores equal those of fit, embed, KnnIndex and knn_classify, with
+        # the PCA basis of rank-deficient inputs and a 2-d embedding too
+        train = self.train()
+        if rank == "deficient":
+            train = replace(train, X=np.vstack([train.X, train.X[:1]]))
+            assert _shared_inputs(train, None, []).basis is not None
+        spec, _ = learner_preset("ss-lfda", dim=2)
+        grid = [(g, a) for g in (0.1, 10.0) for a in (1, 2)]
+        expect, _ = recorded(lambda: reference_scores(train, spec, grid, folds=4,
+                                                      eval_k=eval_k, kernel=kernel))
+        got, warned = recorded(lambda: sweep(train, spec, grid, 4, eval_k, kernel))
+        assert got == expect and not warned
+        assert all(len(s) == 4 for s in got)
 
     def test_skipped_folds_warn_once_per_candidate_and_fold(self):
         train = self.train(labeled=6)
@@ -899,6 +920,28 @@ class TestCli:
                          "--out", str(out)]) == 1
         assert "threshold must be non-negative and finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, option, message", [
+        ("graph-export", ["--threshold", "-1"], "threshold must be non-negative and finite"),
+        ("classify", ["--k", "0"], "k must be >= 1, got 0"),
+        ("good-neighbors", ["--kernel", "gaussianx"], "unknown kernel 'gaussianx'"),
+    ], ids=["graph-export", "classify", "good-neighbors"])
+    def test_options_checked_before_any_file_is_read(self, tmp_path, monkeypatch, capsys,
+                                                     command, option, message):
+        data_csv, model, out = tmp_path / "toy.csv", tmp_path / "m.bin", tmp_path / "out"
+        assert cli.main(["toy-gen", "--kind", "ssl-only", "--n-per-cluster", "5",
+                         "--out", str(data_csv)]) == 0
+        assert cli.main(["fit", "--data", str(data_csv), "--dim", "1",
+                         "--out", str(model)]) == 0
+        capsys.readouterr()
+        paths = {"graph-export": ["--out", str(out)], "good-neighbors": [],
+                 "classify": ["--train", str(data_csv), "--model", str(model)]}
+        opened, original = [], builtins.open
+        monkeypatch.setattr(builtins, "open", lambda file, *a, **k:
+                            opened.append(str(file)) or original(file, *a, **k))
+        assert cli.main([command, "--data", str(data_csv), *paths[command], *option]) == 1
+        assert message in capsys.readouterr().err
+        assert opened == []
 
     def test_toy_gen_rejects_negative_noise(self, tmp_path, capsys):
         out = tmp_path / "toy.csv"

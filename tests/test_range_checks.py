@@ -98,7 +98,7 @@ def test_integer_counts_accepted(value):
 
 # every numeric config key, with a text out of its range
 BAD_CONFIG = [
-    ("labeled", "-1"), ("unlabeled", "-1"), ("test", "-2"), ("seed", "-1"),
+    ("labeled", "-1"), ("labeled", "0"), ("unlabeled", "-1"), ("test", "-2"), ("seed", "-1"),
     ("realizations", "0"), ("gamma_grid", "1,-1"), ("alpha_grid", "0"),
     ("folds", "1"), ("eval_k", "0"), ("dim", "0"), ("heat_k", "0"),
     ("n_per_cluster", "1"), ("toy_noise", "-0.5"), ("toy_noise", "nan"),

@@ -190,17 +190,53 @@ class TestSolveGev:
             solve_gev(np.eye(3), np.diag([1.0, -1.0, 2.0]), 1)
 
     def test_one_partial_lapack_call(self, monkeypatch):
-        eigh_calls, triangular = [], []
-        eigh = scipy.linalg.eigh
+        eigh_calls, sygvx_calls, triangular = [], [], []
+        sygvx = ssdr.solver._SYGVX
         monkeypatch.setattr(scipy.linalg, "eigh",
-                            lambda *a, **k: eigh_calls.append((len(a), k)) or eigh(*a, **k))
+                            lambda *a, **k: eigh_calls.append(1))
+        monkeypatch.setattr(ssdr.solver, "_SYGVX",
+                            lambda *a, **k: sygvx_calls.append((len(a), k)) or sygvx(*a, **k))
         monkeypatch.setattr(scipy.linalg, "solve_triangular",
                             lambda *a, **k: triangular.append(1))
         rng = np.random.default_rng(7)
         A, lam = solve_gev(random_symmetric(rng, 30), random_pd(rng, 30), 2)
         assert A.shape == (2, 30) and lam.shape == (2,)
-        assert eigh_calls == [(2, {"subset_by_index": [0, 1]})]
-        assert triangular == []
+        [(args, kw)] = sygvx_calls
+        assert args == 2 and (kw["range"], kw["il"], kw["iu"]) == ("I", 1, 2)
+        assert eigh_calls == [] and triangular == []
+
+    @pytest.mark.parametrize("d0", [1, 2, 3, 17, 64, 601])
+    def test_bitwise_eigh_subset_with_sign_loop(self, d0):
+        # the direct dsygvx call returns what eigh's subset solve did, with the
+        # per-row sign loop it replaced; at 601 the blocked reduction uses the
+        # workspace, so its size matters
+        rng = np.random.default_rng(d0)
+        L, B = random_symmetric(rng, d0), random_pd(rng, d0)
+        for dim in range(1, min(d0, 5) + 1):
+            A, lam = solve_gev(L, B, dim)
+            w, V = scipy.linalg.eigh(L, B, subset_by_index=[0, dim - 1])
+            np.testing.assert_array_equal(lam, w)
+            np.testing.assert_array_equal(A, sign_convention(V.T))
+
+    def test_lapack_workspace_is_the_reported_one(self):
+        _, lwork = scipy.linalg.get_lapack_funcs(("sygvx", "sygvx_lwork"))
+        for d0 in (1, 2, 64, 601):
+            assert ssdr.solver._sygvx_lwork(d0) == int(lwork(d0, uplo="L")[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["L", "B_reg"])
+    def test_non_finite_input_rejected(self, bad, which):
+        rng = np.random.default_rng(8)
+        mats = {"L": random_symmetric(rng, 4), "B_reg": random_pd(rng, 4)}
+        mats[which][1, 2] = mats[which][2, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_gev(mats["L"], mats["B_reg"], 2)
+
+    def test_non_square_input_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            solve_gev(np.zeros((2, 3)), np.eye(2), 1)
+        with pytest.raises(ValueError, match="square"):
+            solve_gev(np.eye(2), np.eye(3), 1)
 
 
 class TestAxisWeighting:
@@ -444,6 +480,33 @@ class TestBuildScatters:
         assert len(grams) == 1
         for g, want in zip(got, (L_l, L_u, B)):
             np.testing.assert_array_equal(g, want)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_shared_heat_alpha_scattered_once(self, monkeypatch, alpha):
+        # lpp (base "none", which takes B_u) and ss-lfda at one alpha share
+        # one n x n scatter (and power) of the heat costs; only lpp's term
+        # carries the constraint B_u
+        rng = np.random.default_rng(27)
+        n = 200
+        X = rng.standard_normal((3, n))
+        specs = [LearnerSpec(base="none", unlabel="heat", gamma=1.0, alpha=alpha),
+                 LearnerSpec(base="lfda", unlabel="heat", gamma=1.0, alpha=alpha)]
+        cu = hadamard_power(heat_kernel_costs(X, specs[0].heat), alpha)
+        L_ref, B_ref = laplacian_scatter(X, cu), (X * cu.sum(axis=1)) @ X.T
+        scatters, powers = [], []
+        scatter, power = ssdr.solver.laplacian_scatter, ssdr.solver.hadamard_power
+        monkeypatch.setattr(ssdr.solver, "laplacian_scatter",
+                            lambda X, C: scatters.append(C.shape) or scatter(X, C))
+        monkeypatch.setattr(ssdr.solver, "hadamard_power",
+                            lambda *a: powers.append(1) or power(*a))
+        terms, _ = ssdr.solver._unlabel_stage(X, np.arange(0, n, 4), specs)
+        assert scatters == [(n, n)] and len(powers) == (alpha != 1)
+        (L_none, B_none), (L_lfda, B_lfda) = terms[("heat", alpha, True)], \
+            terms[("heat", alpha, False)]
+        np.testing.assert_array_equal(L_none, L_ref)
+        np.testing.assert_array_equal(L_lfda, L_ref)
+        np.testing.assert_array_equal(B_none, 0.5 * (B_ref + B_ref.T))
+        assert B_lfda is None
 
     @pytest.mark.parametrize("base", ["dne", "mmc"])
     def test_heat_keeps_identity_constraint(self, base):
