@@ -53,7 +53,6 @@ class HeatKernelSpec:
     scaling: str = "local"            # "global" | "local"
     sigma: float = 1.0                # global scale
     k: int = 7                        # neighbor rank for local scaling
-    distance_floor: float | None = None   # local-scale clamp; default 1e-12 * diameter
 
     def __post_init__(self):
         if self.scaling not in ("global", "local"):
@@ -62,8 +61,6 @@ class HeatKernelSpec:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.scaling == "local":
             _at_least(self, integer=True, prefix="neighbor rank ", k=1)
-        if self.distance_floor is not None and not self.distance_floor > 0:
-            raise ValueError(f"distance_floor must be positive, got {self.distance_floor}")
 
 
 def pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
@@ -208,7 +205,8 @@ def heat_kernel_costs(X: np.ndarray, spec: HeatKernelSpec) -> np.ndarray:
     The exponent is negated: a positive exponent would grow without bound
     with distance and penalize exactly the wrong pairs.  With local scaling
     the scale is sigma_i * sigma_j, sigma_i the distance to the k-th
-    nearest neighbor of x_i (clamped away from zero for duplicates).
+    nearest neighbor of x_i, floored at 1e-12 * max(diameter, 1) so that
+    duplicate points keep a positive scale.
     """
     return _heat_costs(pairwise_sq_dists(X), spec)
 
@@ -237,10 +235,9 @@ def _heat_costs(cu: np.ndarray, spec: HeatKernelSpec) -> np.ndarray:
             part = np.partition(cu[r], k, axis=1)
             sigma[r], top[i] = part[:, k], part[:, k:].max()
         np.sqrt(sigma, out=sigma)
-        floor = spec.distance_floor
-        if floor is None:
-            floor = 1e-12 * max(np.sqrt(top.max()), 1.0)
-        sigma = np.maximum(sigma, floor)
+        # duplicate points put sigma_i at 0, and 0/0 at their pair: a floor
+        # relative to the diameter keeps every scale positive
+        sigma = np.maximum(sigma, 1e-12 * max(np.sqrt(top.max()), 1.0))
     for r in blocks:
         lo = r.start
         # d / -s is -d / s bit for bit

@@ -285,6 +285,9 @@ def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> l
         train = data.subset(train_idx).with_labels_hidden(
             np.flatnonzero(np.isin(train_idx, lab_idx)))
         eval_idx = unl_idx if test_idx.size == 0 else test_idx
+        if eval_idx.size == 0:
+            raise ValueError("no points to evaluate: the split has unlabeled = 0 "
+                             "and test = 0")
         inputs = _shared_inputs(train, config.kernel,
                                 [c for _, grid in learners for c in grid.values()],
                                 data.X[:, eval_idx])

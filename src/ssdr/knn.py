@@ -88,6 +88,9 @@ def good_nearby_ratio(cu: np.ndarray, labels: np.ndarray, threshold: float) -> f
     """Fraction of same-class pairs among pairs with c^u_ij > threshold."""
     _check_threshold(threshold)
     labels = np.asarray(labels)
+    if cu.shape != (labels.size,) * 2:
+        raise ValueError(f"costs of shape {cu.shape} do not match {labels.size} labels; "
+                         "expected an n x n matrix with n the label count")
     if (labels == UNLABELED).any():
         raise ValueError("the ratio needs full ground-truth labels")
     iu, ju = np.triu_indices(cu.shape[0], k=1)

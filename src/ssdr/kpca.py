@@ -16,8 +16,8 @@ import scipy.linalg
 
 from .costs import _cross_sq_dists
 from .dataset import Dataset, _at_least
-from .solver import (EmbeddingModel, LearnerSpec, _fit, _input_columns, _read_header,
-                     _read_payload, embed)
+from .solver import (EmbeddingModel, LearnerSpec, _check_count, _fit, _input_columns,
+                     _read_header, _read_payload, embed)
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,9 @@ def load_kpca(path) -> KpcaMap:
             raise ValueError(f"{path}: unsupported version {version}")
         if kind not in _CODE_KERNELS:
             raise ValueError(f"{path}: unknown kernel code {kind}")
+        _check_count(path, "d0", d0, 1)
+        _check_count(path, "n", n, 2)
+        _check_count(path, "r", r, 1, ("n", n))
         X, col_means, lam, V = _read_payload(fh, path, (d0 * n, n, r, n * r))
     if not (np.isfinite(lam).all() and (lam > 0).all()):
         raise ValueError(f"{path}: eigenvalues must be positive and finite, got {lam}")

@@ -296,24 +296,23 @@ def _ok(stage):
 
 
 def _term(spec: LearnerSpec):
-    """The learner's unlabel term ``(unlabel, alpha, base == "none")``, or None
-    without one (unlabel "none" or gamma = 0).  Learners of one term share its
-    scatters; only base "none" takes the constraint B_u from them."""
+    """The learner's unlabel term ``(unlabel, alpha)``, or None without one
+    (unlabel "none" or gamma = 0).  Learners of one term share its scatters;
+    only base "none" takes the constraint B_u from them."""
     if spec.unlabel == "none" or not spec.gamma > 0:
         return None
-    return spec.unlabel, spec.alpha, spec.base == "none"
+    return spec.unlabel, spec.alpha
 
 
 def _unlabel_stage(X: np.ndarray, labeled: np.ndarray, specs: list):
     """``(terms, block)`` of the learners ``specs``, which share one
     ``HeatKernelSpec``, from at most one n x n distance matrix.  ``terms``
     maps each ``_term`` of ``specs`` to its scatters ``(L_u, B_u)`` or to the
-    error their build raised, and None to (None, None).  Terms of one
-    ``(unlabel, alpha)`` share one ``_unlabel_scatters``; B_u is built when a
-    base-"none" term takes it, and is None for the other terms.  ``block``
-    is the ranking block of ``pairwise_sq_dists(X)`` over the sorted indices
-    ``labeled`` if a spec ranks (dne, mfa, lfda), cut before the heat kernel
-    turns the distances into costs; the costs are freed on return."""
+    error their build raised, and None to (None, None); B_u is None unless a
+    base-"none" spec takes it.  ``block`` is the ranking block of
+    ``pairwise_sq_dists(X)`` over the sorted indices ``labeled`` if a spec
+    ranks (dne, mfa, lfda), cut before the heat kernel turns the distances
+    into costs; the costs are freed on return."""
     terms = dict.fromkeys(map(_term, specs))
     ranks = any(s.base in ("dne", "mfa", "lfda") for s in specs)
     cu = None
@@ -323,13 +322,9 @@ def _unlabel_stage(X: np.ndarray, labeled: np.ndarray, specs: list):
         cu = _heat_costs(d2, specs[0].heat)
     else:
         block = _labeled_sq_dists(X, labeled) if ranks else None
-    built = {}   # (unlabel, alpha): its _unlabel_scatters, or their error
+    constrained = {_term(s) for s in specs if s.base == "none"}
     for t in filter(None, terms):
-        cost = t[:2]
-        if cost not in built:
-            built[cost] = _attempt(_unlabel_scatters, X, cu, *cost, (*cost, True) in terms)
-        terms[t] = built[cost] if t[2] or isinstance(built[cost], Exception) \
-            else (built[cost][0], None)
+        terms[t] = _attempt(_unlabel_scatters, X, cu, *t, t in constrained)
     if None in terms:
         terms[None] = None, None
     return terms, block
@@ -471,6 +466,16 @@ def _read_header(fh, path, fmt: str) -> tuple:
     return struct.unpack(fmt, header)
 
 
+def _check_count(path, name: str, value: int, least: int, most=None) -> None:
+    """A header count of at least ``least`` and, unless ``most`` is None, at
+    most the count ``most = (its field name, its value)``; else an error that
+    names the file and the field."""
+    if value < least or (most is not None and value > most[1]):
+        upper = "" if most is None else f" <= {most[0]} = {most[1]}"
+        raise ValueError(f"{path}: header field {name} = {value}; expected "
+                         f"{least} <= {name}{upper}")
+
+
 def _read_payload(fh, path, counts) -> list[np.ndarray]:
     """The rest of an open model file as float64 arrays of the given sizes;
     its length must be exactly what the header announced."""
@@ -493,9 +498,12 @@ def load_model(path) -> EmbeddingModel:
             raise ValueError(f"{path}: unsupported version {version}")
         if mode not in _CODE_MODES:
             raise ValueError(f"{path}: unknown weighting mode code {mode}")
+        _check_count(path, "d0", d0, 1)
+        _check_count(path, "r", r, 0, ("d0", d0))
         if a_cols != (r or d0):
             raise ValueError(f"{path}: A has {a_cols} columns; expected {r or d0}, "
                              f"the {'PCA rank r' if r else 'input dimension d0'}")
+        _check_count(path, "dim", dim, 1, ("a_cols", a_cols))
         if not (math.isfinite(eps) and math.isfinite(gamma)):
             raise ValueError(f"{path}: epsilon {eps} and gamma {gamma} must be finite")
         mean, basis, A, lam = _read_payload(fh, path, (d0, d0 * r, dim * a_cols, dim))

@@ -283,16 +283,6 @@ class TestHeatKernel:
         assert np.isfinite(cu).all()
         assert cu[0, 1] == pytest.approx(1.0)  # zero distance, any scale
 
-    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
-    def test_nonpositive_distance_floor_rejected(self, floor):
-        # equal columns at k = 1 put the local scale on the floor: 0/0 at a
-        # floor of zero, a negative scale below it
-        with pytest.raises(ValueError, match="distance_floor must be positive"):
-            HeatKernelSpec("local", k=1, distance_floor=floor)
-        X = np.array([[0.0, 0.0, 5.0]])
-        cu = heat_kernel_costs(X, HeatKernelSpec("local", k=1, distance_floor=1e-3))
-        assert np.isfinite(cu).all()
-
     def test_symmetry_zero_diagonal_nonnegative(self):
         X = np.random.default_rng(10).standard_normal((3, 12))
         for spec in (HeatKernelSpec("global", sigma=0.7),

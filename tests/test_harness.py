@@ -611,6 +611,22 @@ class TestRunBenchmark:
         res = run_learner(load_dataset(cfg), cfg, "ss-lfda")
         assert len(res.accuracies) == 3
 
+    @pytest.mark.parametrize("split_spec", [
+        SplitSpec(labeled=6, unlabeled=0, realizations=2, per_class_labels=True),
+        SplitSpec(labeled=30, realizations=2)], ids=["no unlabeled", "all labeled"])
+    def test_split_with_nothing_to_evaluate_fails(self, split_spec):
+        # the mean accuracy over no points was nan, reported as a result
+        cfg = toy_config(learners=("lfda", "pca"), split=split_spec, n_per_cluster=10)
+        message = "no points to evaluate: the split has unlabeled = 0 and test = 0"
+        learners = [(spec, ssdr.harness._grid(spec, tunes, cfg.gamma_grid, cfg.alpha_grid))
+                    for spec, tunes in (learner_preset(n, cfg.dim) for n in cfg.learners)]
+        data = load_dataset(cfg)
+        assert ssdr.harness._realization(data, cfg, 1, learners) == \
+            [f"realization 1: {message}"] * 2
+        with pytest.raises(RuntimeError, match=f"lfda: every realization failed: "
+                                               f"\\['realization 0: {message}'"):
+            run_benchmark(cfg)
+
     def test_two_cluster_qualitative_ordering(self):
         cfg = toy_config(dataset="two-cluster",
                          split=SplitSpec(labeled=20, seed=0, realizations=10,
@@ -988,6 +1004,18 @@ class TestCli:
                   if line.startswith("ssdr benchmark: ss-lfda: realization")]
         assert failed == [f"ssdr benchmark: ss-lfda: realization {i}: cross "
                           "validation failed: every fold was skipped" for i in range(3)]
+
+    def test_benchmark_with_nothing_to_evaluate_exits_nonzero(self, tmp_path):
+        # this config printed "lfda  nan  nan  2" and exited 0
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "dataset = three-cluster\nlabeled = 30\nper_class_labels = true\n"
+            "unlabeled = 0\nrealizations = 2\nlearners = lfda, pca\n")
+        r = run_cli("benchmark", "--config", str(cfg))
+        assert r.returncode == 1 and r.stdout == ""
+        assert "no points to evaluate: the split has unlabeled = 0 and test = 0" \
+            in r.stderr
+        assert "RuntimeWarning" not in r.stderr
 
     def test_errors_exit_nonzero_with_diagnostics(self, tmp_path):
         r = run_cli("benchmark", "--config", str(tmp_path / "missing.cfg"))

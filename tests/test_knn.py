@@ -195,6 +195,17 @@ class TestGoodNearbyRatio:
         with pytest.raises(ValueError, match="full ground-truth labels"):
             good_nearby_ratio(cu, np.array([UNLABELED, UNLABELED, 1]), 0.5)
 
+    @pytest.mark.parametrize("shape, n", [((4, 4), 6), ((4, 4), 3), ((3, 4), 3),
+                                          ((4, 3), 4)],
+                             ids=["more labels", "fewer labels", "wide", "tall"])
+    def test_costs_not_matching_the_labels_rejected(self, shape, n):
+        # 4 x 4 costs with 6 labels scored the pairs of the first four labels
+        cu = np.full(shape, 0.5)
+        labels = 1 + np.arange(n) % 2
+        with pytest.raises(ValueError, match=rf"costs of shape \({shape[0]}, "
+                                             rf"{shape[1]}\) do not match {n} labels"):
+            good_nearby_ratio(cu, labels, 0.1)
+
     def test_pair_enumeration_oracle(self):
         rng = np.random.default_rng(3)
         X = np.hstack([rng.standard_normal((2, 10)),

@@ -1,9 +1,11 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import ssdr.kpca
 from ssdr import (Dataset, KernelSpec, KnnIndex, LearnerSpec, SplitSpec, UNLABELED,
                   center, embed, fit, generate_balance, gram, kernel_values,
                   knn_classify, kpca_embed, kpca_fit, kpca_transform,
@@ -344,6 +346,27 @@ class TestKpcaSerialization:
         data[at:at + 8] = bytes(8)   # sigma 0.0, or degree 0
         (tmp_path / "bad.bin").write_bytes(bytes(data))
         with pytest.raises(ValueError, match=r"bad\.bin: " + message):
+            load_kpca(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("d0, n, r, field, value, bound", [
+        (3, 8, 0, "r", 0, "1 <= r <= n = 8"),
+        (3, 8, -1, "r", -1, "1 <= r <= n = 8"),
+        (3, 4, 5, "r", 5, "1 <= r <= n = 4"),
+        (3, 1, 2, "n", 1, "2 <= n"),
+        (3, -2, 1, "n", -2, "2 <= n"),
+        (0, 8, 2, "d0", 0, "1 <= d0"),
+    ], ids=["no output", "negative r", "r above n", "one point", "negative n",
+            "no inputs"])
+    def test_impossible_counts_name_file_and_field(self, tmp_path, d0, n, r, field,
+                                                   value, bound):
+        # maps with r = 0 (out_dim 0) and with n = 1, r = 2 loaded
+        header = struct.pack("<Iqqqqqdd", ssdr.kpca._VERSION, d0, n, r,
+                             ssdr.kpca._KERNEL_CODES["gaussian"], 2, 1.0, 0.0)
+        size = max(0, d0 * n + n + r + n * r)
+        (tmp_path / "bad.bin").write_bytes(ssdr.kpca._MAGIC + header
+                                           + np.ones(size).tobytes())
+        with pytest.raises(ValueError, match=rf"bad\.bin: header field {field} = "
+                                             rf"{value}; expected {bound}$"):
             load_kpca(tmp_path / "bad.bin")
 
     def test_bad_magic(self, tmp_path):

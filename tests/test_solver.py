@@ -1,3 +1,4 @@
+import struct
 import warnings
 from dataclasses import fields, replace
 
@@ -484,15 +485,18 @@ class TestBuildScatters:
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_shared_heat_alpha_scattered_once(self, monkeypatch, alpha):
         # lpp (base "none", which takes B_u) and ss-lfda at one alpha share
-        # one n x n scatter (and power) of the heat costs; only lpp's term
-        # carries the constraint B_u
+        # one term: one n x n scatter (and power) of the heat costs, with the
+        # constraint B_u that only lpp takes; ss-lfda keeps its own B
         rng = np.random.default_rng(27)
         n = 200
         X = rng.standard_normal((3, n))
+        labels = np.full(n, UNLABELED)
+        labels[::4] = 1 + np.arange(n // 4) % 2
         specs = [LearnerSpec(base="none", unlabel="heat", gamma=1.0, alpha=alpha),
                  LearnerSpec(base="lfda", unlabel="heat", gamma=1.0, alpha=alpha)]
         cu = hadamard_power(heat_kernel_costs(X, specs[0].heat), alpha)
         L_ref, B_ref = laplacian_scatter(X, cu), (X * cu.sum(axis=1)) @ X.T
+        _, _, B_lfda = build_scatters(X, labels, specs[1])
         scatters, powers = [], []
         scatter, power = ssdr.solver.laplacian_scatter, ssdr.solver.hadamard_power
         monkeypatch.setattr(ssdr.solver, "laplacian_scatter",
@@ -501,12 +505,16 @@ class TestBuildScatters:
                             lambda *a: powers.append(1) or power(*a))
         terms, _ = ssdr.solver._unlabel_stage(X, np.arange(0, n, 4), specs)
         assert scatters == [(n, n)] and len(powers) == (alpha != 1)
-        (L_none, B_none), (L_lfda, B_lfda) = terms[("heat", alpha, True)], \
-            terms[("heat", alpha, False)]
-        np.testing.assert_array_equal(L_none, L_ref)
-        np.testing.assert_array_equal(L_lfda, L_ref)
-        np.testing.assert_array_equal(B_none, 0.5 * (B_ref + B_ref.T))
-        assert B_lfda is None
+        assert list(terms) == [("heat", alpha)]
+        L_u, B_u = terms[("heat", alpha)]
+        np.testing.assert_array_equal(L_u, L_ref)
+        np.testing.assert_array_equal(B_u, 0.5 * (B_ref + B_ref.T))
+        monkeypatch.undo()
+        label = ssdr.solver._label_scatters(X, labels, specs[1])
+        _, _, B = ssdr.solver._join(label, terms[("heat", alpha)])
+        np.testing.assert_array_equal(B, label[1])
+        np.testing.assert_array_equal(B, B_lfda)
+        assert not np.array_equal(B, B_u)
 
     @pytest.mark.parametrize("base", ["dne", "mmc"])
     def test_heat_keeps_identity_constraint(self, base):
@@ -544,7 +552,7 @@ class TestSelfPcaScatter:
             X -= X.mean(axis=1, keepdims=True)
         spec = LearnerSpec(base=base, unlabel="self_pca", gamma=1.0)
         terms, block = ssdr.solver._unlabel_stage(X, np.arange(0), [spec])
-        assert list(terms) == [("self_pca", 1, base == "none")]
+        assert list(terms) == [("self_pca", 1)]
         assert block is None if base == "none" else block.shape == (0, 0)
         [(L_u, B_u)] = terms.values()
         want = laplacian_scatter(X, self_cost(n))
@@ -908,6 +916,29 @@ class TestModelSerialization:
         bad[-1, ...] = value
         save_model(replace(model, **{field: bad}), tmp_path / "bad.bin")
         with pytest.raises(ValueError, match=rf"bad\.bin: {field} must be finite"):
+            load_model(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("d0, dim, r, a_cols, field, value, bound", [
+        (4, 0, 0, 4, "dim", 0, "1 <= dim <= a_cols = 4"),
+        (4, -2, 0, 4, "dim", -2, "1 <= dim <= a_cols = 4"),
+        (4, 5, 0, 4, "dim", 5, "1 <= dim <= a_cols = 4"),
+        (2, 1, 5, 5, "r", 5, "0 <= r <= d0 = 2"),
+        (4, 1, -1, 4, "r", -1, "0 <= r <= d0 = 4"),
+        (0, 1, 0, 0, "d0", 0, "1 <= d0"),
+        (-2, 1, 0, 0, "d0", -2, "1 <= d0"),
+    ], ids=["no axes", "negative dim", "more axes than columns", "basis rank above d0",
+            "negative rank", "no inputs", "negative d0"])
+    def test_impossible_counts_name_file_and_field(self, tmp_path, d0, dim, r, a_cols,
+                                                   field, value, bound):
+        # a model with dim = 0 loaded, and embed then returned []; negative
+        # counts met only the payload length
+        header = struct.pack("<IqqqqdqdQ", ssdr.solver._VERSION, d0, dim, r, 1, 0.0, 1,
+                             0.0, a_cols)
+        size = max(0, d0 + d0 * r + dim * a_cols + dim)
+        (tmp_path / "bad.bin").write_bytes(ssdr.solver._MAGIC + header
+                                           + np.ones(size).tobytes())
+        with pytest.raises(ValueError, match=rf"bad\.bin: header field {field} = "
+                                             rf"{value}; expected {bound}$"):
             load_model(tmp_path / "bad.bin")
 
     def test_bad_magic(self, tmp_path):
