@@ -108,13 +108,15 @@ def _cmd_benchmark(args) -> int:
     for res in results:
         for failure in res.failures:
             print(f"ssdr benchmark: {res.name}: {failure}", file=sys.stderr)
+        if not res.accuracies:
+            print(f"ssdr benchmark: {res.name}: every realization failed", file=sys.stderr)
     report = format_report(results)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report)
     else:
         sys.stdout.write(report)
-    return 0
+    return 0 if all(res.accuracies for res in results) else 1
 
 
 def _cmd_toy_gen(args) -> int:

@@ -12,7 +12,8 @@ builds every label cost on the labeled examples alone (m x m); only the
 unlabel heat costs are n x n, and mmc places its block in an n x n matrix to
 scatter it.  ``solver._unlabel_stage`` builds the heat costs once for every
 learner of a fit or a benchmark realization, scatters them per Hadamard
-power and frees them: no caller receives them.  The neighbor graphs are
+power, the powers of two from one chain of squarings in place, and frees
+them: no caller receives them.  The neighbor graphs are
 boolean m x m arrays, ranked from the labeled block of the squared
 distances, which the same stage builds once: ``_labeled_sq_dists`` gathers
 it from the n x n gram and turns only the block into distances, or, with

@@ -14,8 +14,8 @@ from .dataset import (Dataset, SplitSpec, UNLABELED, _at_least, generate_balance
                       generate_multimodal_toy, load_csv, split, TOY_KINDS)
 from .knn import _knn
 from .kpca import KernelSpec, KpcaMap, _kpca_inputs, _linear_spec, kpca_transform
-from .solver import (LearnerSpec, _attempt, _check_dim, _embed, _join, _label_scatters,
-                     _ok, _prepare, _solve, _term, _unlabel_stage)
+from .solver import (LearnerSpec, _attempt, _check_dim, _constraint, _join, _label_scatters,
+                     _ok, _prepare, _project, _term, _unlabel_stage, _weights)
 
 # Named learner presets.  ``tunes`` lists which of (gamma, alpha) cross
 # validation may adjust; the others stay at the preset value.
@@ -117,10 +117,14 @@ class _Inputs:
     """What every learner of one realization fits on: the centered (and, when
     rank deficient, PCA-projected) training inputs ``X`` with their ``mean``
     and ``basis``, the KPCA map (None without a kernel), the learners'
-    inputs of the training and evaluation points (their KPCA coordinates),
-    the indices ``labeled`` of the training set's labeled points, and the
-    unlabel stage of every learner's candidates: the scatters of each
-    unlabel term and the labeled points' ranking ``block``."""
+    inputs of the training points ``train`` and of the evaluation points
+    ``eval`` (None without them), both centered and projected as ``embed``
+    maps inputs before its product with A, the indices ``labeled`` of the
+    training set's labeled points, and the unlabel stage of every learner's
+    candidates: the scatters of each unlabel term and the labeled points'
+    ranking ``block``.  Without a kernel ``train`` is ``X`` itself; with one
+    it is the centered KPCA transform of the training points, which is how
+    the final fit's embedding maps them."""
     X: np.ndarray
     mean: np.ndarray
     basis: np.ndarray | None
@@ -132,9 +136,17 @@ class _Inputs:
     block: np.ndarray | None
 
 
-def _mapped(kmap: KpcaMap | None, X: np.ndarray) -> np.ndarray:
-    """Raw points as learner inputs: their KPCA coordinates under kmap, if any."""
-    return X if kmap is None else kpca_transform(kmap, X)
+def _centered(kmap: KpcaMap | None, mean: np.ndarray, basis: np.ndarray | None,
+              X: np.ndarray) -> np.ndarray:
+    """Raw points as learner inputs, with the operations of ``embed`` before
+    its product with A: their KPCA coordinates under kmap (if any), centered
+    by mean and projected onto basis (if any)."""
+    if kmap is None:
+        cols = X - mean[:, None]
+    else:
+        cols = kpca_transform(kmap, X)
+        cols -= mean[:, None]
+    return cols if basis is None else basis.T @ cols
 
 
 def _shared_inputs(train: Dataset, kernel: KernelSpec | None, specs: list, X_eval=None):
@@ -144,12 +156,12 @@ def _shared_inputs(train: Dataset, kernel: KernelSpec | None, specs: list, X_eva
     try:
         kmap, (X, mean, basis) = (None, _prepare(train)) if kernel is None \
             else _kpca_inputs(train.X, kernel)
-        inputs = _mapped(kmap, train.X)
+        inputs = X if kmap is None else _centered(kmap, mean, basis, train.X)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return exc
     labeled = np.flatnonzero(train.labeled_mask)
     return _Inputs(X, mean, basis, kmap, inputs,
-                   None if X_eval is None else _mapped(kmap, X_eval),
+                   None if X_eval is None else _centered(kmap, mean, basis, X_eval),
                    labeled, *_unlabel_stage(X, labeled, specs))
 
 
@@ -161,9 +173,16 @@ def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
     frees it.  ``score(labels, points, X_eval, truth)`` yields, per (gamma,
     alpha) in ``points``, the k-NN accuracy on the raw points ``X_eval``
     (None: the shared evaluation points) of its fit on ``labels``, or its
-    first failed step's error.  The embeddings and the k-NN vote go through
-    the unchecked cores ``_embed`` and ``_knn``: every array they get is
-    built here from inputs checked where they entered."""
+    first failed step's error.
+
+    A call builds what its candidates share once: the label scatters, the
+    inputs of ``X_eval``, and the regularized constraint of consecutive
+    candidates with one B and epsilon (one at a time).  A candidate then
+    costs one ``L``, one generalized eigensolve, the products
+    ``(A @ inputs.train)[:, lab]`` and ``A @ evals`` (sliced after the
+    product, which is how ``embed`` rounds them) and one vote of the
+    unchecked core ``_knn``: every array it gets is built here from inputs
+    checked where they entered."""
     try:
         if _ok(inputs).kmap is not None:
             spec = _linear_spec(spec, inputs.kmap)
@@ -172,24 +191,29 @@ def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
     except (ValueError, np.linalg.LinAlgError) as exc:
         return lambda labels, points, X_eval, truth, exc=exc: [exc] * len(points)
 
-    def solve(label, cand):
-        return _solve(*_join(_ok(label), _ok(inputs.unlabel[_term(cand)])), cand,
-                      inputs.mean, inputs.basis)
-
     def score(labels, points, X_eval, truth):
         lab = np.flatnonzero(labels != UNLABELED)
         pos = np.searchsorted(inputs.labeled, lab)
         k = min(eval_k, lab.size)
         label = _attempt(_label_scatters, inputs.X, labels, spec,
                          lambda: inputs.block[np.ix_(pos, pos)])
-        eval_inputs = inputs.eval if X_eval is None else _mapped(inputs.kmap, X_eval)
-        for model in (_attempt(solve, label, grid[p]) for p in points):
-            if isinstance(model, Exception):
-                yield model
+        evals = inputs.eval if X_eval is None else \
+            _centered(inputs.kmap, inputs.mean, inputs.basis, X_eval)
+        last = None   # (B, epsilon, its _constraint) of the last candidate
+        for p in points:
+            cand = grid[p]
+            try:
+                L_l, L_u, B = _join(_ok(label), _ok(inputs.unlabel[_term(cand)]))
+                eps = _weights(cand, L_u)[1]
+                if last is None or last[0] is not B or last[1] != eps:
+                    last = None   # free the old B_reg before the new one
+                    last = B, eps, _constraint(B, eps)
+                A, _ = _project(L_l, L_u, cand, last[2])
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                yield exc
                 continue
-            pred = _knn(_embed(model, inputs.train)[:, lab], labels[lab], k,
-                        _embed(model, eval_inputs))
-            yield float((pred == truth).mean())
+            pred = _knn((A @ inputs.train)[:, lab], labels[lab], k, A @ evals)
+            yield float(np.count_nonzero(pred == truth) / truth.size)
 
     return score
 
@@ -213,8 +237,10 @@ def _sweep_scores(train: Dataset, score, grid, folds: int, seed: int,
                 warnings.warn(f"fold {f}: a class is absent from the "
                               "training labels; fold skipped")
             continue
-        accs = score(train.with_labels_hidden(keep).labels, grid, train.X[:, held],
-                     train.labels[held])
+        # the fold's labels, as train.with_labels_hidden(keep) holds them
+        hidden = np.full(train.n, UNLABELED, dtype=int)
+        hidden[keep] = train.labels[keep]
+        accs = score(hidden, grid, train.X[:, held], train.labels[held])
         for (gamma, alpha), acc, out in zip(grid, accs, scores):
             if isinstance(acc, Exception):
                 failures.append(f"fold {f} failed for gamma={gamma}, alpha={alpha}: {acc}")
@@ -263,7 +289,8 @@ class LearnerResult:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.accuracies))
+        """Mean accuracy; NaN when every realization failed."""
+        return float(np.mean(self.accuracies)) if self.accuracies else math.nan
 
     @property
     def std_error(self) -> float:
@@ -311,37 +338,43 @@ def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> l
 
 
 def _run_learners(data: Dataset, config: ExperimentConfig, names) -> list[LearnerResult]:
-    """Every realization once, each learner of ``names`` fitted on it in turn."""
+    """Every realization once, each learner of ``names`` fitted on it in turn;
+    one result per learner, also for a learner whose realizations all failed."""
     learners = [(spec, _grid(spec, tunes, config.gamma_grid, config.alpha_grid))
                 for spec, tunes in (learner_preset(name, config.dim, config.heat)
                                     for name in names)]
     runs = [_realization(data, config, r, learners)
             for r in range(config.split.realizations)]
-    results = []
-    for name, outcomes in zip(names, zip(*runs)):
-        accs = [o for o in outcomes if isinstance(o, float)]
-        fails = [o for o in outcomes if isinstance(o, str)]
-        if not accs:
-            raise RuntimeError(f"{name}: every realization failed: {fails[:3]}")
-        results.append(LearnerResult(name=name, accuracies=tuple(accs),
-                                     failures=tuple(fails)))
-    return results
+    return [LearnerResult(name=name,
+                          accuracies=tuple(o for o in outcomes if isinstance(o, float)),
+                          failures=tuple(o for o in outcomes if isinstance(o, str)))
+            for name, outcomes in zip(names, zip(*runs))]
 
 
 def run_learner(data: Dataset, config: ExperimentConfig, name: str) -> LearnerResult:
-    return _run_learners(data, config, [name])[0]
+    """One learner's result; raises ``RuntimeError`` when every realization failed."""
+    [res] = _run_learners(data, config, [name])
+    if not res.accuracies:
+        raise RuntimeError(f"{name}: every realization failed: {list(res.failures[:3])}")
+    return res
 
 
 def run_benchmark(config: ExperimentConfig) -> list[LearnerResult]:
-    """Every learner of ``config`` on the same realizations; see ``_realization``."""
+    """Every learner of ``config`` on the same realizations; see ``_realization``.
+    A learner whose realizations all failed has no accuracies."""
     return _run_learners(load_dataset(config), config, config.learners)
 
 
 def format_report(results: list[LearnerResult]) -> str:
+    """The TSV report, one row per learner; a learner with no accuracy reads
+    ``-`` for its mean and standard error and 0 realizations."""
     lines = ["learner\tmean_accuracy\tstd_error\trealizations"]
     for res in results:
-        lines.append(f"{res.name}\t{res.mean:.6f}\t{res.std_error:.6f}"
-                     f"\t{len(res.accuracies)}")
+        if res.accuracies:
+            lines.append(f"{res.name}\t{res.mean:.6f}\t{res.std_error:.6f}"
+                         f"\t{len(res.accuracies)}")
+        else:
+            lines.append(f"{res.name}\t-\t-\t0")
     return "\n".join(lines) + "\n"
 
 

@@ -4,8 +4,10 @@ The projection is found by minimizing trace(A X (D - C) X^T A^T) subject to
 A B A^T = I: the rows of A are the generalized eigenvectors of
 (X(D-C)X^T, B + eps*I) for the d smallest eigenvalues.
 
-``embed`` checks its inputs and maps them with the unchecked core
-``_embed``; the CV sweep calls the core on arrays it built itself.
+A solve is two steps: ``_constraint`` regularizes and checks B once,
+``_project`` solves one candidate's L under it with the unchecked core
+``_gev``.  ``fit`` takes both in turn; the CV sweep shares one constraint
+among consecutive candidates and maps inputs it centered once itself.
 """
 from __future__ import annotations
 
@@ -89,11 +91,29 @@ def laplacian_scatter(X: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def regularize(B: np.ndarray, epsilon: float) -> np.ndarray:
-    """B + eps * I."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    return B + epsilon * np.eye(B.shape[0])
+    """B + epsilon * I, bit for bit, with no identity matrix: a copy B + 0.0
+    (which turns an off-diagonal -0.0 into +0.0, as adding epsilon * 0.0
+    does) with epsilon added to its diagonal.  B must be square and epsilon
+    non-negative and finite: an infinite epsilon times the identity's zeros
+    would put NaN off the diagonal."""
+    B = np.asarray(B)
+    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+        raise ValueError(f"epsilon regularizes a square constraint matrix, got shape "
+                         f"{B.shape}")
+    # NaN fails too: no comparison holds for NaN
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be non-negative and finite, got {epsilon}")
+    B_reg = B + 0.0
+    B_reg.flat[::B.shape[0] + 1] += epsilon
+    return B_reg
 
+
+def _is_identity(M: np.ndarray) -> bool:
+    """Whether the square matrix M equals the identity, without building it."""
+    return np.count_nonzero(M) == M.shape[0] and bool((M.diagonal() == 1.0).all())
+
+
+_NON_FINITE = "array must not contain infs or NaNs"   # scipy's message for one
 
 # LAPACK's dsygvx and its workspace query: the driver that
 # ``scipy.linalg.eigh(L, B, subset_by_index=...)`` calls, without its
@@ -128,14 +148,21 @@ def solve_gev(L: np.ndarray, B_reg: np.ndarray, dim: int):
     if not 1 <= dim <= d0:
         raise ValueError(f"dim must be between 1 and the input dimension {d0}, got {dim}")
     if not (np.isfinite(L).all() and np.isfinite(B_reg).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if np.array_equal(B_reg, np.eye(d0)):
+        raise ValueError(_NON_FINITE)
+    return _gev(L, B_reg, dim, _is_identity(B_reg))
+
+
+def _gev(L: np.ndarray, B_reg: np.ndarray, dim: int, identity: bool):
+    """:func:`solve_gev` of finite square L and B_reg and a valid dim,
+    unchecked; ``identity`` says whether B_reg is the identity."""
+    if identity:
         # the full spectrum, as the Cholesky reduction by R = I computed it:
         # mmc's bottom eigenvalues are near zero and rounding picks its
         # eigenvectors, so a partial solve would move them.  Once mmc's sign
         # is fixed, this folds into the subset solve below
         lam, V = scipy.linalg.eigh(L)
     else:
+        d0 = L.shape[0]
         lam, V, _, _, info = _SYGVX(L, B_reg, itype=1, jobz="V", range="I", il=1,
                                     iu=dim, uplo="L", lwork=_sygvx_lwork(d0))
         if info > d0:
@@ -312,43 +339,92 @@ def _unlabel_stage(X: np.ndarray, labeled: np.ndarray, specs: list):
     base-"none" spec takes it.  ``block`` is the ranking block of
     ``pairwise_sq_dists(X)`` over the sorted indices ``labeled`` if a spec
     ranks (dne, mfa, lfda), cut before the heat kernel turns the distances
-    into costs; the costs are freed on return."""
+    into costs.  The heat terms' alphas share one chain of squarings (see
+    ``_heat_terms``); the costs are freed on return."""
     terms = dict.fromkeys(map(_term, specs))
     ranks = any(s.base in ("dne", "mfa", "lfda") for s in specs)
-    cu = None
-    if any(t and t[0] == "heat" for t in terms):
+    constrained = {_term(s) for s in specs if s.base == "none"}
+    alphas = sorted(t[1] for t in terms if t and t[0] == "heat")
+    if alphas:
         d2 = pairwise_sq_dists(X)
         block = d2[np.ix_(labeled, labeled)] if ranks else None
         cu = _heat_costs(d2, specs[0].heat)
+        for a, scatters in _heat_terms(X, cu, alphas, constrained).items():
+            terms["heat", a] = scatters
     else:
         block = _labeled_sq_dists(X, labeled) if ranks else None
-    constrained = {_term(s) for s in specs if s.base == "none"}
-    for t in filter(None, terms):
-        terms[t] = _attempt(_unlabel_scatters, X, cu, *t, t in constrained)
+    for t in terms:
+        if t and t[0] == "self_pca":
+            terms[t] = _self_pca_scatters(X, t in constrained)
     if None in terms:
         terms[None] = None, None
     return terms, block
 
 
-def _unlabel_scatters(X: np.ndarray, cu: np.ndarray | None, unlabel: str, alpha: int,
-                      constraint: bool):
-    """L_u of the unlabel cost at alpha, from the heat costs cu for a heat
-    term, and with ``constraint`` the constraint B_u that base "none" takes
-    from it (else None)."""
-    if unlabel == "self_pca":
-        # the scatter of self_cost(n), whose rows each sum to -1/2:
-        # -(1/2) X X^T + s s^T / (2n) with s = X 1, and no n x n matrix
-        s = X.sum(axis=1)
-        L_u = np.outer(s, s) / (2 * X.shape[1]) - 0.5 * (X @ X.T)
-        return 0.5 * (L_u + L_u.T), np.eye(X.shape[0]) if constraint else None
+def _heat_terms(X: np.ndarray, cu: np.ndarray, alphas: list, constrained: set) -> dict:
+    """Per alpha of the ascending ``alphas``, the scatters of
+    ``hadamard_power(cu, alpha)`` (cu itself at alpha 1), or the error of
+    their build, bit for bit, from one chain of squarings of the heat costs
+    cu, which it consumes.  Alpha 1 and the alphas that ``_chained`` leaves
+    out are built from the intact costs first.  Then cu is squared in place
+    along the chained powers of two; each power is rescaled to cu's norm in
+    one reused buffer, as ``hadamard_power`` rescales its power, and
+    scattered.  So no more than two n x n matrices are live at once."""
+    out = {}
+    chain = _chained(cu, alphas)
+    for a in alphas:
+        if a not in chain:
+            out[a] = _attempt(_heat_scatters, X, cu, a, ("heat", a) in constrained)
+    if chain:
+        norm, q, power = np.linalg.norm(cu), np.empty_like(cu), 1
+        for a in chain:
+            while power < a:
+                np.square(cu, out=cu)
+                power *= 2
+            np.multiply(cu, norm / np.linalg.norm(cu), out=q)
+            out[a] = _attempt(_heat_scatters, X, q, 1, ("heat", a) in constrained)
+    return out
+
+
+def _chained(cu: np.ndarray, alphas: list) -> list:
+    """The alphas of the ascending ``alphas`` that a chain of squarings of cu
+    gives bit for bit: the powers of two above 1 at which the power's
+    largest entry, squared alike as a scalar, still squares to a positive
+    number.  Then the power's norm is positive, and ``hadamard_power`` takes
+    no underflow fallback; from the first alpha that fails, every larger
+    power of two fails too."""
+    powers = [a for a in alphas if a > 1 and not a & (a - 1)]
+    chain, top, power = [], float(cu.max()) if powers else 0.0, 1
+    for a in powers:
+        while power < a:
+            top *= top
+            power *= 2
+        if not top * top > 0.0:
+            break
+        chain.append(a)
+    return chain
+
+
+def _heat_scatters(X: np.ndarray, cu: np.ndarray, alpha: int, constraint: bool):
+    """``(L_u, B_u)`` of ``hadamard_power(cu, alpha)`` (cu itself at alpha
+    1); with ``constraint`` B_u is the classical locality-preserving
+    constraint X D^u X^T that base "none" takes, else None."""
     if alpha != 1:
         cu = hadamard_power(cu, alpha)
     L_u = laplacian_scatter(X, cu)
     if not constraint:
         return L_u, None
-    # classical locality-preserving constraint X D^u X^T
     B_u = (X * cu.sum(axis=1)) @ X.T
     return L_u, 0.5 * (B_u + B_u.T)
+
+
+def _self_pca_scatters(X: np.ndarray, constraint: bool):
+    """``(L_u, B_u)`` of self_cost(n), whose rows each sum to -1/2:
+    -(1/2) X X^T + s s^T / (2n) with s = X 1, and no n x n matrix; with
+    ``constraint`` B_u is the identity, else None."""
+    s = X.sum(axis=1)
+    L_u = np.outer(s, s) / (2 * X.shape[1]) - 0.5 * (X @ X.T)
+    return 0.5 * (L_u + L_u.T), np.eye(X.shape[0]) if constraint else None
 
 
 def _join(label, unlabel):
@@ -374,23 +450,57 @@ def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     return _join(_label_scatters(X, labels, spec, block.pop), unlabel)
 
 
+def _weights(spec: LearnerSpec, L_u) -> tuple[float, float]:
+    """``(gamma, epsilon)`` of a solve: the weight of L_u (0 without an
+    unlabel term, L_u None) and the regularizer spec asks for (None: gamma)."""
+    gamma = spec.gamma if L_u is not None else 0.0
+    return gamma, spec.epsilon if spec.epsilon is not None else gamma
+
+
+def _constraint(B: np.ndarray, eps: float):
+    """The constraint step of a solve: ``(B_reg, eps, identity)``, the
+    regularized constraint B + eps I, the epsilon in it and whether B_reg is
+    the identity.  With eps = 0 a singular B takes a small fallback epsilon,
+    which ``_project`` warns of.  B_reg is checked here, once for all the
+    candidates that share it."""
+    d0 = B.shape[0]
+    # B is symmetric, so |eigenvalues| are its singular values
+    if eps == 0.0 and not _is_identity(B) and \
+            _above_tol(np.abs(scipy.linalg.eigvalsh(B))).sum() < d0:
+        eps = 1e-8 * max(np.trace(B), 1.0) / d0
+    B_reg = regularize(B, eps)
+    if not np.isfinite(B_reg).all():
+        raise ValueError(_NON_FINITE)
+    return B_reg, eps, _is_identity(B_reg)
+
+
+def _project(L_l, L_u, spec: LearnerSpec, constraint):
+    """The candidate step of a solve: the axis-weighted projection A and the
+    eigenvalues minimizing L = L_l + gamma L_u (L_l without an unlabel term,
+    L_u None) under a ``_constraint`` of the spec's epsilon.  L is checked
+    here; an epsilon fallback is warned once per call."""
+    gamma, eps = _weights(spec, L_u)
+    B_reg, used, identity = constraint
+    if used != eps:
+        warnings.warn("constraint matrix is singular with epsilon = 0; "
+                      f"falling back to epsilon = {used:g}")
+    L = L_l if L_u is None else L_l + gamma * L_u
+    if not np.isfinite(L).all():
+        raise ValueError(_NON_FINITE)
+    A, lam = _gev(L, B_reg, spec.dim, identity)
+    return axis_weighting(A, lam, spec.weighting_mode), lam
+
+
 def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis) -> EmbeddingModel:
     """Axis-weighted projection minimizing L_l + gamma L_u under B; no
-    unlabel term when L_u is None."""
-    gamma = spec.gamma if L_u is not None else 0.0
-    L = L_l if L_u is None else L_l + gamma * L_u
-    eps = spec.epsilon if spec.epsilon is not None else gamma
-    # B is symmetric, so |eigenvalues| are its singular values
-    if eps == 0.0 and not np.array_equal(B, np.eye(B.shape[0])) and \
-            _above_tol(np.abs(scipy.linalg.eigvalsh(B))).sum() < B.shape[0]:
-        eps = 1e-8 * max(np.trace(B), 1.0) / B.shape[0]
-        warnings.warn("constraint matrix is singular with epsilon = 0; "
-                      f"falling back to epsilon = {eps:g}")
-    A, lam = solve_gev(L, regularize(B, eps), spec.dim)
-    A = axis_weighting(A, lam, spec.weighting_mode)
+    unlabel term when L_u is None.  The constraint and candidate steps that
+    the CV sweep takes apart."""
+    gamma, eps = _weights(spec, L_u)
+    constraint = _constraint(B, eps)
+    A, lam = _project(L_l, L_u, spec, constraint)
     return EmbeddingModel(A=A, eigenvalues=lam, train_mean=mean, pre_pca=basis,
                           weighting_mode=spec.weighting_mode, gamma=gamma,
-                          alpha=spec.alpha, epsilon=eps)
+                          alpha=spec.alpha, epsilon=constraint[1])
 
 
 def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
@@ -420,20 +530,14 @@ def _input_columns(x, dim: int):
 
 
 def embed(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
-    """Map an input vector (or a (d0, m) column matrix) to the subspace.
-    The inputs are checked here; ``_embed`` maps them."""
+    """Map an input vector (or a (d0, m) column matrix) to the subspace:
+    center, project onto the PCA basis (if any), then apply A."""
     cols, single = _input_columns(x, model.input_dim)
-    z = _embed(model, cols)
-    return z[:, 0] if single else z
-
-
-def _embed(model: EmbeddingModel, cols: np.ndarray) -> np.ndarray:
-    """:func:`embed` of a finite float (d0, m) column matrix, unchecked: the
-    CV sweep maps the inputs it built with it."""
     cols = cols - model.train_mean[:, None]
     if model.pre_pca is not None:
         cols = model.pre_pca.T @ cols
-    return model.A @ cols
+    z = model.A @ cols
+    return z[:, 0] if single else z
 
 
 _MAGIC = b"SSDR"

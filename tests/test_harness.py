@@ -559,20 +559,21 @@ class TestSharedRealization:
         assert [r.accuracies for r in results] == [c.accuracies[:1] for c in clean]
 
     def test_failed_learner_step_fails_only_that_learner(self, monkeypatch):
-        original = ssdr.harness._solve
+        # the candidate step of mmc's first solve fails
+        original = ssdr.harness._project
         failed = []
 
-        def solve(L_l, L_u, B, spec, mean, basis):
+        def solve(L_l, L_u, spec, constraint):
             if spec.base == "mmc" and not failed:
                 failed.append(1)
                 raise np.linalg.LinAlgError("mmc solve failed")
-            return original(L_l, L_u, B, spec, mean, basis)
+            return original(L_l, L_u, spec, constraint)
 
         cfg = shared_config(KernelSpec("gaussian", sigma=2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             clean = run_benchmark(cfg)
-            monkeypatch.setattr(ssdr.harness, "_solve", solve)
+            monkeypatch.setattr(ssdr.harness, "_project", solve)
             results = run_benchmark(cfg)
         assert [r.failures for r in results] == [
             (), (), ("realization 0: mmc solve failed",), ()]
@@ -623,9 +624,35 @@ class TestRunBenchmark:
         data = load_dataset(cfg)
         assert ssdr.harness._realization(data, cfg, 1, learners) == \
             [f"realization 1: {message}"] * 2
+        # the one-learner run raises; the benchmark reports both learners
         with pytest.raises(RuntimeError, match=f"lfda: every realization failed: "
                                                f"\\['realization 0: {message}'"):
-            run_benchmark(cfg)
+            run_learner(data, cfg, "lfda")
+        results = run_benchmark(cfg)
+        assert [(r.name, r.accuracies, r.failures) for r in results] == [
+            (name, (), (f"realization 0: {message}", f"realization 1: {message}"))
+            for name in ("lfda", "pca")]
+        assert format_report(results).splitlines()[1:] == ["lfda\t-\t-\t0", "pca\t-\t-\t0"]
+
+    def test_learner_failing_every_realization_hides_no_other_learner(self):
+        # with two labels every fold of ss-lfda's sweep lacks a class; lfda
+        # and pca have no sweep and score as they do without ss-lfda
+        cfg = toy_config(dataset="three-cluster", learners=("lfda", "ss-lfda", "pca"),
+                         split=SplitSpec(labeled=2, realizations=2, per_class_labels=True),
+                         gamma_grid=(0.1, 1.0), alpha_grid=(1, 2), n_per_cluster=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = run_benchmark(cfg)
+            alone = run_benchmark(replace(cfg, learners=("lfda", "pca")))
+        assert [r.name for r in results] == ["lfda", "ss-lfda", "pca"]
+        assert [results[0], results[2]] == alone
+        assert all(len(r.accuracies) == 2 and not r.failures for r in alone)
+        assert results[1].accuracies == () and results[1].failures == tuple(
+            f"realization {r}: cross validation failed: every fold was skipped"
+            for r in range(2))
+        report = format_report(results).splitlines()
+        assert report[2] == "ss-lfda\t-\t-\t0"
+        assert [report[1], report[3]] == format_report(alone).splitlines()[1:]
 
     def test_two_cluster_qualitative_ordering(self):
         cfg = toy_config(dataset="two-cluster",
@@ -1012,10 +1039,31 @@ class TestCli:
             "dataset = three-cluster\nlabeled = 30\nper_class_labels = true\n"
             "unlabeled = 0\nrealizations = 2\nlearners = lfda, pca\n")
         r = run_cli("benchmark", "--config", str(cfg))
-        assert r.returncode == 1 and r.stdout == ""
+        assert r.returncode == 1
+        assert r.stdout.splitlines()[1:] == ["lfda\t-\t-\t0", "pca\t-\t-\t0"]
         assert "no points to evaluate: the split has unlabeled = 0 and test = 0" \
             in r.stderr
-        assert "RuntimeWarning" not in r.stderr
+        assert "RuntimeWarning" not in r.stderr and "nan" not in r.stdout
+
+    def test_benchmark_reports_every_learner_when_one_fails(self, tmp_path):
+        # this config printed only "ss-lfda: every realization failed" and
+        # exited 1: the rows of lfda and pca, which succeed, were lost
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "dataset = three-cluster\nlabeled = 2\nper_class_labels = true\n"
+            "learners = lfda, ss-lfda, pca\nrealizations = 2\n")
+        r = run_cli("benchmark", "--config", str(cfg))
+        assert r.returncode == 1
+        rows = [line.split("\t") for line in r.stdout.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["lfda", "ss-lfda", "pca"]
+        assert rows[1][1:] == ["-", "-", "0"]
+        assert rows[0][3] == rows[2][3] == "2" and 0.0 <= float(rows[0][1]) <= 1.0
+        failed = [line for line in r.stderr.splitlines()
+                  if line.startswith("ssdr benchmark: ss-lfda: ")]
+        assert failed == [f"ssdr benchmark: ss-lfda: realization {i}: cross validation "
+                          "failed: every fold was skipped" for i in range(2)] + [
+            "ssdr benchmark: ss-lfda: every realization failed"]
+        assert "nan" not in r.stdout and "RuntimeWarning" not in r.stderr
 
     def test_errors_exit_nonzero_with_diagnostics(self, tmp_path):
         r = run_cli("benchmark", "--config", str(tmp_path / "missing.cfg"))

@@ -369,6 +369,25 @@ def test_heat_scatters_peak_memory(labeled, base, alpha):
     assert peak <= HEAT_PEAKS[labeled][base][alpha - 1] * 8 * n * n
 
 
+@pytest.mark.parametrize("base", ["none", "lfda"])
+def test_heat_chain_peak_memory(base):
+    # with one hadamard_power copy per alpha the unlabel stage of alphas 1,
+    # 2, 4 and 8 peaked at 2.005 n^2 (2.015 with lfda's 150 x 150 ranking
+    # block); the chain squares the heat costs in place and rescales each
+    # power into one reused second n x n buffer, so it adds no third
+    n = 1500
+    X = np.random.default_rng(11).standard_normal((3, n))
+    specs = [LearnerSpec(base=base, unlabel="heat", gamma=1.0, alpha=a) for a in (1, 2, 4, 8)]
+    tracemalloc.start()
+    try:
+        terms, _ = ssdr.solver._unlabel_stage(X, np.arange(0, n, 10), specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 4
+    assert peak <= 2.05 * 8 * n * n
+
+
 @pytest.mark.parametrize("m", [0, 1, 7, _ROW_BLOCK + 3, 2 * _ROW_BLOCK + 40, 200])
 def test_labeled_sq_dists_bitwise(m):
     # gathered from the gram across row blocks; all-labeled is the n x n matrix

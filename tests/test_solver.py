@@ -100,6 +100,29 @@ class TestRegularize:
         with pytest.raises(ValueError):
             regularize(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_epsilon_rejected(self, eps):
+        # nan < 0 is False: a NaN epsilon returned all NaN, and an infinite one
+        # put inf * 0 = NaN off the diagonal
+        with pytest.raises(ValueError, match="epsilon must be non-negative and finite"):
+            regularize(2 * np.eye(3), eps)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="epsilon regularizes a square"):
+            regularize(np.ones((2, 3)), 0.5)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1e-300])
+    def test_equals_adding_epsilon_times_identity(self, eps):
+        # bit for bit, the sign of every zero included
+        B = random_symmetric(np.random.default_rng(4), 4)
+        B[0, 1] = B[1, 0] = -0.0
+        B[2, 2] = -0.0
+        want = B + eps * np.eye(4)
+        got = regularize(B, eps)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert got is not B
+
 
 class TestSolveGev:
     def test_diagonal_case(self):
@@ -485,8 +508,9 @@ class TestBuildScatters:
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_shared_heat_alpha_scattered_once(self, monkeypatch, alpha):
         # lpp (base "none", which takes B_u) and ss-lfda at one alpha share
-        # one term: one n x n scatter (and power) of the heat costs, with the
-        # constraint B_u that only lpp takes; ss-lfda keeps its own B
+        # one term: one n x n scatter of the heat costs, with the constraint
+        # B_u that only lpp takes; ss-lfda keeps its own B.  A power of two
+        # is squared in place, with no hadamard_power call
         rng = np.random.default_rng(27)
         n = 200
         X = rng.standard_normal((3, n))
@@ -504,7 +528,7 @@ class TestBuildScatters:
         monkeypatch.setattr(ssdr.solver, "hadamard_power",
                             lambda *a: powers.append(1) or power(*a))
         terms, _ = ssdr.solver._unlabel_stage(X, np.arange(0, n, 4), specs)
-        assert scatters == [(n, n)] and len(powers) == (alpha != 1)
+        assert scatters == [(n, n)] and powers == []
         assert list(terms) == [("heat", alpha)]
         L_u, B_u = terms[("heat", alpha)]
         np.testing.assert_array_equal(L_u, L_ref)
@@ -537,6 +561,78 @@ class TestBuildScatters:
         d = labeled_dataset(np.random.default_rng(23))
         with pytest.raises(ValueError, match="unlabel cost"):
             fit(d, LearnerSpec(base="none", unlabel="heat", gamma=0.0))
+
+
+def heat_reference(X, heat, alpha, constraint):
+    """An unlabel heat term's (L_u, B_u) as one hadamard_power per alpha."""
+    cu = heat_kernel_costs(X, heat)
+    p = cu if alpha == 1 else hadamard_power(cu, alpha)
+    B_u = (X * p.sum(axis=1)) @ X.T
+    return laplacian_scatter(X, p), 0.5 * (B_u + B_u.T) if constraint else None
+
+
+class TestHeatChain:
+    """The heat terms' alphas share one chain of squarings, bit for bit the
+    scatters of one hadamard_power per alpha."""
+
+    @staticmethod
+    def stage(X, alphas, base, heat=ssdr.costs.HeatKernelSpec()):
+        specs = [LearnerSpec(base=base, unlabel="heat", gamma=1.0, alpha=a, heat=heat)
+                 for a in alphas]
+        terms, _ = ssdr.solver._unlabel_stage(X, np.arange(0, X.shape[1], 5), specs)
+        return terms
+
+    @pytest.mark.parametrize("base", ["none", "lfda"])
+    @pytest.mark.parametrize("alphas", [(1, 2, 4, 8), (2, 8), (1, 3, 4), (16,),
+                                        (1, 2, 3, 4, 6, 8)])
+    def test_scatters_equal_one_power_per_alpha(self, alphas, base):
+        X = np.random.default_rng(12).standard_normal((3, 120))
+        terms = self.stage(X, alphas, base)
+        assert list(terms) == [("heat", a) for a in alphas]
+        for a in alphas:
+            for got, want in zip(terms["heat", a], heat_reference(
+                    X, ssdr.costs.HeatKernelSpec(), a, base == "none")):
+                if want is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+    def test_powers_of_two_take_no_hadamard_power(self, monkeypatch):
+        X = np.random.default_rng(13).standard_normal((3, 80))
+        powers = []
+        power = ssdr.solver.hadamard_power
+        monkeypatch.setattr(ssdr.solver, "hadamard_power",
+                            lambda cu, a: powers.append(a) or power(cu, a))
+        self.stage(X, (1, 2, 3, 4, 6, 8), "lfda")
+        assert powers == [3, 6]
+
+    @pytest.mark.parametrize("sigma, powered", [(0.12, [8]), (1e-3, [2, 4, 8])],
+                             ids=["8th power underflows", "all-zero costs"])
+    def test_underflow_takes_hadamard_powers_path(self, monkeypatch, sigma, powered):
+        # points one apart on a line: the largest global heat cost is
+        # exp(-1 / sigma^2), 7e-31 at sigma 0.12, whose 8th power squares to
+        # 0, so hadamard_power's underflow fallback rescales it; at sigma
+        # 1e-3 every cost is 0 and each power above 1 fails
+        n = 60
+        X = np.vstack([np.arange(n, dtype=float), np.zeros(n)])
+        heat = ssdr.costs.HeatKernelSpec("global", sigma=sigma)
+        powers = []
+        power = ssdr.solver.hadamard_power
+        monkeypatch.setattr(ssdr.solver, "hadamard_power",
+                            lambda cu, a: powers.append(a) or power(cu, a))
+        terms = self.stage(X, (1, 2, 4, 8), "none", heat)
+        assert powers == powered
+        monkeypatch.undo()
+        for a in (1, 2, 4, 8):
+            try:
+                want = heat_reference(X, heat, a, True)
+            except ValueError as exc:
+                assert isinstance(terms["heat", a], ValueError)
+                assert str(terms["heat", a]) == str(exc) == "all-zero cost matrix: " \
+                    "norm ratio undefined"
+                continue
+            for got, w in zip(terms["heat", a], want):
+                np.testing.assert_array_equal(got, w)
 
 
 class TestSelfPcaScatter:
