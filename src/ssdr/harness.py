@@ -38,13 +38,32 @@ _PRESETS = {
 LEARNER_NAMES = tuple(_PRESETS)
 
 
-def learner_preset(name: str, dim: int,
-                   heat: HeatKernelSpec | None = None) -> tuple[LearnerSpec, tuple]:
+def _preset(name: str) -> tuple[LearnerSpec, tuple]:
+    """The preset named ``name``, in any case."""
     try:
-        spec, tunes = _PRESETS[name.lower()]
+        return _PRESETS[name.lower()]
     except KeyError:
         raise ValueError(f"unknown learner {name!r}; choose from {sorted(_PRESETS)}")
+
+
+def learner_preset(name: str, dim: int,
+                   heat: HeatKernelSpec | None = None) -> tuple[LearnerSpec, tuple]:
+    spec, tunes = _preset(name)
     return replace(spec, dim=dim, heat=heat or spec.heat), tunes
+
+
+def _check_learners(names: tuple) -> tuple:
+    """``names`` if they name at least one preset and none twice, in any case;
+    else the error of the first that does not."""
+    if not names:
+        raise ValueError("learners must name at least one learner")
+    seen = set()
+    for name in names:
+        _preset(name)
+        if name.lower() in seen:
+            raise ValueError(f"learner {name!r} is named more than once")
+        seen.add(name.lower())
+    return names
 
 
 @dataclass(frozen=True)
@@ -70,8 +89,7 @@ class ExperimentConfig:
                   data_seed=0)
         _at_least(self, toy_noise=0)
         _at_least(self.split, labeled=1)   # the k-NN score needs labeled points
-        if not self.learners:
-            raise ValueError("learners must name at least one learner")
+        _check_learners(self.learners)
         for name, least in (("gamma_grid", 0), ("alpha_grid", 1)):
             grid = getattr(self, name)
             if not grid:
@@ -115,19 +133,18 @@ def _grid(spec: LearnerSpec, tunes: tuple, gamma_grid, alpha_grid) -> dict:
 @dataclass(frozen=True)
 class _Inputs:
     """What every learner of one realization fits on: the centered (and, when
-    rank deficient, PCA-projected) training inputs ``X`` with their ``mean``
-    and ``basis``, the KPCA map (None without a kernel), the learners'
-    inputs of the training points ``train`` and of the evaluation points
-    ``eval`` (None without them), both centered and projected as ``embed``
-    maps inputs before its product with A, the indices ``labeled`` of the
-    training set's labeled points, and the unlabel stage of every learner's
-    candidates: the scatters of each unlabel term and the labeled points'
-    ranking ``block``.  Without a kernel ``train`` is ``X`` itself; with one
-    it is the centered KPCA transform of the training points, which is how
-    the final fit's embedding maps them."""
+    rank deficient, PCA-projected) training inputs ``X``, the KPCA map (None
+    without a kernel), the learners' inputs of the training points ``train``
+    and of the evaluation points ``eval`` (None without them), both centered
+    and projected as ``embed`` maps inputs before its product with A, the
+    indices ``labeled`` of the training set's labeled points, and the unlabel
+    stage of every learner's candidates: the scatters of each unlabel term
+    and the labeled points' ranking ``block``.  Without a kernel ``train`` is
+    ``X`` itself; with one it is the centered KPCA transform of the training
+    points, which is how the final fit's embedding maps them.  A held-out
+    fold's inputs are its columns of ``train``: no point is mapped after
+    ``_shared_inputs``."""
     X: np.ndarray
-    mean: np.ndarray
-    basis: np.ndarray | None
     kmap: KpcaMap | None
     train: np.ndarray
     eval: np.ndarray | None
@@ -160,7 +177,7 @@ def _shared_inputs(train: Dataset, kernel: KernelSpec | None, specs: list, X_eva
     except (ValueError, np.linalg.LinAlgError) as exc:
         return exc
     labeled = np.flatnonzero(train.labeled_mask)
-    return _Inputs(X, mean, basis, kmap, inputs,
+    return _Inputs(X, kmap, inputs,
                    None if X_eval is None else _centered(kmap, mean, basis, X_eval),
                    labeled, *_unlabel_stage(X, labeled, specs))
 
@@ -170,35 +187,34 @@ def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
     realization's ``_shared_inputs`` (or the error they failed with).  The
     dimension is checked once; each candidate takes its unlabel scatters from
     the inputs, and a fold's ranking cuts its sub-block of their block and
-    frees it.  ``score(labels, points, X_eval, truth)`` yields, per (gamma,
-    alpha) in ``points``, the k-NN accuracy on the raw points ``X_eval``
-    (None: the shared evaluation points) of its fit on ``labels``, or its
-    first failed step's error.
+    frees it.  ``score(labels, points, held, truth)`` yields, per (gamma,
+    alpha) in ``points``, the k-NN accuracy of its fit on ``labels`` on the
+    training points at the positions ``held`` (None: the shared evaluation
+    points), or its first failed step's error.  Held-out points are scored
+    from their columns of ``inputs.train``, so no point is mapped here.
 
-    A call builds what its candidates share once: the label scatters, the
-    inputs of ``X_eval``, and the regularized constraint of consecutive
-    candidates with one B and epsilon (one at a time).  A candidate then
-    costs one ``L``, one generalized eigensolve, the products
-    ``(A @ inputs.train)[:, lab]`` and ``A @ evals`` (sliced after the
-    product, which is how ``embed`` rounds them) and one vote of the
-    unchecked core ``_knn``: every array it gets is built here from inputs
-    checked where they entered."""
+    A call builds what its candidates share once: the label scatters and the
+    regularized constraint of consecutive candidates with one B and epsilon
+    (one at a time).  A candidate then costs one ``L``, one generalized
+    eigensolve, the products ``(A @ inputs.train)[:, lab]`` and ``A @ evals``
+    (sliced after the product, which is how ``embed`` rounds them) and one
+    vote of the unchecked core ``_knn``: every array it gets is built here
+    from inputs checked where they entered."""
     try:
         if _ok(inputs).kmap is not None:
             spec = _linear_spec(spec, inputs.kmap)
             grid = {p: _linear_spec(c, inputs.kmap) for p, c in grid.items()}
         _check_dim(spec.dim, inputs.X)
     except (ValueError, np.linalg.LinAlgError) as exc:
-        return lambda labels, points, X_eval, truth, exc=exc: [exc] * len(points)
+        return lambda labels, points, held, truth, exc=exc: [exc] * len(points)
 
-    def score(labels, points, X_eval, truth):
+    def score(labels, points, held, truth):
         lab = np.flatnonzero(labels != UNLABELED)
         pos = np.searchsorted(inputs.labeled, lab)
         k = min(eval_k, lab.size)
         label = _attempt(_label_scatters, inputs.X, labels, spec,
                          lambda: inputs.block[np.ix_(pos, pos)])
-        evals = inputs.eval if X_eval is None else \
-            _centered(inputs.kmap, inputs.mean, inputs.basis, X_eval)
+        evals = inputs.eval if held is None else inputs.train[:, held]
         last = None   # (B, epsilon, its _constraint) of the last candidate
         for p in points:
             cand = grid[p]
@@ -240,7 +256,7 @@ def _sweep_scores(train: Dataset, score, grid, folds: int, seed: int,
         # the fold's labels, as train.with_labels_hidden(keep) holds them
         hidden = np.full(train.n, UNLABELED, dtype=int)
         hidden[keep] = train.labels[keep]
-        accs = score(hidden, grid, train.X[:, held], train.labels[held])
+        accs = score(hidden, grid, held, train.labels[held])
         for (gamma, alpha), acc, out in zip(grid, accs, scores):
             if isinstance(acc, Exception):
                 failures.append(f"fold {f} failed for gamma={gamma}, alpha={alpha}: {acc}")
@@ -445,7 +461,8 @@ _CONFIG_KEYS = {
     "seed": int,
     "realizations": int,
     "per_class_labels": _parse_bool,
-    "learners": lambda text: tuple(s.strip().lower() for s in text.split(",") if s.strip()),
+    "learners": lambda text: _check_learners(
+        tuple(s.strip().lower() for s in text.split(",") if s.strip())),
     "gamma_grid": lambda text: tuple(float(s) for s in text.split(",")),
     "alpha_grid": lambda text: tuple(int(s) for s in text.split(",")),
     "folds": int,
@@ -476,7 +493,10 @@ def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
     split = {f.name: values.pop(f.name) for f in fields(SplitSpec) if f.name in values}
-    local = values.pop("heat_k", None)       # a global heat scale has no rank
-    if local is not None and values.get("heat", local).scaling == "local":
+    local = values.pop("heat_k", None)
+    if local is not None:
+        if values.get("heat", local).scaling != "local":
+            raise ValueError("config keys 'heat' and 'heat_k': a global heat scale "
+                             "has no neighbor rank; give heat_k only with heat = local")
         values["heat"] = local
     return ExperimentConfig(split=SplitSpec(**split), **values)

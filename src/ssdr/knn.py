@@ -27,6 +27,10 @@ class KnnIndex:
         if np.shape(self.labels) != (self.points.shape[1],):
             raise ValueError(f"{np.size(self.labels)} labels for {self.points.shape[1]} "
                              "points; expected one label per point")
+        bad = np.flatnonzero(np.asarray(self.labels) < 1)
+        if bad.size:
+            raise ValueError(f"point {bad[0]} has label {self.labels[bad[0]]}; an index "
+                             "holds class ids >= 1, not UNLABELED points")
         _at_least(self, integer=True, k=1)
         if self.k > self.points.shape[1]:
             raise ValueError("k must satisfy 1 <= k <= m")

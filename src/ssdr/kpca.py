@@ -86,8 +86,10 @@ def kpca_fit(X: np.ndarray, kernel: KernelSpec) -> KpcaMap:
     K = gram(X, kernel)
     col_means = K.mean(axis=1)
     grand = float(K.mean())
-    Kc = K - col_means[:, None] - col_means[None, :] + grand
-    lam, V = scipy.linalg.eigh(Kc)
+    K -= col_means[:, None]     # centered in place, in the order of
+    K -= col_means[None, :]     # K - m[:, None] - m[None, :] + grand
+    K += grand
+    lam, V = scipy.linalg.eigh(K, overwrite_a=True)
     lam, V = lam[::-1], V[:, ::-1]
     keep = lam > max(1e-10 * lam[0], 0.0)
     if not keep.any():

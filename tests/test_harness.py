@@ -213,7 +213,7 @@ class TestSweepMatchesFitPerCandidate:
         train = self.train()
         if rank == "deficient":
             train = replace(train, X=np.vstack([train.X, train.X[:1]]))
-            assert _shared_inputs(train, None, []).basis is not None
+            assert ssdr.solver._prepare(train)[2] is not None
         spec, _ = learner_preset("ss-lfda", dim=2)
         grid = [(g, a) for g in (0.1, 10.0) for a in (1, 2)]
         expect, _ = recorded(lambda: reference_scores(train, spec, grid, folds=4,
@@ -322,6 +322,21 @@ class TestSweepBuildCounts:
         cross_validate(data.with_labels_hidden(lab), spec, tunes, (0.1, 1.0, 10.0),
                        (1, 2, 4, 8), folds=5, kernel=kernel)
         assert len(dists) == 1
+
+    @pytest.mark.parametrize("folds", [3, 5])
+    def test_sweep_maps_no_fold_points(self, monkeypatch, folds):
+        # the training and evaluation points are mapped once per realization;
+        # every tuned learner scores a held-out fold from its columns of the
+        # training inputs
+        transform = self.count(monkeypatch, ssdr.harness, "kpca_transform")
+        cfg = toy_config(dataset="three-cluster", kernel=KernelSpec("gaussian", sigma=2.0),
+                         folds=folds, learners=("ss-lfda", "self"),
+                         split=SplitSpec(labeled=20, seed=1, realizations=1,
+                                         per_class_labels=True),
+                         gamma_grid=(0.1, 1.0, 10.0), alpha_grid=(1, 2))
+        results = run_benchmark(cfg)
+        assert [len(r.accuracies) for r in results] == [1, 1]
+        assert len(transform) == 2
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("learners", LEARNER_ORDERS, ids=ORDER_IDS)
@@ -529,9 +544,10 @@ class TestSharedRealization:
         coords = Dataset(X=inputs.kmap.train_coords(), labels=train.labels,
                          n_classes=train.n_classes)
         X, mean, basis = ssdr.solver._prepare(coords)
-        assert len(svd) == 1 and basis is None and inputs.basis is None
+        _, (_, kpca_mean, kpca_basis) = ssdr.kpca._kpca_inputs(train.X, kernel)
+        assert len(svd) == 1 and basis is None and kpca_basis is None
         np.testing.assert_array_equal(inputs.X, X)
-        np.testing.assert_array_equal(inputs.mean, mean)
+        np.testing.assert_array_equal(kpca_mean, mean)
 
     def test_failed_preparation_fails_the_realization_for_every_learner(self, monkeypatch):
         degenerate = "degenerate kernel: no positive eigenvalues above tolerance"
@@ -746,9 +762,30 @@ class TestConfigParsing:
             folds=3, eval_k=2, dim=1, kernel=KernelSpec("gaussian", sigma=2.0),
             heat=HeatKernelSpec("local", k=5), label_column="y",
             missing_label_token="?", n_per_cluster=20, toy_noise=0.3, data_seed=9)
-        # heat_k is the rank of a local scale; a global scale keeps its own
+        # heat_k is the rank of a local scale; a global scale has none
+        raw.pop("heat_k")
         glob = config_from_dict({**raw, "heat": "global:0.5"})
         assert glob.heat == HeatKernelSpec("global", sigma=0.5)
+
+    def test_heat_k_with_global_heat_errors(self):
+        # it was dropped without a word: HeatKernelSpec('global', sigma=2.0, k=7)
+        with pytest.raises(ValueError, match="^config keys 'heat' and 'heat_k': "
+                                             "a global heat scale has no neighbor rank"):
+            config_from_dict({"dataset": "three-cluster", "heat": "global:2",
+                              "heat_k": "5"})
+
+    @pytest.mark.parametrize("text, error", [
+        ("ss-lfdaa", "unknown learner 'ss-lfdaa'"),
+        ("lfda, lfda", "learner 'lfda' is named more than once"),
+        ("ss-lfda, LFDA, Lfda", "learner 'lfda' is named more than once")])
+    def test_unknown_or_repeated_learner_errors(self, tmp_path, text, error):
+        # an unknown name failed only after the dataset loaded (a missing CSV
+        # reported the file instead); a repeated one printed two equal rows
+        with pytest.raises(ValueError, match=f"^config key 'learners': {error}"):
+            config_from_dict({"dataset": str(tmp_path / "missing.csv"), "learners": text})
+        names = tuple(s.strip() for s in text.split(","))   # as given, in any case
+        with pytest.raises(ValueError, match=f"(?i)^{error}"):
+            ExperimentConfig(dataset="three-cluster", learners=names)
 
     def test_alpha_grid_below_one_errors(self):
         # unchecked, every alpha-0 candidate failed in every fold

@@ -109,6 +109,13 @@ class TestKnnClassify:
         with pytest.raises(ValueError, match=rf"{np.size(labels)} labels for 3 points"):
             KnnIndex(points=np.zeros((2, 3)), labels=np.array(labels), k=1)
 
+    @pytest.mark.parametrize("labels, bad", [([UNLABELED, 1], 0), ([1, 2, 0], 2)])
+    def test_labels_below_one_rejected(self, labels, bad):
+        # an UNLABELED point voted: the query 0.1 was classified -1
+        points = np.arange(len(labels), dtype=float)[None, :]
+        with pytest.raises(ValueError, match=f"point {bad} has label {labels[bad]}"):
+            KnnIndex(points=points, labels=np.array(labels))
+
 
     def test_non_finite_index_point_rejected(self):
         # argmin picks NaN: the NaN point won every query
