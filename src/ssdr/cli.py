@@ -35,11 +35,20 @@ def _add_data_args(p):
                    help="label cell value marking an unlabeled example")
 
 
+def _heat(args) -> HeatKernelSpec:
+    """The scale of ``--heat``; ``--heat-k`` (default 7) only with a local one."""
+    heat = _parse_heat(args.heat, args.heat_k)
+    if args.heat_k is not None and heat.scaling != "local":
+        raise ValueError("--heat global and --heat-k: a global heat scale has no "
+                         "neighbor rank; give --heat-k only with --heat local")
+    return heat
+
+
 def _cmd_fit(args) -> int:
     spec = LearnerSpec(
         base=args.base, unlabel=args.unlabel, gamma=args.gamma, alpha=args.alpha,
         k=args.k, dim=args.dim, weighting_mode=args.weighting,
-        heat=_parse_heat(args.heat, args.heat_k), gamma_prime=args.gamma_prime,
+        heat=_heat(args), gamma_prime=args.gamma_prime,
         epsilon=args.epsilon)
     kernel = _parse_kernel(args.kernel)
     # every option is checked before the data is read and the model fitted
@@ -132,7 +141,7 @@ def _cmd_toy_gen(args) -> int:
 
 def _cmd_graph_export(args) -> int:
     # every option is checked before the data is read and the kernel built
-    heat = _parse_heat(args.heat, args.heat_k)
+    heat = _heat(args)
     _check_threshold(args.threshold)
     data = _load(args)
     cu = heat_kernel_costs(data.X, heat)
@@ -168,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=LearnerSpec.dim)
     p.add_argument("--weighting", default=LearnerSpec.weighting_mode, choices=WEIGHTING_MODES)
     p.add_argument("--heat", default=HeatKernelSpec.scaling, help="'local' or 'global:SIGMA'")
-    p.add_argument("--heat-k", type=int, default=HeatKernelSpec.k)
+    p.add_argument("--heat-k", type=int, default=None,
+                   help=f"neighbor rank of a local scale; default {HeatKernelSpec.k}")
     p.add_argument("--gamma-prime", type=float, default=LearnerSpec.gamma_prime)
     p.add_argument("--epsilon", type=float, default=LearnerSpec.epsilon)
     p.add_argument("--kernel", default="none",
@@ -212,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--heat", default=HeatKernelSpec.scaling)
-    p.add_argument("--heat-k", type=int, default=HeatKernelSpec.k)
+    p.add_argument("--heat-k", type=int, default=None,
+                   help=f"neighbor rank of a local scale; default {HeatKernelSpec.k}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_graph_export)
 

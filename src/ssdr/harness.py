@@ -15,7 +15,7 @@ from .dataset import (Dataset, SplitSpec, UNLABELED, _at_least, generate_balance
 from .knn import _knn
 from .kpca import KernelSpec, KpcaMap, _kpca_inputs, _linear_spec, kpca_transform
 from .solver import (LearnerSpec, _attempt, _check_dim, _constraint, _join, _label_scatters,
-                     _ok, _prepare, _project, _term, _unlabel_stage, _weights)
+                     _ok, _prepare, _project, _rank_bound, _term, _unlabel_stage, _weights)
 
 # Named learner presets.  ``tunes`` lists which of (gamma, alpha) cross
 # validation may adjust; the others stay at the preset value.
@@ -182,38 +182,50 @@ def _shared_inputs(train: Dataset, kernel: KernelSpec | None, specs: list, X_eva
                    labeled, *_unlabel_stage(X, labeled, specs))
 
 
+def _label_stage(inputs, spec: LearnerSpec, labels: np.ndarray):
+    """``_label_scatters`` of ``labels`` on a realization's ``_shared_inputs``
+    (or the error they failed with), ranked from the sub-block of their
+    ranking block over the labeled points; or the error of that build."""
+    def build():
+        pos = np.searchsorted(_ok(inputs).labeled, np.flatnonzero(labels != UNLABELED))
+        return _label_scatters(inputs.X, labels, spec, lambda: inputs.block[np.ix_(pos, pos)])
+    return _attempt(build)
+
+
 def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
     """The scorer of one learner's candidates ``grid`` (a ``_grid``) on a
     realization's ``_shared_inputs`` (or the error they failed with).  The
     dimension is checked once; each candidate takes its unlabel scatters from
     the inputs, and a fold's ranking cuts its sub-block of their block and
-    frees it.  ``score(labels, points, held, truth)`` yields, per (gamma,
-    alpha) in ``points``, the k-NN accuracy of its fit on ``labels`` on the
-    training points at the positions ``held`` (None: the shared evaluation
-    points), or its first failed step's error.  Held-out points are scored
-    from their columns of ``inputs.train``, so no point is mapped here.
+    frees it.  ``score(labels, points, held, truth, label=None)`` yields, per
+    (gamma, alpha) in ``points``, the k-NN accuracy of its fit on ``labels``
+    on the training points at the positions ``held`` (None: the shared
+    evaluation points), or its first failed step's error.  ``label`` is the
+    ``_label_stage`` of ``labels`` if the caller built it, as the final fits
+    of a realization share it.  Held-out points are scored from their
+    columns of ``inputs.train``, so no point is mapped here.
 
-    A call builds what its candidates share once: the label scatters and the
-    regularized constraint of consecutive candidates with one B and epsilon
-    (one at a time).  A candidate then costs one ``L``, one generalized
-    eigensolve, the products ``(A @ inputs.train)[:, lab]`` and ``A @ evals``
-    (sliced after the product, which is how ``embed`` rounds them) and one
-    vote of the unchecked core ``_knn``: every array it gets is built here
-    from inputs checked where they entered."""
+    A call builds what its candidates share once: the label scatters (unless
+    given) and the regularized constraint of consecutive candidates with one
+    B and epsilon (one at a time).  A candidate then costs one ``L``, one
+    generalized eigensolve, the products ``(A @ inputs.train)[:, lab]`` and
+    ``A @ evals`` (sliced after the product, which is how ``embed`` rounds
+    them) and one vote of the unchecked core ``_knn``: every array it gets is
+    built here from inputs checked where they entered."""
     try:
         if _ok(inputs).kmap is not None:
             spec = _linear_spec(spec, inputs.kmap)
             grid = {p: _linear_spec(c, inputs.kmap) for p, c in grid.items()}
         _check_dim(spec.dim, inputs.X)
     except (ValueError, np.linalg.LinAlgError) as exc:
-        return lambda labels, points, held, truth, exc=exc: [exc] * len(points)
+        return lambda labels, points, held, truth, label=None, exc=exc: [exc] * len(points)
 
-    def score(labels, points, held, truth):
+    def score(labels, points, held, truth, label=None):
         lab = np.flatnonzero(labels != UNLABELED)
-        pos = np.searchsorted(inputs.labeled, lab)
         k = min(eval_k, lab.size)
-        label = _attempt(_label_scatters, inputs.X, labels, spec,
-                         lambda: inputs.block[np.ix_(pos, pos)])
+        if label is None:
+            label = _label_stage(inputs, spec, labels)
+        rank = _rank_bound(spec, lab.size)
         evals = inputs.eval if held is None else inputs.train[:, held]
         last = None   # (B, epsilon, its _constraint) of the last candidate
         for p in points:
@@ -223,7 +235,7 @@ def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
                 eps = _weights(cand, L_u)[1]
                 if last is None or last[0] is not B or last[1] != eps:
                     last = None   # free the old B_reg before the new one
-                    last = B, eps, _constraint(B, eps)
+                    last = B, eps, _constraint(B, eps, rank)
                 A, _ = _project(L_l, L_u, cand, last[2])
             except (ValueError, np.linalg.LinAlgError) as exc:
                 yield exc
@@ -320,8 +332,11 @@ def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> l
     """Per (spec, grid) in ``learners``, its accuracy on realization r or the
     message of its failure.  The split, KPCA map, centering and PCA, the
     evaluation points' inputs and the unlabel stage of every learner's
-    candidates are built once and shared by every learner; the label
-    scatters and solves stay per learner.  All of it is freed on return."""
+    candidates are built once and shared by every learner.  Every learner's
+    sweep runs first; then the final fits run grouped by label-cost key, and
+    each group's label stage of all training labels is built once and freed
+    before the next group's, so none is kept through a sweep.  All of it is
+    freed on return."""
     try:
         lab_idx, unl_idx, test_idx = split(data, config.split, r)
         train_idx = np.sort(np.concatenate([lab_idx, unl_idx]))
@@ -337,19 +352,24 @@ def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> l
     except (ValueError, np.linalg.LinAlgError) as exc:
         return [f"realization {r}: {exc}"] * len(learners)
 
-    def accuracy(spec, grid):
-        score = _scorer(inputs, spec, grid, config.eval_k)
-        chosen = next(iter(grid)) if len(grid) == 1 else _choose(
-            train, grid, score, config.folds, config.split.seed + r)
-        [acc] = score(train.labels, [chosen], None, data.labels[eval_idx])
-        return _ok(acc)
-
-    outcomes = []
-    for spec, grid in learners:
-        try:
-            outcomes.append(accuracy(spec, grid))
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            outcomes.append(f"realization {r}: {exc}")
+    scorers = [_scorer(inputs, spec, grid, config.eval_k) for spec, grid in learners]
+    chosen = [next(iter(grid)) if len(grid) == 1 else _attempt(
+        _choose, train, grid, score, config.folds, config.split.seed + r)
+        for (_, grid), score in zip(learners, scorers)]
+    # what _label_scatters reads of a spec: one key, one label stage
+    keys = [(spec.base, spec.k, spec.gamma_prime) for spec, _ in learners]
+    outcomes = [None] * len(learners)
+    for key in dict.fromkeys(keys):
+        label = None   # the group's label stage, built for its first fit
+        for i in (i for i, k in enumerate(keys) if k == key):
+            try:
+                point = _ok(chosen[i])
+                if label is None:
+                    label = _label_stage(inputs, learners[i][0], train.labels)
+                [acc] = scorers[i](train.labels, [point], None, data.labels[eval_idx], label)
+                outcomes[i] = _ok(acc)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                outcomes[i] = f"realization {r}: {exc}"
     return outcomes
 
 
@@ -433,11 +453,11 @@ def _parse_kernel(text: str) -> KernelSpec | None:
     raise ValueError(f"unknown kernel {text!r}")
 
 
-def _parse_heat(text: str, k: int = HeatKernelSpec.k) -> HeatKernelSpec:
-    """``local`` (rank k) or ``global[:SIGMA]``."""
+def _parse_heat(text: str, k: int | None = None) -> HeatKernelSpec:
+    """``local`` (rank k; None: the default) or ``global[:SIGMA]``."""
     name, colon, arg = text.strip().lower().partition(":")
     if name in ("", "local") and not colon:
-        return HeatKernelSpec("local", k=k)
+        return HeatKernelSpec("local", k=HeatKernelSpec.k if k is None else k)
     if name == "global":
         return HeatKernelSpec("global", sigma=float(arg) if colon else HeatKernelSpec.sigma)
     raise ValueError(f"unknown heat-kernel spec {text!r}")

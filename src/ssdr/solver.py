@@ -7,7 +7,11 @@ A B A^T = I: the rows of A are the generalized eigenvectors of
 A solve is two steps: ``_constraint`` regularizes and checks B once,
 ``_project`` solves one candidate's L under it with the unchecked core
 ``_gev``.  ``fit`` takes both in turn; the CV sweep shares one constraint
-among consecutive candidates and maps inputs it centered once itself.
+among consecutive candidates and maps inputs it centered once itself.  The
+constraint step skips the rank eigensolve of a B that is scattered from
+fewer columns than its order, which is singular.  The candidate step builds
+L in a buffer of its own, which dsygvx overwrites without a copy: every
+scatter is symmetrized exactly, so L is too, and its transpose is L itself.
 """
 from __future__ import annotations
 
@@ -152,9 +156,14 @@ def solve_gev(L: np.ndarray, B_reg: np.ndarray, dim: int):
     return _gev(L, B_reg, dim, _is_identity(B_reg))
 
 
-def _gev(L: np.ndarray, B_reg: np.ndarray, dim: int, identity: bool):
+def _gev(L: np.ndarray, B_reg: np.ndarray, dim: int, identity: bool, own: bool = False):
     """:func:`solve_gev` of finite square L and B_reg and a valid dim,
-    unchecked; ``identity`` says whether B_reg is the identity."""
+    unchecked; ``identity`` says whether B_reg is the identity.  With
+    ``own`` L is a C-ordered buffer that the solve may destroy and exactly
+    symmetric (L == L.T bit for bit): dsygvx then gets L.T, a Fortran-ordered
+    view of the same memory, with overwrite_a set, and f2py copies no L.
+    Without it dsygvx reads a Fortran-ordered copy of L, whose lower
+    triangle it solves, as ``solve_gev`` needs for a caller's L."""
     if identity:
         # the full spectrum, as the Cholesky reduction by R = I computed it:
         # mmc's bottom eigenvalues are near zero and rounding picks its
@@ -163,8 +172,9 @@ def _gev(L: np.ndarray, B_reg: np.ndarray, dim: int, identity: bool):
         lam, V = scipy.linalg.eigh(L)
     else:
         d0 = L.shape[0]
-        lam, V, _, _, info = _SYGVX(L, B_reg, itype=1, jobz="V", range="I", il=1,
-                                    iu=dim, uplo="L", lwork=_sygvx_lwork(d0))
+        lam, V, _, _, info = _SYGVX(L.T if own else L, B_reg, itype=1, jobz="V",
+                                    range="I", il=1, iu=dim, uplo="L",
+                                    lwork=_sygvx_lwork(d0), overwrite_a=own)
         if info > d0:
             raise np.linalg.LinAlgError(
                 "constraint matrix is not positive definite; increase the "
@@ -457,16 +467,25 @@ def _weights(spec: LearnerSpec, L_u) -> tuple[float, float]:
     return gamma, spec.epsilon if spec.epsilon is not None else gamma
 
 
-def _constraint(B: np.ndarray, eps: float):
+def _rank_bound(spec: LearnerSpec, m: int) -> int | None:
+    """An upper bound on the rank of the constraint B of ``spec`` fitted on m
+    labeled points, or None: fda, lfda and mfa scatter B from the m labeled
+    columns, so its rank is at most m."""
+    return m if spec.base in ("fda", "lfda", "mfa") else None
+
+
+def _constraint(B: np.ndarray, eps: float, rank: int | None = None):
     """The constraint step of a solve: ``(B_reg, eps, identity)``, the
     regularized constraint B + eps I, the epsilon in it and whether B_reg is
     the identity.  With eps = 0 a singular B takes a small fallback epsilon,
-    which ``_project`` warns of.  B_reg is checked here, once for all the
-    candidates that share it."""
+    which ``_project`` warns of.  A ``rank`` (a ``_rank_bound``) below B's
+    order d0 makes B singular; otherwise an eigensolve of B counts its rank.
+    B_reg is checked here, once for all the candidates that share it."""
     d0 = B.shape[0]
     # B is symmetric, so |eigenvalues| are its singular values
-    if eps == 0.0 and not _is_identity(B) and \
-            _above_tol(np.abs(scipy.linalg.eigvalsh(B))).sum() < d0:
+    if eps == 0.0 and not _is_identity(B) and (
+            rank is not None and rank < d0
+            or _above_tol(np.abs(scipy.linalg.eigvalsh(B))).sum() < d0):
         eps = 1e-8 * max(np.trace(B), 1.0) / d0
     B_reg = regularize(B, eps)
     if not np.isfinite(B_reg).all():
@@ -478,25 +497,31 @@ def _project(L_l, L_u, spec: LearnerSpec, constraint):
     """The candidate step of a solve: the axis-weighted projection A and the
     eigenvalues minimizing L = L_l + gamma L_u (L_l without an unlabel term,
     L_u None) under a ``_constraint`` of the spec's epsilon.  L is checked
-    here; an epsilon fallback is warned once per call."""
+    here; an epsilon fallback is warned once per call.  With an unlabel term
+    L is built as gamma L_u plus L_l in place, the same bits (addition
+    commutes), in a buffer that the solve then overwrites."""
     gamma, eps = _weights(spec, L_u)
     B_reg, used, identity = constraint
     if used != eps:
         warnings.warn("constraint matrix is singular with epsilon = 0; "
                       f"falling back to epsilon = {used:g}")
-    L = L_l if L_u is None else L_l + gamma * L_u
+    if L_u is None:
+        L = L_l
+    else:
+        L = gamma * L_u
+        L += L_l
     if not np.isfinite(L).all():
         raise ValueError(_NON_FINITE)
-    A, lam = _gev(L, B_reg, spec.dim, identity)
+    A, lam = _gev(L, B_reg, spec.dim, identity, own=L_u is not None)
     return axis_weighting(A, lam, spec.weighting_mode), lam
 
 
-def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis) -> EmbeddingModel:
-    """Axis-weighted projection minimizing L_l + gamma L_u under B; no
-    unlabel term when L_u is None.  The constraint and candidate steps that
-    the CV sweep takes apart."""
+def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis, rank=None) -> EmbeddingModel:
+    """Axis-weighted projection minimizing L_l + gamma L_u under B, whose
+    rank is at most ``rank`` if given; no unlabel term when L_u is None.  The
+    constraint and candidate steps that the CV sweep takes apart."""
     gamma, eps = _weights(spec, L_u)
-    constraint = _constraint(B, eps)
+    constraint = _constraint(B, eps, rank)
     A, lam = _project(L_l, L_u, spec, constraint)
     return EmbeddingModel(A=A, eigenvalues=lam, train_mean=mean, pre_pca=basis,
                           weighting_mode=spec.weighting_mode, gamma=gamma,
@@ -512,7 +537,8 @@ def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
 def _fit(X, mean, basis, labels: np.ndarray, spec: LearnerSpec) -> EmbeddingModel:
     """:func:`fit` on inputs that ``_prepare`` returned."""
     _check_dim(spec.dim, X)
-    return _solve(*build_scatters(X, labels, spec), spec, mean, basis)
+    return _solve(*build_scatters(X, labels, spec), spec, mean, basis,
+                  _rank_bound(spec, np.count_nonzero(labels != UNLABELED)))
 
 
 def _input_columns(x, dim: int):

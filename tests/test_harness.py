@@ -1,6 +1,7 @@
 import builtins
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -597,6 +598,60 @@ class TestSharedRealization:
         assert results[:2] + results[3:] == clean[:2] + clean[3:]
 
 
+class TestFinalLabelStage:
+    """A realization runs every learner's sweep first, then the final fits
+    grouped by label-cost key: the scatters of all training labels are built
+    once per key, and none is kept through a sweep."""
+
+    ORDERS = [("ss-lfda", "lfda"), ("lfda", "mmc", "ss-lfda")]
+
+    @staticmethod
+    def config(learners):
+        # 149 KPCA coordinates
+        return toy_config(dataset="three-cluster", n_per_cluster=50, learners=learners,
+                          kernel=KernelSpec("gaussian", sigma=2.0), folds=3,
+                          split=SplitSpec(labeled=30, seed=2, realizations=1,
+                                          per_class_labels=True),
+                          gamma_grid=(0.1, 1.0, 10.0), alpha_grid=(1, 2))
+
+    @pytest.mark.parametrize("learners, keys", zip(ORDERS, [1, 2]),
+                             ids=[",".join(o) for o in ORDERS])
+    def test_one_label_stage_per_key(self, monkeypatch, learners, keys):
+        # a build per learner would make 2 and 3
+        cfg = self.config(learners)
+        data = load_dataset(cfg)
+        full, original = [], ssdr.harness._label_scatters
+
+        def record(X, labels, spec, *args):
+            if np.count_nonzero(labels != UNLABELED) == cfg.split.labeled:
+                full.append(spec.base)
+            return original(X, labels, spec, *args)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            alone = [run_learner(data, cfg, name) for name in learners]
+            monkeypatch.setattr(ssdr.harness, "_label_scatters", record)
+            results = run_benchmark(cfg)
+        assert len(full) == keys == len(set(full))
+        assert all(len(r.accuracies) == 1 for r in results)
+        assert [r.accuracies for r in results] == [r.accuracies for r in alone]
+
+    def test_no_label_stage_kept_through_a_sweep(self):
+        # with lfda first, a label stage kept until the key's last learner
+        # would sit through ss-lfda's sweep
+        peaks = []
+        for learners in (("ss-lfda", "lfda", "mmc"), ("lfda", "mmc", "ss-lfda")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tracemalloc.start()
+                try:
+                    run_benchmark(self.config(learners))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.25 * 8 * 149 ** 2, peaks
+
+
 class TestRunBenchmark:
     def test_gamma_zero_collapse_to_supervised(self):
         cfg = toy_config(learners=("ss-dne", "dne"), gamma_grid=(0.0,),
@@ -978,6 +1033,21 @@ class TestCli:
         assert cli.main(["fit", "--data", str(data_csv), option, value,
                          "--kpca-out", str(tmp_path / "k.bin"), "--out", str(model)]) == 1
         assert repr(value) in capsys.readouterr().err and not model.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "graph-export"])
+    def test_heat_k_with_global_heat_rejected(self, tmp_path, capsys, command):
+        # the rank was dropped without a word and the output written
+        data_csv, out = tmp_path / "toy.csv", tmp_path / "out"
+        assert cli.main(["toy-gen", "--kind", "three-cluster", "--n-per-cluster", "10",
+                         "--out", str(data_csv)]) == 0
+        args = [command, "--data", str(data_csv), "--out", str(out)]
+        capsys.readouterr()
+        assert cli.main(args + ["--heat", "global:2", "--heat-k", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "--heat global and --heat-k" in err and not out.exists()
+        # either flag alone is accepted
+        assert cli.main(args + ["--heat", "global:2"]) == 0
+        assert cli.main(args + ["--heat-k", "5"]) == 0 and out.exists()
 
     def test_graph_export(self, tmp_path):
         data_csv = tmp_path / "toy.csv"

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -9,14 +10,15 @@ import scipy.sparse
 
 import ssdr.costs
 import ssdr.solver
-from ssdr import (BASES, Dataset, EmbeddingModel, LearnerSpec, UNLABELED,
-                  UNLABEL_MODES, axis_weighting, build_scatters, cross_validate,
+from ssdr import (BASES, Dataset, EmbeddingModel, KernelSpec, LearnerSpec, SplitSpec,
+                  UNLABELED, UNLABEL_MODES, axis_weighting, build_scatters, cross_validate,
                   embed, fit, generate_multimodal_toy, hadamard_power, heat_kernel_costs,
-                  center, laplacian_scatter, lfda_costs, load_model, mmc_costs,
-                  neighbor_graphs, numerical_rank, pairwise_sq_dists,
+                  center, kpca_trick_fit, laplacian_scatter, lfda_costs, load_model,
+                  mmc_costs, neighbor_graphs, numerical_rank, pairwise_sq_dists,
                   pca_preprocess, regularize, resolve_k, save_model,
-                  self_cost, solve_gev)
-from ssdr.solver import _prepare, _solve
+                  self_cost, solve_gev, split)
+from ssdr.harness import _label_stage, _shared_inputs
+from ssdr.solver import _constraint, _join, _prepare, _project, _solve, _term, _weights
 
 
 def random_pd(rng, d):
@@ -404,6 +406,58 @@ class TestEpsilonFallback:
         assert model.epsilon == want
 
 
+class TestRankBound:
+    """With epsilon 0, a constraint that fda, lfda or mfa scatter from
+    m < d0 labeled columns has rank at most m: it takes the fallback epsilon
+    with no eigensolve to count its rank."""
+
+    @staticmethod
+    def count_eigvalsh(monkeypatch):
+        calls, original = [], scipy.linalg.eigvalsh
+        monkeypatch.setattr(scipy.linalg, "eigvalsh",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        return calls
+
+    def test_few_labels_skip_the_eigensolve(self, monkeypatch):
+        # 12 labels, 149 KPCA coordinates
+        data = generate_multimodal_toy("three-cluster", 50, 0.5, 0)
+        lab, _, _ = split(data, SplitSpec(labeled=12, seed=0, per_class_labels=True), 0)
+        train = data.with_labels_hidden(lab)
+        kernel = KernelSpec("gaussian", sigma=2.0)
+        spec = LearnerSpec(base="lfda", unlabel="none", gamma=0.0, dim=2)
+        calls = self.count_eigvalsh(monkeypatch)
+        # the rule without the bound: an eigensolve counts the rank of B
+        _, (X, mean, basis) = ssdr.kpca._kpca_inputs(train.X, kernel)
+        L_l, L_u, B = build_scatters(X, train.labels, spec)
+        with pytest.warns(UserWarning) as want_warnings:
+            want = _solve(L_l, L_u, B, spec, mean, basis)
+        assert len(calls) == 1 and X.shape[0] == 149
+        calls.clear()
+        with pytest.warns(UserWarning) as got_warnings:
+            _, got = kpca_trick_fit(train, kernel, spec)
+        assert calls == []
+        message = ("constraint matrix is singular with epsilon = 0; "
+                   "falling back to epsilon = 4.77574e-10")
+        assert [str(w.message) for w in got_warnings] == \
+            [str(w.message) for w in want_warnings] == [message]
+        assert got.epsilon == want.epsilon == 1e-8 * max(np.trace(B), 1.0) / 149
+        for name in ("A", "eigenvalues", "train_mean"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.pre_pca is want.pre_pca is None
+        assert (got.gamma, got.alpha, got.weighting_mode) == \
+            (want.gamma, want.alpha, want.weighting_mode)
+
+    @pytest.mark.parametrize("base", ["fda", "lfda", "mfa"])
+    def test_enough_labels_still_count_the_rank(self, monkeypatch, base):
+        # m = 40 labeled columns >= d0 = 4: only the eigensolve can tell
+        d = labeled_dataset(np.random.default_rng(27), c=2)
+        calls = self.count_eigvalsh(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(d, LearnerSpec(base=base, unlabel="none", gamma=0.0, dim=1))
+        assert len(calls) == 1 and model.epsilon == 0.0
+
+
 class TestResolveK:
     def test_values(self):
         assert resolve_k(np.array([10, 10])) == 3
@@ -569,6 +623,63 @@ def heat_reference(X, heat, alpha, constraint):
     p = cu if alpha == 1 else hadamard_power(cu, alpha)
     B_u = (X * p.sum(axis=1)) @ X.T
     return laplacian_scatter(X, p), 0.5 * (B_u + B_u.T) if constraint else None
+
+
+class TestInPlaceSolve:
+    """A candidate's L is built in a buffer of its own, which dsygvx reads
+    through its transpose and overwrites: that needs every scatter to be
+    exactly symmetric, and leaves the projection's bits as they were."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.train = Dataset(X=rng.standard_normal((4, 30)),
+                             labels=np.array([1 + i % 3 for i in range(30)]), n_classes=3)
+        self.train.labels[rng.choice(30, 12, replace=False)] = UNLABELED
+
+    @pytest.mark.parametrize("kernel", [None, KernelSpec("gaussian", sigma=2.0)])
+    @pytest.mark.parametrize("base,unlabel", LEARNERS)
+    def test_scatters_are_exactly_symmetric(self, base, unlabel, kernel):
+        spec = LearnerSpec(base=base, unlabel=unlabel, gamma=0.7, alpha=2,
+                           gamma_prime=0.5)
+        inputs = _shared_inputs(self.train, kernel, [spec])
+        label = _label_stage(inputs, spec, self.train.labels)
+        stage = _join(label, inputs.unlabel[_term(spec)])
+        direct = build_scatters(inputs.X, self.train.labels, spec)
+        for scatters in (stage, direct):
+            for M in scatters:
+                assert M is None or np.array_equal(M, M.T)
+
+    @pytest.mark.parametrize("mode", ["T1_identity", "T4_combined"])
+    @pytest.mark.parametrize("base,unlabel", LEARNERS)
+    def test_projection_as_the_copying_solve(self, base, unlabel, mode):
+        spec = LearnerSpec(base=base, unlabel=unlabel, gamma=0.7, alpha=2, dim=2,
+                           weighting_mode=mode)
+        L_l, L_u, B = build_scatters(self.train.X, self.train.labels, spec)
+        kept = [None if M is None else M.copy() for M in (L_l, L_u)]
+        constraint = _constraint(B, _weights(spec, L_u)[1])
+        A, lam = _project(L_l, L_u, spec, constraint)
+        want_A, want_lam = solve_gev(L_l if L_u is None else L_l + spec.gamma * L_u,
+                                     constraint[0], spec.dim)
+        assert np.array_equal(A, axis_weighting(want_A, want_lam, mode))
+        assert np.array_equal(lam, want_lam)
+        # the scatters, which candidates share, are left as they were
+        for M, copy in zip((L_l, L_u), kept):
+            assert M is copy is None or np.array_equal(M, copy)
+
+    def test_peak_memory(self):
+        # L and the copy of B_reg that dsygvx factors: f2py copies no L
+        d0 = 601
+        rng = np.random.default_rng(28)
+        L_l, L_u = random_symmetric(rng, d0), random_symmetric(rng, d0)
+        spec = LearnerSpec(base="lfda", unlabel="heat", gamma=1.0, dim=2)
+        constraint = _constraint(random_pd(rng, d0), 1.0)
+        tracemalloc.start()
+        try:
+            _project(L_l, L_u, spec, constraint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 8 * d0 * d0
 
 
 class TestHeatChain:
