@@ -45,6 +45,10 @@ class Dataset:
     label_names: tuple[str, ...] | None = None   # original label strings, index k-1
 
     def __post_init__(self):
+        _at_least(self, integer=True, n_classes=1)
+        if self.label_names is not None and len(self.label_names) != self.n_classes:
+            raise DatasetError(f"label_names has {len(self.label_names)} names for "
+                               f"n_classes = {self.n_classes}")
         X = np.asarray(self.X, dtype=float)
         labels = np.asarray(self.labels, dtype=int)
         if X.ndim != 2:
@@ -156,7 +160,10 @@ def load_csv(path, label_column: str, missing_label_token: str = "") -> Dataset:
 
 def save_csv(dataset: Dataset, path, label_column: str = "label",
              missing_label_token: str = "") -> None:
-    """Write ``dataset`` back to CSV; round-trips with :func:`load_csv`."""
+    """Write ``dataset`` back to CSV; round-trips with :func:`load_csv`.
+    Without label names, class ids are zero-padded to the width of
+    ``n_classes``, so that ``load_csv``'s sorted names keep their order."""
+    width = len(str(dataset.n_classes))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(dataset.d0)] + [label_column])
@@ -167,7 +174,7 @@ def save_csv(dataset: Dataset, path, label_column: str = "label",
             elif dataset.label_names is not None:
                 name = dataset.label_names[lab - 1]
             else:
-                name = str(lab)
+                name = str(lab).zfill(width)
             writer.writerow([repr(float(v)) for v in dataset.X[:, j]] + [name])
 
 

@@ -14,8 +14,8 @@ from .dataset import (Dataset, SplitSpec, UNLABELED, _at_least, generate_balance
                       generate_multimodal_toy, load_csv, split, TOY_KINDS)
 from .knn import _knn
 from .kpca import KernelSpec, KpcaMap, _kpca_inputs, _linear_spec, kpca_transform
-from .solver import (LearnerSpec, _attempt, _check_dim, _constraint, _join, _label_scatters,
-                     _ok, _prepare, _project, _rank_bound, _term, _unlabel_stage, _weights)
+from .solver import (LearnerSpec, _attempt, _check_dim, _label_scatters, _ok, _prepare,
+                     _solves, _unlabel_stage)
 
 # Named learner presets.  ``tunes`` lists which of (gamma, alpha) cross
 # validation may adjust; the others stay at the preset value.
@@ -205,13 +205,13 @@ def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
     of a realization share it.  Held-out points are scored from their
     columns of ``inputs.train``, so no point is mapped here.
 
-    A call builds what its candidates share once: the label scatters (unless
-    given) and the regularized constraint of consecutive candidates with one
-    B and epsilon (one at a time).  A candidate then costs one ``L``, one
-    generalized eigensolve, the products ``(A @ inputs.train)[:, lab]`` and
-    ``A @ evals`` (sliced after the product, which is how ``embed`` rounds
-    them) and one vote of the unchecked core ``_knn``: every array it gets is
-    built here from inputs checked where they entered."""
+    A call builds the label scatters once (unless given) and solves its
+    candidates in order through ``solver._solves``, which shares a
+    constraint among consecutive candidates.  A candidate then costs one
+    solve, the products ``(A @ inputs.train)[:, lab]`` and ``A @ evals``
+    (sliced after the product, which is how ``embed`` rounds them) and one
+    vote of the unchecked core ``_knn``: every array it gets is built here
+    from inputs checked where they entered."""
     try:
         if _ok(inputs).kmap is not None:
             spec = _linear_spec(spec, inputs.kmap)
@@ -225,21 +225,12 @@ def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
         k = min(eval_k, lab.size)
         if label is None:
             label = _label_stage(inputs, spec, labels)
-        rank = _rank_bound(spec, lab.size)
         evals = inputs.eval if held is None else inputs.train[:, held]
-        last = None   # (B, epsilon, its _constraint) of the last candidate
-        for p in points:
-            cand = grid[p]
-            try:
-                L_l, L_u, B = _join(_ok(label), _ok(inputs.unlabel[_term(cand)]))
-                eps = _weights(cand, L_u)[1]
-                if last is None or last[0] is not B or last[1] != eps:
-                    last = None   # free the old B_reg before the new one
-                    last = B, eps, _constraint(B, eps, rank)
-                A, _ = _project(L_l, L_u, cand, last[2])
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                yield exc
+        for out in _solves(label, inputs.unlabel, [grid[p] for p in points], lab.size):
+            if isinstance(out, Exception):
+                yield out
                 continue
+            A = out[0]
             pred = _knn((A @ inputs.train)[:, lab], labels[lab], k, A @ evals)
             yield float(np.count_nonzero(pred == truth) / truth.size)
 

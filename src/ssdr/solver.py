@@ -4,19 +4,20 @@ The projection is found by minimizing trace(A X (D - C) X^T A^T) subject to
 A B A^T = I: the rows of A are the generalized eigenvectors of
 (X(D-C)X^T, B + eps*I) for the d smallest eigenvalues.
 
-A solve is two steps: ``_constraint`` regularizes and checks B once,
-``_project`` solves one candidate's L under it with the unchecked core
-``_gev``.  ``fit`` takes both in turn; the CV sweep shares one constraint
-among consecutive candidates and maps inputs it centered once itself.  The
-constraint step skips the rank eigensolve of a B that is scattered from
-fewer columns than its order, which is singular.  The candidate step builds
-L in a buffer of its own, which dsygvx overwrites without a copy: every
-scatter is symmetrized exactly, so L is too, and its transpose is L itself.
+Every solve runs through one loop, ``_solves``: ``fit``, each fold of the
+CV sweep and each final fit of the harness.  Per candidate it joins the
+label and unlabel scatters, regularizes and checks the constraint (once for
+consecutive candidates that share it), builds L in a buffer of its own and
+solves it with the unchecked core ``_gev``, which dsygvx overwrites without a
+copy: every scatter is symmetrized exactly, so L is too, and its transpose
+is L itself.  The constraint step skips the rank eigensolve of a B that is
+scattered from fewer columns than its order, which is singular.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -137,44 +138,45 @@ def _sygvx_lwork(d0: int) -> int:
 def solve_gev(L: np.ndarray, B_reg: np.ndarray, dim: int):
     """Bottom-d generalized eigenpairs of L a = lambda B_reg a.
 
-    L is symmetric and B_reg symmetric positive definite.  One LAPACK call
-    (dsygvx, with the workspace it reports for the order d0) factors B_reg,
-    reduces the problem to a standard symmetric one and computes only the
-    ``dim`` bottom eigenpairs, bit for bit what ``scipy.linalg.eigh(L,
-    B_reg, subset_by_index=[0, dim - 1])`` returns.  Rows of the returned A
-    satisfy A B_reg A^T = I; each row's first non-negligible component is
-    made positive for reproducibility.
+    L is symmetric and B_reg symmetric positive definite; the lower
+    triangle of L is solved.  One LAPACK call (dsygvx, with the workspace
+    it reports for the order d0) factors B_reg, reduces the problem to a
+    standard symmetric one and computes only the ``dim`` bottom eigenpairs,
+    bit for bit what ``scipy.linalg.eigh(L, B_reg, subset_by_index=[0, dim -
+    1])`` returns.  Rows of the returned A satisfy A B_reg A^T = I; each
+    row's first non-negligible component is made positive for
+    reproducibility.  L and B_reg are left unchanged.
     """
     d0 = L.shape[0]
     if L.shape != (d0, d0) or B_reg.shape != (d0, d0):
         raise ValueError(f"L and B_reg must be square of one size, got {L.shape} "
                          f"and {B_reg.shape}")
+    if not isinstance(dim, numbers.Integral):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if not 1 <= dim <= d0:
         raise ValueError(f"dim must be between 1 and the input dimension {d0}, got {dim}")
     if not (np.isfinite(L).all() and np.isfinite(B_reg).all()):
         raise ValueError(_NON_FINITE)
-    return _gev(L, B_reg, dim, _is_identity(B_reg))
+    return _gev(np.array(L.T, order="C"), B_reg, dim, _is_identity(B_reg))
 
 
-def _gev(L: np.ndarray, B_reg: np.ndarray, dim: int, identity: bool, own: bool = False):
+def _gev(L: np.ndarray, B_reg: np.ndarray, dim: int, identity: bool):
     """:func:`solve_gev` of finite square L and B_reg and a valid dim,
-    unchecked; ``identity`` says whether B_reg is the identity.  With
-    ``own`` L is a C-ordered buffer that the solve may destroy and exactly
-    symmetric (L == L.T bit for bit): dsygvx then gets L.T, a Fortran-ordered
-    view of the same memory, with overwrite_a set, and f2py copies no L.
-    Without it dsygvx reads a Fortran-ordered copy of L, whose lower
-    triangle it solves, as ``solve_gev`` needs for a caller's L."""
+    unchecked; ``identity`` says whether B_reg is the identity.  L is a
+    C-ordered buffer that the solve destroys: LAPACK gets L.T, a
+    Fortran-ordered view of the same memory, with overwrite_a set, so f2py
+    copies no L, and solves the lower triangle of L.T, the upper one of L."""
     if identity:
         # the full spectrum, as the Cholesky reduction by R = I computed it:
         # mmc's bottom eigenvalues are near zero and rounding picks its
         # eigenvectors, so a partial solve would move them.  Once mmc's sign
         # is fixed, this folds into the subset solve below
-        lam, V = scipy.linalg.eigh(L)
+        lam, V = scipy.linalg.eigh(L.T, overwrite_a=True)
     else:
         d0 = L.shape[0]
-        lam, V, _, _, info = _SYGVX(L.T if own else L, B_reg, itype=1, jobz="V",
-                                    range="I", il=1, iu=dim, uplo="L",
-                                    lwork=_sygvx_lwork(d0), overwrite_a=own)
+        lam, V, _, _, info = _SYGVX(L.T, B_reg, itype=1, jobz="V", range="I", il=1,
+                                    iu=dim, uplo="L", lwork=_sygvx_lwork(d0),
+                                    overwrite_a=True)
         if info > d0:
             raise np.linalg.LinAlgError(
                 "constraint matrix is not positive definite; increase the "
@@ -453,34 +455,27 @@ def build_scatters(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
     "none" takes it from the unlabel term (X D^u X^T for heat costs).  The
     unlabel costs are scattered and freed before the label costs are built.
     """
+    label, terms = _stages(X, labels, spec)
+    return _join(label, terms[_term(spec)])
+
+
+def _stages(X: np.ndarray, labels: np.ndarray, spec: LearnerSpec):
+    """``(label, terms)`` of one learner: its ``_label_scatters`` and its
+    ``_unlabel_stage`` terms.  The unlabel term's error is raised before the
+    label costs are built."""
     # the ranking block in a list, which the ranking pops: it frees the block
     # before the label costs, where a local or an argument would keep it
     terms, *block = _unlabel_stage(X, np.flatnonzero(labels != UNLABELED), [spec])
-    unlabel = _ok(terms[_term(spec)])
-    return _join(_label_scatters(X, labels, spec, block.pop), unlabel)
+    _ok(terms[_term(spec)])
+    return _label_scatters(X, labels, spec, block.pop), terms
 
 
-def _weights(spec: LearnerSpec, L_u) -> tuple[float, float]:
-    """``(gamma, epsilon)`` of a solve: the weight of L_u (0 without an
-    unlabel term, L_u None) and the regularizer spec asks for (None: gamma)."""
-    gamma = spec.gamma if L_u is not None else 0.0
-    return gamma, spec.epsilon if spec.epsilon is not None else gamma
-
-
-def _rank_bound(spec: LearnerSpec, m: int) -> int | None:
-    """An upper bound on the rank of the constraint B of ``spec`` fitted on m
-    labeled points, or None: fda, lfda and mfa scatter B from the m labeled
-    columns, so its rank is at most m."""
-    return m if spec.base in ("fda", "lfda", "mfa") else None
-
-
-def _constraint(B: np.ndarray, eps: float, rank: int | None = None):
-    """The constraint step of a solve: ``(B_reg, eps, identity)``, the
-    regularized constraint B + eps I, the epsilon in it and whether B_reg is
-    the identity.  With eps = 0 a singular B takes a small fallback epsilon,
-    which ``_project`` warns of.  A ``rank`` (a ``_rank_bound``) below B's
-    order d0 makes B singular; otherwise an eigensolve of B counts its rank.
-    B_reg is checked here, once for all the candidates that share it."""
+def _constraint(B: np.ndarray, eps: float, rank: int | None):
+    """``(B_reg, eps, identity)``: the regularized constraint B + eps I, the
+    epsilon in it and whether B_reg is the identity.  With eps = 0 a
+    singular B takes a small fallback epsilon.  A ``rank`` bound below B's
+    order d0 makes B singular; otherwise an eigensolve of B counts its
+    rank."""
     d0 = B.shape[0]
     # B is symmetric, so |eigenvalues| are its singular values
     if eps == 0.0 and not _is_identity(B) and (
@@ -493,39 +488,46 @@ def _constraint(B: np.ndarray, eps: float, rank: int | None = None):
     return B_reg, eps, _is_identity(B_reg)
 
 
-def _project(L_l, L_u, spec: LearnerSpec, constraint):
-    """The candidate step of a solve: the axis-weighted projection A and the
-    eigenvalues minimizing L = L_l + gamma L_u (L_l without an unlabel term,
-    L_u None) under a ``_constraint`` of the spec's epsilon.  L is checked
-    here; an epsilon fallback is warned once per call.  With an unlabel term
-    L is built as gamma L_u plus L_l in place, the same bits (addition
-    commutes), in a buffer that the solve then overwrites."""
-    gamma, eps = _weights(spec, L_u)
-    B_reg, used, identity = constraint
-    if used != eps:
-        warnings.warn("constraint matrix is singular with epsilon = 0; "
-                      f"falling back to epsilon = {used:g}")
-    if L_u is None:
-        L = L_l
-    else:
-        L = gamma * L_u
-        L += L_l
-    if not np.isfinite(L).all():
-        raise ValueError(_NON_FINITE)
-    A, lam = _gev(L, B_reg, spec.dim, identity, own=L_u is not None)
-    return axis_weighting(A, lam, spec.weighting_mode), lam
-
-
-def _solve(L_l, L_u, B, spec: LearnerSpec, mean, basis, rank=None) -> EmbeddingModel:
-    """Axis-weighted projection minimizing L_l + gamma L_u under B, whose
-    rank is at most ``rank`` if given; no unlabel term when L_u is None.  The
-    constraint and candidate steps that the CV sweep takes apart."""
-    gamma, eps = _weights(spec, L_u)
-    constraint = _constraint(B, eps, rank)
-    A, lam = _project(L_l, L_u, spec, constraint)
-    return EmbeddingModel(A=A, eigenvalues=lam, train_mean=mean, pre_pca=basis,
-                          weighting_mode=spec.weighting_mode, gamma=gamma,
-                          alpha=spec.alpha, epsilon=constraint[1])
+def _solves(label, terms: dict, specs, m: int):
+    """Per spec of ``specs``, fitted on m labeled points, ``(A, eigenvalues,
+    gamma, epsilon)`` of the axis-weighted projection minimizing L_l + gamma
+    L_u under B + epsilon I, or the error of its first failed step.
+    ``label`` is ``(L_l, B)`` of ``_label_scatters`` and ``terms`` the terms
+    of ``_unlabel_stage``; either may hold errors.  gamma is 0 without an
+    unlabel term and epsilon None means gamma; a fallback epsilon is warned
+    once per spec.  m bounds the rank of the B of fda, lfda and mfa, which
+    are scattered from the m labeled columns.  Consecutive specs with one B
+    and epsilon share one ``_constraint``.  L is built as gamma L_u plus L_l
+    (the same bits: addition commutes), or as a copy of L_l, in a buffer
+    that the solve destroys."""
+    last = None   # (B, epsilon, its _constraint) of the last spec
+    for spec in specs:
+        try:
+            L_l, L_u, B = _join(_ok(label), _ok(terms[_term(spec)]))
+            gamma = spec.gamma if L_u is not None else 0.0
+            eps = spec.epsilon if spec.epsilon is not None else gamma
+            if last is None or last[0] is not B or last[1] != eps:
+                last = None   # free the old B_reg before building the next
+                rank = m if spec.base in ("fda", "lfda", "mfa") else None
+                last = B, eps, _constraint(B, eps, rank)
+            B_reg, used, identity = last[2]
+            if used != eps:
+                warnings.warn("constraint matrix is singular with epsilon = 0; "
+                              f"falling back to epsilon = {used:g}")
+            if L_u is None:
+                L = L_l.copy()
+            else:
+                L = gamma * L_u
+                L += L_l
+            if not np.isfinite(L).all():
+                raise ValueError(_NON_FINITE)
+            A, lam = _gev(L, B_reg, spec.dim, identity)
+            del L   # destroyed by the solve: not kept while the caller uses A
+            A = axis_weighting(A, lam, spec.weighting_mode)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            yield exc
+            continue
+        yield A, lam, gamma, used
 
 
 def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
@@ -537,8 +539,12 @@ def fit(dataset: Dataset, spec: LearnerSpec) -> EmbeddingModel:
 def _fit(X, mean, basis, labels: np.ndarray, spec: LearnerSpec) -> EmbeddingModel:
     """:func:`fit` on inputs that ``_prepare`` returned."""
     _check_dim(spec.dim, X)
-    return _solve(*build_scatters(X, labels, spec), spec, mean, basis,
-                  _rank_bound(spec, np.count_nonzero(labels != UNLABELED)))
+    [solve] = _solves(*_stages(X, labels, spec), [spec],
+                      np.count_nonzero(labels != UNLABELED))
+    A, lam, gamma, eps = _ok(solve)
+    return EmbeddingModel(A=A, eigenvalues=lam, train_mean=mean, pre_pca=basis,
+                          weighting_mode=spec.weighting_mode, gamma=gamma,
+                          alpha=spec.alpha, epsilon=eps)
 
 
 def _input_columns(x, dim: int):

@@ -66,11 +66,28 @@ class TestLoadCsv:
         np.testing.assert_allclose(back.X, d.X)
         np.testing.assert_array_equal(back.labels, d.labels)
 
+    def test_roundtrip_keeps_the_ids_of_twelve_classes(self, tmp_path):
+        # ids are written as 01..12, which sort as the numbers do
+        d = Dataset(X=np.arange(12.0)[None, :], labels=np.arange(1, 13), n_classes=12)
+        save_csv(d, tmp_path / "out.csv")
+        back = load_csv(str(tmp_path / "out.csv"), "label")
+        np.testing.assert_array_equal(back.labels, d.labels)
+        assert back.n_classes == 12
+
 
 class TestDatasetModel:
     def test_label_range_validation(self):
         with pytest.raises(DatasetError):
             Dataset(X=np.zeros((2, 2)), labels=np.array([1, 3]), n_classes=2)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(n_classes=0), "n_classes must be >= 1, got 0"),
+        (dict(n_classes=2.5), "n_classes must be an integer, got 2.5"),
+        (dict(n_classes=3, label_names=("a", "b")), "label_names has 2 names for n_classes = 3"),
+    ], ids=["no class", "fractional", "too few names"])
+    def test_impossible_class_count_rejected_by_name(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(X=np.zeros((1, 4)), labels=[UNLABELED] * 4, **fields)
 
     def test_non_finite_x_names_example(self):
         X = np.zeros((2, 5))

@@ -223,6 +223,21 @@ class TestSweepMatchesFitPerCandidate:
         assert got == expect and not warned
         assert all(len(s) == 4 for s in got)
 
+    def test_one_constraint_per_fold_and_gamma(self, monkeypatch):
+        # the candidates run gamma by gamma, and the alphas of one gamma share
+        # lfda's B and epsilon = gamma: one constraint per (fold, gamma)
+        train = self.train(kind="three-cluster")
+        spec, tunes = learner_preset("ss-lfda", dim=1)
+        gammas, alphas = (0.1, 1.0, 10.0), (1, 2, 4, 8)
+        grid = [(g, a) for g in gammas for a in alphas]
+        expect, _ = recorded(lambda: reference_scores(train, spec, grid, folds=5))
+        best = min((-float(np.mean(s)), g, a) for (g, a), s in zip(grid, expect))
+        calls, constraint = [], ssdr.solver._constraint
+        monkeypatch.setattr(ssdr.solver, "_constraint",
+                            lambda *a: calls.append(1) or constraint(*a))
+        assert cross_validate(train, spec, tunes, gammas, alphas, folds=5) == best[1:]
+        assert len(calls) == 5 * len(gammas) and all(len(s) == 5 for s in expect)
+
     def test_skipped_folds_warn_once_per_candidate_and_fold(self):
         train = self.train(labeled=6)
         # class 2 keeps one label: the fold holding it is skipped, and of
@@ -576,21 +591,23 @@ class TestSharedRealization:
         assert [r.accuracies for r in results] == [c.accuracies[:1] for c in clean]
 
     def test_failed_learner_step_fails_only_that_learner(self, monkeypatch):
-        # the candidate step of mmc's first solve fails
-        original = ssdr.harness._project
+        # the solve of mmc's first fit fails: mmc's constraint is the
+        # identity, and its final fit of realization 0 is the first solve
+        # under one (ss-lfda's sweep and final fit and lfda's come before it)
+        original = ssdr.solver._gev
         failed = []
 
-        def solve(L_l, L_u, spec, constraint):
-            if spec.base == "mmc" and not failed:
+        def solve(L, B_reg, dim, identity):
+            if identity and not failed:
                 failed.append(1)
                 raise np.linalg.LinAlgError("mmc solve failed")
-            return original(L_l, L_u, spec, constraint)
+            return original(L, B_reg, dim, identity)
 
         cfg = shared_config(KernelSpec("gaussian", sigma=2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             clean = run_benchmark(cfg)
-            monkeypatch.setattr(ssdr.harness, "_project", solve)
+            monkeypatch.setattr(ssdr.solver, "_gev", solve)
             results = run_benchmark(cfg)
         assert [r.failures for r in results] == [
             (), (), ("realization 0: mmc solve failed",), ()]

@@ -18,7 +18,7 @@ from ssdr import (BASES, Dataset, EmbeddingModel, KernelSpec, LearnerSpec, Split
                   pca_preprocess, regularize, resolve_k, save_model,
                   self_cost, solve_gev, split)
 from ssdr.harness import _label_stage, _shared_inputs
-from ssdr.solver import _constraint, _join, _prepare, _project, _solve, _term, _weights
+from ssdr.solver import _join, _prepare, _solves, _stages, _term
 
 
 def random_pd(rng, d):
@@ -169,9 +169,9 @@ class TestSolveGev:
         with pytest.raises(ValueError):
             solve_gev(np.eye(3), np.eye(3), 4)
 
-    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("dim", [0, -1, 1.5])
     def test_dim_below_one_rejected_by_name(self, dim):
-        # it used to return empty arrays
+        # 0 and -1 used to return empty arrays, 1.5 to fail in a slice
         for B in (np.eye(3), 2 * np.eye(3)):
             with pytest.raises(ValueError, match=rf"^dim must be .*got {dim}$"):
                 solve_gev(np.eye(3), B, dim)
@@ -400,10 +400,11 @@ class TestEpsilonFallback:
         singular = numerical_rank(B) < d0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            model = _solve(L, None, B, spec, np.zeros(d0), None)
+            # m = d0 labeled points bound no rank below d0: an eigensolve counts it
+            [(_, _, _, eps)] = _solves((L, B), {None: (None, None)}, [spec], d0)
         assert (len(caught) == 1) == singular == (floor < 1e-10)
         want = 1e-8 * max(np.trace(B), 1.0) / d0 if singular else 0.0
-        assert model.epsilon == want
+        assert eps == want
 
 
 class TestRankBound:
@@ -426,11 +427,12 @@ class TestRankBound:
         kernel = KernelSpec("gaussian", sigma=2.0)
         spec = LearnerSpec(base="lfda", unlabel="none", gamma=0.0, dim=2)
         calls = self.count_eigvalsh(monkeypatch)
-        # the rule without the bound: an eigensolve counts the rank of B
+        # the rule without the bound (m = d0 bounds no rank below d0): an
+        # eigensolve counts the rank of B
         _, (X, mean, basis) = ssdr.kpca._kpca_inputs(train.X, kernel)
-        L_l, L_u, B = build_scatters(X, train.labels, spec)
+        label, terms = _stages(X, train.labels, spec)
         with pytest.warns(UserWarning) as want_warnings:
-            want = _solve(L_l, L_u, B, spec, mean, basis)
+            [(A, lam, gamma, eps)] = _solves(label, terms, [spec], X.shape[0])
         assert len(calls) == 1 and X.shape[0] == 149
         calls.clear()
         with pytest.warns(UserWarning) as got_warnings:
@@ -440,12 +442,12 @@ class TestRankBound:
                    "falling back to epsilon = 4.77574e-10")
         assert [str(w.message) for w in got_warnings] == \
             [str(w.message) for w in want_warnings] == [message]
-        assert got.epsilon == want.epsilon == 1e-8 * max(np.trace(B), 1.0) / 149
-        for name in ("A", "eigenvalues", "train_mean"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert got.pre_pca is want.pre_pca is None
+        assert got.epsilon == eps == 1e-8 * max(np.trace(label[1]), 1.0) / 149
+        for have, want in ((got.A, A), (got.eigenvalues, lam), (got.train_mean, mean)):
+            assert np.array_equal(have, want)
+        assert got.pre_pca is basis is None
         assert (got.gamma, got.alpha, got.weighting_mode) == \
-            (want.gamma, want.alpha, want.weighting_mode)
+            (gamma, spec.alpha, spec.weighting_mode)
 
     @pytest.mark.parametrize("base", ["fda", "lfda", "mfa"])
     def test_enough_labels_still_count_the_rank(self, monkeypatch, base):
@@ -611,6 +613,17 @@ class TestBuildScatters:
             fit(d, LearnerSpec(base="mmc", unlabel="none", gamma=0.0,
                                gamma_prime=-1.0))
 
+    @pytest.mark.parametrize("alpha, message", [
+        (2, "all-zero cost matrix"), (1, "base 'lfda' needs labeled examples")])
+    def test_unlabel_error_before_the_label_costs(self, alpha, message):
+        # a tiny global heat scale leaves all-zero costs, whose square fails;
+        # their first power builds, and then the label costs fail
+        d = labeled_dataset(np.random.default_rng(25)).with_labels_hidden([])
+        spec = LearnerSpec(base="lfda", unlabel="heat", alpha=alpha,
+                           heat=ssdr.costs.HeatKernelSpec("global", sigma=1e-3))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            fit(d, spec)
+
     def test_fit_rejects_base_none_without_unlabel_weight(self):
         d = labeled_dataset(np.random.default_rng(23))
         with pytest.raises(ValueError, match="unlabel cost"):
@@ -654,12 +667,12 @@ class TestInPlaceSolve:
     def test_projection_as_the_copying_solve(self, base, unlabel, mode):
         spec = LearnerSpec(base=base, unlabel=unlabel, gamma=0.7, alpha=2, dim=2,
                            weighting_mode=mode)
-        L_l, L_u, B = build_scatters(self.train.X, self.train.labels, spec)
+        label, terms = _stages(self.train.X, self.train.labels, spec)
+        L_l, L_u, B = _join(label, terms[_term(spec)])
         kept = [None if M is None else M.copy() for M in (L_l, L_u)]
-        constraint = _constraint(B, _weights(spec, L_u)[1])
-        A, lam = _project(L_l, L_u, spec, constraint)
+        [(A, lam, _, eps)] = _solves(label, terms, [spec], self.train.labeled_count)
         want_A, want_lam = solve_gev(L_l if L_u is None else L_l + spec.gamma * L_u,
-                                     constraint[0], spec.dim)
+                                     regularize(B, eps), spec.dim)
         assert np.array_equal(A, axis_weighting(want_A, want_lam, mode))
         assert np.array_equal(lam, want_lam)
         # the scatters, which candidates share, are left as they were
@@ -667,15 +680,18 @@ class TestInPlaceSolve:
             assert M is copy is None or np.array_equal(M, copy)
 
     def test_peak_memory(self):
-        # L and the copy of B_reg that dsygvx factors: f2py copies no L
+        # L and the copy of B_reg that dsygvx factors: f2py copies no L.  Two
+        # specs share one constraint, so the second solve builds only its L
         d0 = 601
         rng = np.random.default_rng(28)
         L_l, L_u = random_symmetric(rng, d0), random_symmetric(rng, d0)
         spec = LearnerSpec(base="lfda", unlabel="heat", gamma=1.0, dim=2)
-        constraint = _constraint(random_pd(rng, d0), 1.0)
+        solves = _solves((L_l, random_pd(rng, d0)), {("heat", 1): (L_u, None)},
+                         [spec, spec], d0)
+        next(solves)
         tracemalloc.start()
         try:
-            _project(L_l, L_u, spec, constraint)
+            assert not isinstance(next(solves), Exception)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
