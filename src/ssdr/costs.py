@@ -24,9 +24,11 @@ The public ``neighbor_graphs`` places the graphs in boolean n x n arrays.
 Dense n x n costs are built in place, in blocks of ``_ROW_BLOCK`` rows: each
 matrix is one n x n buffer, and the temporaries stay O(block * n).  The heat
 kernel computes the upper block triangle of its exactly symmetric distances
-and mirrors it, so no averaging pass is needed.  The Hadamard power squares
-one copy of the costs in place, bit by bit of alpha.  ``self_cost`` is for
-callers and tests: the solver scatters the self_pca term in closed form.
+and mirrors it, so no averaging pass is needed.  The Hadamard power scales
+the costs exactly by a power of two into [0.5, 1), so nothing underflows or
+overflows, and squares one copy in place, bit by bit of alpha; the solver's
+chain of squarings takes the same rule.  ``self_cost`` is for callers and
+tests: the solver scatters the self_pca term in closed form.
 """
 from __future__ import annotations
 
@@ -273,28 +275,28 @@ def self_cost(n: int) -> np.ndarray:
 def hadamard_power(cu: np.ndarray, alpha: int) -> np.ndarray:
     """Entrywise alpha-th power rescaled to preserve the Frobenius norm.
 
-    The power is taken by repeated squaring in one buffer, so an entry may
-    differ from ``e**alpha`` in the last place."""
+    The costs are scaled by the power of two 2**-k that puts their largest
+    |entry| in [0.5, 1): exactly, so no power or norm underflows to zero or
+    overflows, and no bit changes where neither would.  The power is taken
+    by repeated squaring in one buffer (an entry may differ from
+    ``e**alpha`` in the last place) and rescaled to 2**k * norm(scaled)."""
     if alpha < 1 or int(alpha) != alpha:
         raise ValueError("alpha must be a positive integer")
     e = np.asarray(cu)
-    norm = np.linalg.norm(e)
-    p = e.copy()
+    top = max(e.max(initial=0.0), -e.min(initial=0.0))
+    if top == 0.0:
+        raise ValueError("all-zero cost matrix: norm ratio undefined")
+    if alpha == 1:
+        return e.copy()
+    k = math.frexp(top)[1]
+    s = np.ldexp(e, -k) if k else e
+    p = s.copy()
     # square-and-multiply over the bits of alpha after the leading one
     for bit in bin(int(alpha))[3:]:
         np.square(p, out=p)
         if bit == "1":
-            p *= e
-    p_norm = norm if alpha == 1 else np.linalg.norm(p)
-    if p_norm == 0.0:
-        # the squares in a norm underflow: power e scaled to a largest |entry| of 1
-        scale = np.abs(e).max(initial=0.0)
-        if scale == 0.0:
-            raise ValueError("all-zero cost matrix: norm ratio undefined")
-        p = hadamard_power(e / scale, alpha)
-        p *= scale
-    elif alpha > 1:
-        p *= norm / p_norm
+            p *= s
+    p *= np.ldexp(np.linalg.norm(s), k) / np.linalg.norm(p)
     return p
 
 

@@ -50,7 +50,7 @@ class Dataset:
             raise DatasetError(f"label_names has {len(self.label_names)} names for "
                                f"n_classes = {self.n_classes}")
         X = np.asarray(self.X, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if X.ndim != 2:
             raise DatasetError("X must be a 2-d array of shape (d0, n)")
         if labels.shape != (X.shape[1],):
@@ -59,6 +59,14 @@ class Dataset:
         if bad.any():
             raise DatasetError(f"example {int(np.argmax(bad))} (column of X) has a "
                                "non-finite value")
+        if labels.dtype.kind == "f":
+            # a cast to int would truncate 1.7 to 1
+            bad = ~(np.isfinite(labels) & (labels == np.round(labels)))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DatasetError(f"example {i} has the label {labels[i]}; labels "
+                                   "must be integers")
+        labels = np.asarray(labels, dtype=int)
         present = labels[labels != UNLABELED]
         if present.size and (present.min() < 1 or present.max() > self.n_classes):
             raise DatasetError("labels must lie in {1..c} or be UNLABELED")
@@ -245,8 +253,9 @@ def generate_multimodal_toy(kind: str, n_per_cluster: int = 50,
     """Deterministic 2-d Gaussian cluster problems (see ``_TOY_BLOBS``)."""
     if kind not in _TOY_BLOBS:
         raise DatasetError(f"unknown toy kind {kind!r}; choose from {sorted(_TOY_BLOBS)}")
-    if n_per_cluster < 2:
-        raise DatasetError("n_per_cluster must be at least 2")
+    for name, value, least in (("n_per_cluster", n_per_cluster, 2), ("seed", seed, 0)):
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise DatasetError(f"{name} must be an integer >= {least}, got {value!r}")
     if not 0 <= noise < math.inf:
         raise DatasetError(f"noise must be non-negative and finite, got {noise}")
     rng = np.random.default_rng([sorted(_TOY_BLOBS).index(kind), seed])
@@ -266,8 +275,10 @@ def split(dataset: Dataset, spec: SplitSpec, realization: int):
     transductive setting (test == 0, unlabeled is None) the unlabeled
     examples double as the test set.
     """
-    if not 0 <= realization < spec.realizations:
-        raise DatasetError(f"realization {realization} outside 0..{spec.realizations - 1}")
+    if not (isinstance(realization, numbers.Integral)
+            and 0 <= realization < spec.realizations):
+        raise DatasetError(f"realization must be an integer in 0..{spec.realizations - 1}, "
+                           f"got {realization!r}")
     rng = np.random.default_rng([spec.seed, realization])
     eligible = np.flatnonzero(dataset.labeled_mask)
     if spec.labeled > eligible.size:

@@ -6,6 +6,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -186,8 +187,11 @@ def _label_stage(inputs, spec: LearnerSpec, labels: np.ndarray):
     """``_label_scatters`` of ``labels`` on a realization's ``_shared_inputs``
     (or the error they failed with), ranked from the sub-block of their
     ranking block over the labeled points; or the error of that build."""
+    if isinstance(inputs, Exception):
+        return inputs   # not raised again: see ``_realization``
+
     def build():
-        pos = np.searchsorted(_ok(inputs).labeled, np.flatnonzero(labels != UNLABELED))
+        pos = np.searchsorted(inputs.labeled, np.flatnonzero(labels != UNLABELED))
         return _label_scatters(inputs.X, labels, spec, lambda: inputs.block[np.ix_(pos, pos)])
     return _attempt(build)
 
@@ -212,13 +216,17 @@ def _scorer(inputs, spec: LearnerSpec, grid: dict, eval_k: int):
     (sliced after the product, which is how ``embed`` rounds them) and one
     vote of the unchecked core ``_knn``: every array it gets is built here
     from inputs checked where they entered."""
-    try:
-        if _ok(inputs).kmap is not None:
-            spec = _linear_spec(spec, inputs.kmap)
-            grid = {p: _linear_spec(c, inputs.kmap) for p, c in grid.items()}
-        _check_dim(spec.dim, inputs.X)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        return lambda labels, points, held, truth, label=None, exc=exc: [exc] * len(points)
+    exc = inputs if isinstance(inputs, Exception) else None   # see ``_realization``
+    if exc is None:
+        try:
+            if inputs.kmap is not None:
+                spec = _linear_spec(spec, inputs.kmap)
+                grid = {p: _linear_spec(c, inputs.kmap) for p, c in grid.items()}
+            _check_dim(spec.dim, inputs.X)
+        except (ValueError, np.linalg.LinAlgError) as err:
+            exc = err
+    if exc is not None:
+        return lambda labels, points, held, truth, label=None: [exc] * len(points)
 
     def score(labels, points, held, truth, label=None):
         lab = np.flatnonzero(labels != UNLABELED)
@@ -279,6 +287,8 @@ def cross_validate(train: Dataset, spec: LearnerSpec, tunes: tuple,
     KPCA coordinates of the training inputs.  Ties go to the smaller gamma,
     then the smaller alpha.
     """
+    _at_least(SimpleNamespace(folds=folds, eval_k=eval_k, seed=seed), integer=True,
+              folds=2, eval_k=1, seed=0)
     grid = _grid(spec, tunes, gamma_grid, alpha_grid)
     if len(grid) == 1:
         return next(iter(grid))
@@ -327,7 +337,9 @@ def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> l
     sweep runs first; then the final fits run grouped by label-cost key, and
     each group's label stage of all training labels is built once and freed
     before the next group's, so none is kept through a sweep.  All of it is
-    freed on return."""
+    freed on return.  A failed stage that learners share is reported from
+    its stored error and never raised again: each raise would add its frames
+    to the shared error's traceback."""
     try:
         lab_idx, unl_idx, test_idx = split(data, config.split, r)
         train_idx = np.sort(np.concatenate([lab_idx, unl_idx]))
@@ -358,9 +370,9 @@ def _realization(data: Dataset, config: ExperimentConfig, r: int, learners) -> l
                 if label is None:
                     label = _label_stage(inputs, learners[i][0], train.labels)
                 [acc] = scorers[i](train.labels, [point], None, data.labels[eval_idx], label)
-                outcomes[i] = _ok(acc)
             except (ValueError, np.linalg.LinAlgError) as exc:
-                outcomes[i] = f"realization {r}: {exc}"
+                acc = exc
+            outcomes[i] = f"realization {r}: {acc}" if isinstance(acc, Exception) else acc
     return outcomes
 
 

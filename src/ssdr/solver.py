@@ -377,18 +377,24 @@ def _heat_terms(X: np.ndarray, cu: np.ndarray, alphas: list, constrained: set) -
     """Per alpha of the ascending ``alphas``, the scatters of
     ``hadamard_power(cu, alpha)`` (cu itself at alpha 1), or the error of
     their build, bit for bit, from one chain of squarings of the heat costs
-    cu, which it consumes.  Alpha 1 and the alphas that ``_chained`` leaves
-    out are built from the intact costs first.  Then cu is squared in place
-    along the chained powers of two; each power is rescaled to cu's norm in
+    cu, which it consumes.  Alpha 1, the alphas that are not powers of two
+    and, for all-zero costs, every alpha are built from the intact costs
+    first.  Then cu is scaled in place by the power of two 2**-k that
+    ``hadamard_power`` takes, and squared in place along the powers of two
+    above 1; each power is rescaled to 2**k times the scaled costs' norm in
     one reused buffer, as ``hadamard_power`` rescales its power, and
     scattered.  So no more than two n x n matrices are live at once."""
-    out = {}
-    chain = _chained(cu, alphas)
-    for a in alphas:
-        if a not in chain:
-            out[a] = _attempt(_heat_scatters, X, cu, a, ("heat", a) in constrained)
+    powers = [a for a in alphas if a > 1 and not a & (a - 1)]
+    # heat costs are non-negative: their largest |entry| is their largest
+    top = cu.max() if powers else 0.0
+    chain = powers if top > 0.0 else []
+    out = {a: _attempt(_heat_scatters, X, cu, a, ("heat", a) in constrained)
+           for a in alphas if a not in chain}
     if chain:
-        norm, q, power = np.linalg.norm(cu), np.empty_like(cu), 1
+        k = math.frexp(top)[1]
+        if k:
+            np.ldexp(cu, -k, out=cu)
+        norm, q, power = np.ldexp(np.linalg.norm(cu), k), np.empty_like(cu), 1
         for a in chain:
             while power < a:
                 np.square(cu, out=cu)
@@ -396,25 +402,6 @@ def _heat_terms(X: np.ndarray, cu: np.ndarray, alphas: list, constrained: set) -
             np.multiply(cu, norm / np.linalg.norm(cu), out=q)
             out[a] = _attempt(_heat_scatters, X, q, 1, ("heat", a) in constrained)
     return out
-
-
-def _chained(cu: np.ndarray, alphas: list) -> list:
-    """The alphas of the ascending ``alphas`` that a chain of squarings of cu
-    gives bit for bit: the powers of two above 1 at which the power's
-    largest entry, squared alike as a scalar, still squares to a positive
-    number.  Then the power's norm is positive, and ``hadamard_power`` takes
-    no underflow fallback; from the first alpha that fails, every larger
-    power of two fails too."""
-    powers = [a for a in alphas if a > 1 and not a & (a - 1)]
-    chain, top, power = [], float(cu.max()) if powers else 0.0, 1
-    for a in powers:
-        while power < a:
-            top *= top
-            power *= 2
-        if not top * top > 0.0:
-            break
-        chain.append(a)
-    return chain
 
 
 def _heat_scatters(X: np.ndarray, cu: np.ndarray, alpha: int, constraint: bool):
@@ -493,17 +480,25 @@ def _solves(label, terms: dict, specs, m: int):
     gamma, epsilon)`` of the axis-weighted projection minimizing L_l + gamma
     L_u under B + epsilon I, or the error of its first failed step.
     ``label`` is ``(L_l, B)`` of ``_label_scatters`` and ``terms`` the terms
-    of ``_unlabel_stage``; either may hold errors.  gamma is 0 without an
-    unlabel term and epsilon None means gamma; a fallback epsilon is warned
-    once per spec.  m bounds the rank of the B of fda, lfda and mfa, which
-    are scattered from the m labeled columns.  Consecutive specs with one B
-    and epsilon share one ``_constraint``.  L is built as gamma L_u plus L_l
-    (the same bits: addition commutes), or as a copy of L_l, in a buffer
-    that the solve destroys."""
+    of ``_unlabel_stage``; either may hold errors, which are yielded as
+    stored.  gamma is 0 without an unlabel term and epsilon None means
+    gamma; a fallback epsilon is warned once per spec.  m bounds the rank of
+    the B of fda, lfda and mfa, which are scattered from the m labeled
+    columns.  Consecutive specs with one B and epsilon share one
+    ``_constraint``.  L is built as gamma L_u plus L_l (the same bits:
+    addition commutes), or as a copy of L_l, in a buffer that the solve
+    destroys."""
     last = None   # (B, epsilon, its _constraint) of the last spec
     for spec in specs:
+        term = terms[_term(spec)]
+        failed = label if isinstance(label, Exception) else term
+        if isinstance(failed, Exception):
+            # yielded, not raised: each raise of an error that specs share
+            # would add its frames to the error's traceback
+            yield failed
+            continue
         try:
-            L_l, L_u, B = _join(_ok(label), _ok(terms[_term(spec)]))
+            L_l, L_u, B = _join(label, term)
             gamma = spec.gamma if L_u is not None else 0.0
             eps = spec.epsilon if spec.epsilon is not None else gamma
             if last is None or last[0] is not B or last[1] != eps:

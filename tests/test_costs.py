@@ -393,6 +393,18 @@ class TestHadamardPower:
         assert out.argmax() == e.argmax() and (out >= 0).all()
 
 
+    @pytest.mark.parametrize("scale", [1e30, 1e40])
+    def test_huge_entries_keep_their_norm(self, scale):
+        # unscaled, the 8th power of entries near 1e40 overflows (NaN after
+        # the rescaling), and near 1e30 the power's norm does (all zeros)
+        m = np.random.default_rng(17).random((3, 3))
+        e = scale * (0.5 + 0.5 * (m + m.T))
+        out = hadamard_power(e, 8)
+        assert np.isfinite(out).all()
+        assert self.scaled_norm(out) == pytest.approx(self.scaled_norm(e), rel=1e-12)
+        assert out.argmax() == e.argmax()
+
+
 class TestTraceIdentity:
     def test_random_instances(self):
         rng = np.random.default_rng(16)

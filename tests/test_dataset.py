@@ -89,6 +89,17 @@ class TestDatasetModel:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Dataset(X=np.zeros((1, 4)), labels=[UNLABELED] * 4, **fields)
 
+    @pytest.mark.parametrize("labels, example", [
+        ([1.7, 2.2, -1.0], 0), ([1.0, np.nan, 2.0], 1), ([1.0, 2.0, np.inf], 2)])
+    def test_non_integral_label_names_example(self, labels, example):
+        # a cast to int used to store 1.7 as 1
+        with pytest.raises(DatasetError, match=f"^example {example} has the label"):
+            Dataset(X=np.zeros((2, 3)), labels=labels, n_classes=2)
+
+    def test_integral_float_labels_accepted(self):
+        d = Dataset(X=np.zeros((2, 3)), labels=[1.0, 2.0, -1.0], n_classes=2)
+        assert d.labels.dtype.kind == "i" and d.labels.tolist() == [1, 2, -1]
+
     def test_non_finite_x_names_example(self):
         X = np.zeros((2, 5))
         for value in (np.nan, np.inf, -np.inf):

@@ -424,6 +424,16 @@ def test_hadamard_power_bitwise(alpha):
     np.testing.assert_array_equal(hadamard_power(cu, alpha), want)
 
 
+@pytest.mark.parametrize("scale", [0.3, 3.0, 1e-3, 1e5])
+@pytest.mark.parametrize("alpha", [2, 5])
+def test_hadamard_power_bitwise_at_scale(alpha, scale):
+    # costs whose largest entry is outside [0.5, 1) are scaled by a power of
+    # two first, which is exact: the bits are the unscaled chain's
+    m = np.random.default_rng(alpha).random((60, 60))
+    cu = scale * (m + m.T)
+    np.testing.assert_array_equal(hadamard_power(cu, alpha), ref_hadamard_power(cu, alpha))
+
+
 @pytest.mark.parametrize("spec", [HeatKernelSpec("local"), HeatKernelSpec("global", sigma=10.0)],
                          ids=["local", "global"])
 def test_heat_kernel_peak_memory(spec):

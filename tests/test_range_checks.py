@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ssdr import (ExperimentConfig, HeatKernelSpec, KernelSpec, KnnIndex, LearnerSpec,
-                  SplitSpec)
+from ssdr import (DatasetError, ExperimentConfig, HeatKernelSpec, KernelSpec, KnnIndex,
+                  LearnerSpec, SplitSpec, cross_validate, generate_multimodal_toy, split)
 from ssdr.harness import config_from_dict
 
 # (constructor, the other arguments it needs, the field under test)
@@ -113,3 +113,33 @@ def test_out_of_range_config_value_names_its_key(key, text):
     field = {"heat_k": "k", "kernel": "(degree|sigma)", "heat": "sigma"}.get(key, key)
     with pytest.raises(ValueError, match=rf"^(config key '{key}': .*)?{field} (values )?must"):
         config_from_dict({"dataset": "three-cluster", key: text})
+
+
+# the public entry points check the arguments that ExperimentConfig and
+# SplitSpec check for the harness; each used to fail late in numpy, or
+# (folds, eval_k = -1) to return a result
+@pytest.mark.parametrize("name, value", [
+    ("folds", 0), ("folds", -2), ("folds", 1.5), ("eval_k", -1), ("eval_k", 0),
+    ("eval_k", 2.5), ("seed", -1), ("seed", 1.5)])
+def test_cross_validate_rejects_argument_by_name(name, value):
+    train = generate_multimodal_toy("three-cluster", 10)
+    train = train.with_labels_hidden(np.arange(0, train.n, 2))
+    args = {"folds": 3, "eval_k": 1, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        cross_validate(train, LearnerSpec(base="lfda", unlabel="heat"), ("gamma",),
+                       (0.1, 1.0), (1,), **args)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_per_cluster", 1), ("n_per_cluster", 2.5), ("seed", -1), ("seed", 1.5)])
+def test_generate_multimodal_toy_rejects_argument_by_name(name, value):
+    args = {"n_per_cluster": 5, "seed": 0, name: value}
+    with pytest.raises(DatasetError, match=rf"^{name} must be an integer"):
+        generate_multimodal_toy("two-cluster", **args)
+
+
+@pytest.mark.parametrize("realization", [-1, 1.5])
+def test_split_rejects_realization_by_name(realization):
+    data = generate_multimodal_toy("two-cluster", 5)
+    with pytest.raises(DatasetError, match=r"^realization must be an integer in 0\.\.2"):
+        split(data, SplitSpec(labeled=4, realizations=3), realization)

@@ -1,4 +1,5 @@
 import struct
+import traceback
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -17,7 +18,7 @@ from ssdr import (BASES, Dataset, EmbeddingModel, KernelSpec, LearnerSpec, Split
                   mmc_costs, neighbor_graphs, numerical_rank, pairwise_sq_dists,
                   pca_preprocess, regularize, resolve_k, save_model,
                   self_cost, solve_gev, split)
-from ssdr.harness import _label_stage, _shared_inputs
+from ssdr.harness import _label_stage, _scorer, _shared_inputs
 from ssdr.solver import _join, _prepare, _solves, _stages, _term
 
 
@@ -733,13 +734,14 @@ class TestHeatChain:
         self.stage(X, (1, 2, 3, 4, 6, 8), "lfda")
         assert powers == [3, 6]
 
-    @pytest.mark.parametrize("sigma, powered", [(0.12, [8]), (1e-3, [2, 4, 8])],
-                             ids=["8th power underflows", "all-zero costs"])
-    def test_underflow_takes_hadamard_powers_path(self, monkeypatch, sigma, powered):
+    @pytest.mark.parametrize("sigma, powered", [(0.12, []), (1e-3, [2, 4, 8])],
+                             ids=["tiny costs", "all-zero costs"])
+    def test_tiny_and_all_zero_costs(self, monkeypatch, sigma, powered):
         # points one apart on a line: the largest global heat cost is
-        # exp(-1 / sigma^2), 7e-31 at sigma 0.12, whose 8th power squares to
-        # 0, so hadamard_power's underflow fallback rescales it; at sigma
-        # 1e-3 every cost is 0 and each power above 1 fails
+        # exp(-1 / sigma^2), 7e-31 at sigma 0.12, whose 8th power would
+        # square to 0 unscaled; scaled by a power of two into [0.5, 1) it
+        # chains like any other costs.  At sigma 1e-3 every cost is 0, so
+        # each power above 1 goes to hadamard_power and fails
         n = 60
         X = np.vstack([np.arange(n, dtype=float), np.zeros(n)])
         heat = ssdr.costs.HeatKernelSpec("global", sigma=sigma)
@@ -760,6 +762,43 @@ class TestHeatChain:
                 continue
             for got, w in zip(terms["heat", a], want):
                 np.testing.assert_array_equal(got, w)
+
+
+def stored_error():
+    """An error as a failed stage stores it: raised once and caught."""
+    try:
+        raise ValueError("stage failed")
+    except ValueError as exc:
+        return exc
+
+
+# each hands one stored error on to ``count`` candidates or learners
+SHARED_ERROR_CONSUMERS = {
+    "solves, label": lambda err, count: _solves(
+        err, {None: (None, None)}, [LearnerSpec(base="lfda", unlabel="none", gamma=0.0)] * count,
+        10),
+    "solves, term": lambda err, count: _solves(
+        (np.eye(2), np.eye(2)), {("heat", 1): err}, [LearnerSpec()] * count, 10),
+    "label stage": lambda err, count: (
+        _label_stage(err, LearnerSpec(), np.array([1, 2])) for _ in range(count)),
+    "scorer": lambda err, count: (
+        _scorer(err, LearnerSpec(), {(1.0, 1): LearnerSpec()}, 1) for _ in range(count)),
+}
+
+
+@pytest.mark.parametrize("consumer", SHARED_ERROR_CONSUMERS)
+def test_shared_stage_error_traceback_does_not_grow(consumer):
+    # every raise of the one shared error would add its frames to the
+    # error's traceback: 400 entries after 200 specs
+    lengths = []
+    for count in (1, 200):
+        err = stored_error()
+        outs = list(SHARED_ERROR_CONSUMERS[consumer](err, count))
+        assert len(outs) == count
+        if consumer.startswith("solves"):
+            assert all(out is err for out in outs)
+        lengths.append(len(traceback.extract_tb(err.__traceback__)))
+    assert lengths[1] <= lengths[0]
 
 
 class TestSelfPcaScatter:
